@@ -2,6 +2,8 @@
 
 #include "affine/AffineAccess.h"
 
+#include "lattice/Distance.h"
+
 #include <sstream>
 
 using namespace ardf;
@@ -128,4 +130,76 @@ std::optional<Rational> ardf::constantReuseDistance(const AffineAccess &From,
   if (From.A.isZero())
     return std::nullopt;
   return Diff.ratioTo(From.A);
+}
+
+std::optional<int64_t> ardf::minOverlapDistance(const AffineAccess &From,
+                                                const AffineAccess &To,
+                                                int64_t Pr, int64_t Trip) {
+  Poly Da = From.A - To.A;
+  Poly Db = From.B - To.B;
+
+  if (From.A.isZero()) {
+    // Invariant source: every instance names the same cell; any overlap
+    // holds at every distance, so the minimum is Pr.
+    if (To.A.isZero()) {
+      if (Db.isZero())
+        return Pr;
+      if (Db.isConstant())
+        return std::nullopt;
+      return Pr; // symbolic: conservative
+    }
+    if (Db.isConstant() && To.A.isConstant()) {
+      Rational Hit(Db.getConstant(), To.A.getConstant());
+      if (!Hit.isInteger())
+        return std::nullopt;
+      int64_t I = Hit.asInteger();
+      if (I < 1 || (Trip != UnknownTripCount && I > Trip))
+        return std::nullopt;
+      return Pr;
+    }
+    return Pr; // symbolic: conservative
+  }
+
+  if (Da.isZero()) {
+    // delta(i) == Db / A1 constant.
+    std::optional<Rational> C = Db.isZero()
+                                    ? std::optional<Rational>(Rational(0))
+                                    : Db.ratioTo(From.A);
+    if (!C)
+      return Pr; // symbolic: conservative
+    if (!C->isInteger())
+      return std::nullopt;
+    int64_t D = C->asInteger();
+    return D >= Pr ? std::optional<int64_t>(D) : std::nullopt;
+  }
+
+  if (!Da.isConstant() || !Db.isConstant() || !From.A.isConstant())
+    return Pr; // symbolic: conservative
+
+  // delta(i) = (da*i + db) / a1, monotone linear; find the minimum value
+  // >= Pr over integer i in [1, Trip].
+  int64_t DaC = Da.getConstant(), DbC = Db.getConstant(),
+          A1 = From.A.getConstant();
+  auto DeltaAt = [&](int64_t I) { return Rational(DaC * I + DbC, A1); };
+  Rational XStar(Pr * A1 - DbC, DaC); // delta(x*) == Pr
+  bool SlopePositive = (DaC > 0) == (A1 > 0);
+  Rational M;
+  if (SlopePositive) {
+    int64_t I0 = XStar.isInteger() ? XStar.asInteger() : XStar.floor() + 1;
+    if (I0 < 1)
+      I0 = 1;
+    if (Trip != UnknownTripCount && I0 > Trip)
+      return std::nullopt;
+    M = DeltaAt(I0);
+  } else {
+    int64_t ILast = XStar.isInteger() ? XStar.asInteger() : XStar.ceil() - 1;
+    if (Trip != UnknownTripCount && ILast > Trip)
+      ILast = Trip;
+    if (ILast < 1)
+      return std::nullopt;
+    M = DeltaAt(ILast);
+  }
+  if (M < Rational(Pr))
+    return std::nullopt;
+  return M.ceil();
 }

@@ -71,6 +71,16 @@ std::optional<AffineAccess> makeAffineAccess(const ArrayRefExpr &Ref,
 std::optional<Rational> constantReuseDistance(const AffineAccess &From,
                                               const AffineAccess &To);
 
+/// Smallest iteration distance delta >= \p Pr at which From(i - delta)
+/// may equal To(i) for some i in [1, \p Trip] (\p Trip may be
+/// UnknownTripCount). Conservative in the may sense: symbolic
+/// uncertainty reports an overlap at distance \p Pr rather than missing
+/// one. Returns nullopt when overlap is provably impossible. Requires
+/// both accesses to the same array.
+std::optional<int64_t> minOverlapDistance(const AffineAccess &From,
+                                          const AffineAccess &To, int64_t Pr,
+                                          int64_t Trip);
+
 } // namespace ardf
 
 #endif // ARDF_AFFINE_AFFINEACCESS_H

@@ -39,82 +39,6 @@ std::vector<Dependence> DependenceInfo::distanceOne() const {
 
 namespace {
 
-/// Smallest iteration distance delta >= Pr at which From(i - delta) may
-/// equal To(i) for some i in [1, Trip]. Conservative in the may sense:
-/// symbolic uncertainty reports a dependence at distance Pr rather than
-/// missing one. Returns nullopt when overlap is provably impossible.
-std::optional<int64_t> minOverlapDistance(const AffineAccess &From,
-                                          const AffineAccess &To, int64_t Pr,
-                                          int64_t Trip) {
-  Poly Da = From.A - To.A;
-  Poly Db = From.B - To.B;
-
-  if (From.A.isZero()) {
-    // Invariant source: every instance names the same cell; any overlap
-    // holds at every distance, so the minimum is Pr.
-    if (To.A.isZero()) {
-      if (Db.isZero())
-        return Pr;
-      if (Db.isConstant())
-        return std::nullopt;
-      return Pr; // symbolic: conservative
-    }
-    if (Db.isConstant() && To.A.isConstant()) {
-      Rational Hit(Db.getConstant(), To.A.getConstant());
-      if (!Hit.isInteger())
-        return std::nullopt;
-      int64_t I = Hit.asInteger();
-      if (I < 1 || (Trip != UnknownTripCount && I > Trip))
-        return std::nullopt;
-      return Pr;
-    }
-    return Pr; // symbolic: conservative
-  }
-
-  if (Da.isZero()) {
-    // delta(i) == Db / A1 constant.
-    std::optional<Rational> C = Db.isZero()
-                                    ? std::optional<Rational>(Rational(0))
-                                    : Db.ratioTo(From.A);
-    if (!C)
-      return Pr; // symbolic: conservative
-    if (!C->isInteger())
-      return std::nullopt;
-    int64_t D = C->asInteger();
-    return D >= Pr ? std::optional<int64_t>(D) : std::nullopt;
-  }
-
-  if (!Da.isConstant() || !Db.isConstant() || !From.A.isConstant())
-    return Pr; // symbolic: conservative
-
-  // delta(i) = (da*i + db) / a1, monotone linear; find the minimum value
-  // >= Pr over integer i in [1, Trip].
-  int64_t DaC = Da.getConstant(), DbC = Db.getConstant(),
-          A1 = From.A.getConstant();
-  auto DeltaAt = [&](int64_t I) { return Rational(DaC * I + DbC, A1); };
-  Rational XStar(Pr * A1 - DbC, DaC); // delta(x*) == Pr
-  bool SlopePositive = (DaC > 0) == (A1 > 0);
-  Rational M;
-  if (SlopePositive) {
-    int64_t I0 = XStar.isInteger() ? XStar.asInteger() : XStar.floor() + 1;
-    if (I0 < 1)
-      I0 = 1;
-    if (Trip != UnknownTripCount && I0 > Trip)
-      return std::nullopt;
-    M = DeltaAt(I0);
-  } else {
-    int64_t ILast = XStar.isInteger() ? XStar.asInteger() : XStar.ceil() - 1;
-    if (Trip != UnknownTripCount && ILast > Trip)
-      ILast = Trip;
-    if (ILast < 1)
-      return std::nullopt;
-    M = DeltaAt(ILast);
-  }
-  if (M < Rational(Pr))
-    return std::nullopt;
-  return M.ceil();
-}
-
 DepKind kindOf(bool FromIsDef, bool ToIsDef) {
   if (FromIsDef)
     return ToIsDef ? DepKind::Output : DepKind::Flow;
@@ -128,28 +52,46 @@ DependenceInfo ardf::extractDependences(const LoopDataFlow &DF,
   DependenceInfo Info;
   const FrameworkInstance &FW = DF.framework();
   const ReferenceUniverse &U = DF.universe();
-  int64_t Trip = DF.graph().getTripCount();
+  unsigned NumTracked = FW.getNumTracked();
+
+  // Per tuple element: its representative and its class's slot among
+  // the array's classes. Per sink: the overlap distance from each
+  // tracked class of the sink's array at pr 0 and 1, -1 when overlap is
+  // impossible. The overlap search spans the instance's iteration space:
+  // the enclosing loop's in a with-respect-to session.
+  std::vector<unsigned> SourceId(NumTracked);
+  std::vector<char> SourceIsDef(NumTracked);
+  std::vector<unsigned> SlotOf(NumTracked);
+  for (unsigned Idx = 0; Idx != NumTracked; ++Idx) {
+    SourceId[Idx] = FW.getTracked(Idx).Id;
+    SourceIsDef[Idx] = FW.getTracked(Idx).IsDef;
+    SlotOf[Idx] = U.classSlot(FW.trackedClass(Idx));
+  }
+  std::vector<int64_t> OverlapOfSlot;
 
   for (const RefOccurrence &To : U.occurrences()) {
     if (!To.isTrackable())
       continue;
-    for (unsigned Idx = 0; Idx != FW.getNumTracked(); ++Idx) {
-      const RefOccurrence &From = FW.getTracked(Idx);
-      if (From.Id == To.Id)
+    unsigned Array = U.arrayId(To.Id);
+    unsigned ToClass = U.accessClass(To.Id);
+    OverlapOfSlot.resize(2 * U.numArrayClasses(Array));
+    for (unsigned FromClass : FW.trackedClassesOfArray(Array))
+      for (int64_t Pr = 0; Pr != 2; ++Pr) {
+        std::optional<int64_t> D = FW.overlapDistance(FromClass, ToClass, Pr);
+        OverlapOfSlot[U.classSlot(FromClass) * 2 + Pr] = D ? *D : -1;
+      }
+    for (unsigned Idx : FW.trackedOfArray(Array)) {
+      if (SourceId[Idx] == To.Id)
         continue;
-      if (From.arrayName() != To.arrayName())
-        continue;
-      DepKind Kind = kindOf(From.IsDef, To.IsDef);
+      DepKind Kind = kindOf(SourceIsDef[Idx], To.IsDef);
       if (Kind == DepKind::Input && !IncludeInput)
         continue;
-      int64_t Pr = FW.pr(Idx, To.Node);
-      std::optional<int64_t> D =
-          minOverlapDistance(*From.Affine, *To.Affine, Pr, Trip);
-      if (!D)
+      int64_t D = OverlapOfSlot[SlotOf[Idx] * 2 + FW.pr(Idx, To.Node)];
+      if (D < 0)
         continue;
-      if (!DF.valueAt(To.Node, Idx).covers(*D))
+      if (!DF.valueAt(To.Node, Idx).covers(D))
         continue;
-      Info.Deps.push_back(Dependence{From.Id, To.Id, Kind, *D});
+      Info.Deps.push_back(Dependence{SourceId[Idx], To.Id, Kind, D});
     }
   }
   return Info;

@@ -72,7 +72,8 @@ DependenceInfo computeDependences(const Program &P, const DoLoopStmt &Loop,
                                   bool IncludeInput = false);
 
 /// Extracts dependences from an already-solved reaching-references
-/// instance.
+/// instance. Overlaps are searched over the instance's iteration space:
+/// the enclosing loop's trip count for a with-respect-to session.
 DependenceInfo extractDependences(const LoopDataFlow &DF,
                                   bool IncludeInput = false);
 

@@ -229,46 +229,45 @@ std::vector<ReusePair> ardf::collectReusePairs(const FrameworkInstance &FW,
     return Pairs;
   const ReferenceUniverse &U = FW.getUniverse();
   const bool Backward = FW.getSpec().isBackward();
-
-  // The tracked representatives are loop-invariant: resolve each tuple
-  // element's id and affine view once instead of per (sink, source)
-  // combination.
-  struct Source {
-    unsigned Id;
-    const AffineAccess *Affine;
-  };
-  std::vector<Source> Sources;
-  Sources.reserve(NumTracked);
-  for (unsigned Idx = 0; Idx != NumTracked; ++Idx) {
-    const RefOccurrence &Rep = FW.getTracked(Idx);
-    Sources.push_back(Source{Rep.Id, &*Rep.Affine});
-  }
   Pairs.reserve(U.size());
+
+  // Per tuple element: its representative and its class's slot among
+  // the array's classes. Per sink: the reuse distance from each tracked
+  // class of the sink's array, -1 when absent or negative (below every
+  // pr), so the element loop reads one table entry.
+  std::vector<unsigned> SourceId(NumTracked);
+  std::vector<unsigned> SlotOf(NumTracked);
+  for (unsigned Idx = 0; Idx != NumTracked; ++Idx) {
+    SourceId[Idx] = FW.getTracked(Idx).Id;
+    SlotOf[Idx] = U.classSlot(FW.trackedClass(Idx));
+  }
+  std::vector<int64_t> DistOfSlot;
 
   for (const RefOccurrence &Sink : U.occurrences()) {
     if (!selects(SinkSel, Sink) || !Sink.isTrackable())
       continue;
-    const AffineAccess &SinkAffine = *Sink.Affine;
-    DistanceMatrix::ConstRow InRow = Result.In[Sink.Node];
-    for (unsigned Idx = 0; Idx != NumTracked; ++Idx) {
-      if (Sources[Idx].Id == Sink.Id)
-        continue;
+    unsigned Array = U.arrayId(Sink.Id);
+    unsigned SinkClass = U.accessClass(Sink.Id);
+    DistOfSlot.resize(U.numArrayClasses(Array));
+    for (unsigned SourceClass : FW.trackedClassesOfArray(Array)) {
       // Forward problems: the source executed delta iterations earlier,
       // Source.subscript(i - delta) == Sink.subscript(i). Backward
       // problems look into the future: Source.subscript(i + delta) ==
       // Sink.subscript(i), which is the same equation with the roles
       // swapped.
-      std::optional<Rational> Delta =
-          Backward ? constantReuseDistance(SinkAffine, *Sources[Idx].Affine)
-                   : constantReuseDistance(*Sources[Idx].Affine, SinkAffine);
-      if (!Delta || !Delta->isInteger())
-        continue;
-      int64_t D = Delta->asInteger();
-      if (D < FW.pr(Idx, Sink.Node))
+      std::optional<int64_t> D = Backward
+                                     ? FW.reuseDistance(SinkClass, SourceClass)
+                                     : FW.reuseDistance(SourceClass, SinkClass);
+      DistOfSlot[U.classSlot(SourceClass)] = D && *D >= 0 ? *D : -1;
+    }
+    DistanceMatrix::ConstRow InRow = Result.In[Sink.Node];
+    for (unsigned Idx : FW.trackedOfArray(Array)) {
+      int64_t D = DistOfSlot[SlotOf[Idx]];
+      if (D < FW.pr(Idx, Sink.Node) || SourceId[Idx] == Sink.Id)
         continue;
       if (!InRow[Idx].covers(D))
         continue;
-      Pairs.push_back(ReusePair{Sources[Idx].Id, Sink.Id, D});
+      Pairs.push_back(ReusePair{SourceId[Idx], Sink.Id, D});
     }
   }
   return Pairs;

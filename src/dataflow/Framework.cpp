@@ -9,8 +9,8 @@
 #include "ir/PrettyPrinter.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
-#include <map>
 #include <ostream>
 #include <sstream>
 
@@ -41,6 +41,18 @@ LoopOrientation LoopOrientation::compute(const LoopFlowGraph &Graph,
   O.MeetEdgesNoSource = O.MeetEdgesAll;
   if (!O.Preds[Source].empty())
     O.MeetEdgesNoSource -= O.Preds[Source].size() - 1;
+
+  unsigned N = Graph.getNumNodes();
+  O.ReachWords = (N + 63) / 64;
+  O.Reach.assign(size_t(N) * O.ReachWords, 0);
+  for (unsigned From = 0; From != N; ++From)
+    for (unsigned To = 0; To != N; ++To)
+      if (Graph.reachesIntraIteration(From, To)) {
+        unsigned Row = Dir == FlowDirection::Backward ? To : From;
+        unsigned Bit = Dir == FlowDirection::Backward ? From : To;
+        O.Reach[size_t(Row) * O.ReachWords + Bit / 64] |=
+            uint64_t(1) << (Bit % 64);
+      }
   return O;
 }
 
@@ -106,39 +118,107 @@ void FrameworkInstance::selectTracked() {
     OccToTracked[Occ.Id] = Groups.size();
     Groups.push_back({Occ.Id});
   }
+  unsigned N = Graph->getNumNodes();
+  unsigned T = Groups.size();
+  TrackedClass.resize(T);
+  for (unsigned Idx = 0; Idx != T; ++Idx)
+    TrackedClass[Idx] = Universe->accessClass(Groups[Idx].front());
 
-  GenAt.assign(Graph->getNumNodes() * Groups.size(), 0);
-  for (unsigned Idx = 0; Idx != Groups.size(); ++Idx)
-    for (unsigned OccId : Groups[Idx])
-      GenAt[Universe->occurrence(OccId).Node * Groups.size() + Idx] = 1;
+  // Array buckets (counting sort, so each bucket stays ascending).
+  ArrayBegin.assign(Universe->numArrays() + 1, 0);
+  for (unsigned Idx = 0; Idx != T; ++Idx)
+    ++ArrayBegin[Universe->arrayId(Groups[Idx].front()) + 1];
+  for (unsigned A = 0; A != Universe->numArrays(); ++A)
+    ArrayBegin[A + 1] += ArrayBegin[A];
+  ByArray.resize(T);
+  std::vector<unsigned> Fill(ArrayBegin.begin(), ArrayBegin.end() - 1);
+  for (unsigned Idx = 0; Idx != T; ++Idx)
+    ByArray[Fill[Universe->arrayId(Groups[Idx].front())]++] = Idx;
+  std::vector<char> Seen(Universe->numAccessClasses(), 0);
+  ArrayClassBegin.assign(1, 0);
+  for (unsigned A = 0; A != Universe->numArrays(); ++A) {
+    for (unsigned Idx : trackedOfArray(A))
+      if (!Seen[TrackedClass[Idx]]) {
+        Seen[TrackedClass[Idx]] = 1;
+        ClassesByArray.push_back(TrackedClass[Idx]);
+      }
+    ArrayClassBegin.push_back(ClassesByArray.size());
+  }
+
+  // Generating cells, dense and node-major CSR (a member sharing its
+  // node with an earlier member of the same element adds no cell).
+  GenAt.assign(size_t(N) * T, 0);
+  GenBegin.assign(N + 1, 0);
+  for (unsigned Idx = 0; Idx != T; ++Idx)
+    for (unsigned OccId : Groups[Idx]) {
+      unsigned Node = Universe->occurrence(OccId).Node;
+      char &G = GenAt[size_t(Node) * T + Idx];
+      if (!G)
+        ++GenBegin[Node + 1];
+      G = 1;
+    }
+  for (unsigned Node = 0; Node != N; ++Node)
+    GenBegin[Node + 1] += GenBegin[Node];
+  GenCols.resize(GenBegin[N]);
+  Fill.assign(GenBegin.begin(), GenBegin.end() - 1);
+  for (unsigned Idx = 0; Idx != T; ++Idx)
+    for (unsigned OccId : Groups[Idx]) {
+      unsigned Node = Universe->occurrence(OccId).Node;
+      if (Fill[Node] == GenBegin[Node] || GenCols[Fill[Node] - 1] != Idx)
+        GenCols[Fill[Node]++] = Idx;
+    }
+}
+
+size_t FrameworkInstance::genSlot(unsigned Idx, unsigned Node) const {
+  auto Begin = GenCols.begin() + GenBegin[Node];
+  auto End = GenCols.begin() + GenBegin[Node + 1];
+  auto It = std::lower_bound(Begin, End, Idx);
+  assert(It != End && *It == Idx && "not a generating cell");
+  return It - GenCols.begin();
 }
 
 void FrameworkInstance::computePr() {
-  unsigned N = Graph->getNumNodes();
-  Pr.assign(Groups.size() * N, 1);
-  for (unsigned Idx = 0; Idx != Groups.size(); ++Idx) {
+  unsigned W = Orient->ReachWords;
+  unsigned T = Groups.size();
+  Pr.assign(size_t(Graph->getNumNodes()) * T, 1);
+  // pr(d, n) == 0 iff a generating node of d reaches n in the working
+  // orientation within the same iteration, so the distance-0 instance
+  // is in range (Section 3.1.2): clear the union of the members'
+  // reachability rows.
+  std::vector<uint64_t> Row(W);
+  for (unsigned Idx = 0; Idx != T; ++Idx) {
+    std::fill(Row.begin(), Row.end(), 0);
     for (unsigned OccId : Groups[Idx]) {
-      unsigned Home = Universe->occurrence(OccId).Node;
-      for (unsigned Node = 0; Node != N; ++Node) {
-        // pr(d, n) == 0 iff a generating node of d reaches n in the
-        // working orientation within the same iteration, so the
-        // distance-0 instance is in range (Section 3.1.2).
-        bool Reaches = Spec.isBackward()
-                           ? Graph->reachesIntraIteration(Node, Home)
-                           : Graph->reachesIntraIteration(Home, Node);
-        if (Reaches)
-          Pr[Idx * N + Node] = 0;
-      }
+      const uint64_t *Home =
+          Orient->reachRow(Universe->occurrence(OccId).Node);
+      for (unsigned Word = 0; Word != W; ++Word)
+        Row[Word] |= Home[Word];
     }
+    for (unsigned Word = 0; Word != W; ++Word)
+      for (uint64_t Bits = Row[Word]; Bits; Bits &= Bits - 1)
+        Pr[(size_t(Word) * 64 + std::countr_zero(Bits)) * T + Idx] = 0;
   }
 }
 
 void FrameworkInstance::computePreserves() {
   unsigned N = Graph->getNumNodes();
   unsigned T = Groups.size();
-  int64_t Trip = TripCount;
-  Preserve.assign(N * T, DistanceValue::allInstances());
-  PreserveAfter.assign(N * T, DistanceValue::allInstances());
+  Preserve.assign(size_t(N) * T, DistanceValue::allInstances());
+  PreserveAfter.assign(GenCols.size(), DistanceValue::allInstances());
+
+  // The constant depends only on the access-class pair, pr, mode, and
+  // direction (trip count is fixed per cache): one dense table per
+  // (mode, direction), shared by the session's instances, so repeated
+  // killers of one class and sibling instances skip the rational
+  // arithmetic.
+  PreserveCache::Table &Table =
+      Cache->Tables[unsigned(Spec.isMust()) * 2 + unsigned(Spec.isBackward())];
+  if (Table.Known.empty()) {
+    Table.Values.resize(Universe->numClassPairs() * 2);
+    Table.Known.resize(Universe->numClassPairs() * 2, 0);
+  }
+  uint64_t Hits = 0;
+  uint64_t Misses = 0;
 
   // Micro-position of an occurrence within its statement, in working
   // execution order: forward problems execute uses (0) before the def
@@ -153,10 +233,11 @@ void FrameworkInstance::computePreserves() {
       const RefOccurrence &Killer = Universe->occurrence(KillId);
       if (!selects(Spec.Kill, Killer))
         continue;
-      for (unsigned Idx = 0; Idx != T; ++Idx) {
-        const RefOccurrence &D = getTracked(Idx);
-        if (D.arrayName() != Killer.arrayName())
-          continue;
+      unsigned KillerCol = Killer.KillsWholeArray
+                               ? ReferenceUniverse::wholeArrayColumn
+                               : Universe->accessClass(KillId);
+      // Only same-array tracked references can be killed.
+      for (unsigned Idx : trackedOfArray(Universe->arrayId(KillId))) {
         // A killer that is itself a member regenerates the tracked
         // value in the same breath; its (distance-0) kill is subsumed.
         if (OccToTracked[KillId] == static_cast<int>(Idx))
@@ -164,57 +245,71 @@ void FrameworkInstance::computePreserves() {
         // A killer in a generating node of d positioned after the
         // generation point applies post-generation, with the fresh
         // distance-0 instance already in range.
-        bool GenNode = generatesAt(Idx, Node);
         bool AfterGen = false;
-        if (GenNode)
+        if (generatesAt(Idx, Node))
           for (unsigned MemberId : Groups[Idx])
             if (Universe->occurrence(MemberId).Node == Node &&
                 microPos(Killer) >
                     microPos(Universe->occurrence(MemberId)))
               AfterGen = true;
         int64_t EffPr = AfterGen ? 0 : pr(Idx, Node);
-        // The constant depends only on the access-class pair, pr, mode,
-        // and direction (trip count is fixed per cache): memoized, so
-        // repeated killers of one class and sibling instances sharing
-        // the session cache skip the rational arithmetic.
-        uint64_t KillerClass = Killer.KillsWholeArray
-                                   ? uint64_t(Universe->numAccessClasses())
-                                   : Universe->accessClass(KillId);
-        uint64_t Key =
-            (uint64_t(Universe->accessClass(D.Id)) *
-                 (Universe->numAccessClasses() + 1) +
-             KillerClass) *
-                8 +
-            uint64_t(EffPr) * 4 + uint64_t(Spec.isMust()) * 2 +
-            uint64_t(Spec.isBackward());
-        auto [CacheIt, Inserted] =
-            Cache->Map.try_emplace(Key, DistanceValue::noInstance());
-        if (Inserted)
-          ++Cache->Misses;
-        else
-          ++Cache->Hits;
-        telem::count(Inserted ? telem::Counter::PreserveMisses
-                              : telem::Counter::PreserveHits);
-        if (Inserted) {
+        unsigned Tracked = trackedClass(Idx);
+        size_t Key = Universe->classPairIndex(Tracked, KillerCol) * 2 + EffPr;
+        if (Table.Known[Key]) {
+          ++Hits;
+        } else {
+          ++Misses;
           PreserveQuery Q;
-          Q.Preserved = &*D.Affine;
+          Q.Preserved = &Universe->classAccess(Tracked);
           Q.Killer = Killer.KillsWholeArray ? nullptr : &*Killer.Affine;
           Q.Pr = EffPr;
-          Q.TripCount = Trip;
+          Q.TripCount = TripCount;
           Q.Mode = Spec.Mode;
           Q.Direction = Spec.Direction;
-          CacheIt->second = computePreserveConstant(Q);
+          Table.Values[Key] = computePreserveConstant(Q);
+          Table.Known[Key] = 1;
         }
-        DistanceValue P = CacheIt->second;
         // Several killers compose; surviving instances must survive
         // each of them.
-        DistanceValue &Slot =
-            AfterGen ? PreserveAfter[Node * T + Idx]
-                     : Preserve[Node * T + Idx];
-        Slot = DistanceValue::min(Slot, P);
+        DistanceValue &Slot = AfterGen ? PreserveAfter[genSlot(Idx, Node)]
+                                       : Preserve[size_t(Node) * T + Idx];
+        Slot = DistanceValue::min(Slot, Table.Values[Key]);
       }
     }
   }
+  Cache->Hits += Hits;
+  Cache->Misses += Misses;
+  telem::count(telem::Counter::PreserveHits, Hits);
+  telem::count(telem::Counter::PreserveMisses, Misses);
+}
+
+std::optional<int64_t>
+FrameworkInstance::reuseDistance(unsigned FromClass, unsigned ToClass) const {
+  if (ReuseMemo.empty())
+    ReuseMemo.resize(Universe->numClassPairs());
+  std::optional<std::optional<int64_t>> &Slot =
+      ReuseMemo[Universe->classPairIndex(FromClass, ToClass)];
+  if (!Slot) {
+    std::optional<Rational> Delta = constantReuseDistance(
+        Universe->classAccess(FromClass), Universe->classAccess(ToClass));
+    Slot = Delta && Delta->isInteger()
+               ? std::optional<int64_t>(Delta->asInteger())
+               : std::nullopt;
+  }
+  return *Slot;
+}
+
+std::optional<int64_t> FrameworkInstance::overlapDistance(unsigned FromClass,
+                                                          unsigned ToClass,
+                                                          int64_t Pr) const {
+  if (OverlapMemo.empty())
+    OverlapMemo.resize(Universe->numClassPairs() * 2);
+  std::optional<std::optional<int64_t>> &Slot =
+      OverlapMemo[Universe->classPairIndex(FromClass, ToClass) * 2 + Pr];
+  if (!Slot)
+    Slot = minOverlapDistance(Universe->classAccess(FromClass),
+                              Universe->classAccess(ToClass), Pr, TripCount);
+  return *Slot;
 }
 
 DistanceValue FrameworkInstance::applyNode(unsigned Node, unsigned Idx,

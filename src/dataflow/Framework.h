@@ -44,9 +44,10 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace ardf {
@@ -205,18 +206,18 @@ struct FlowSummary;
 struct SolveProvenance;
 
 /// Memoized preserve constants. The p constant of Section 3.1.2 depends
-/// only on the (preserved, killer) affine access pair, the pr value, the
-/// problem mode and direction, and the trip count — not on which problem
-/// asked. Keyed by access-class pair, one cache serves every killer
+/// only on the (preserved, killer) access-class pair, the pr value, the
+/// problem mode and direction, and the trip count -- not on which
+/// problem asked. One dense table per (mode, direction), indexed by
+/// ReferenceUniverse::classPairIndex and pr, serves every killer
 /// occurrence of a class and every instance sharing the cache (a
 /// LoopAnalysisSession passes its cache to all of its instances; trip
-/// count is fixed per loop, so it stays out of the key). Not
-/// thread-safe: shared only within one session, which is single-threaded
-/// by contract.
+/// count is fixed per loop, so it stays out of the key). A table is
+/// allocated on the first instance of its (mode, direction). Not
+/// thread-safe: shared only within one session, which is
+/// single-threaded by contract.
 class PreserveCache {
 public:
-  size_t size() const { return Map.size(); }
-
   /// Lookup hits and misses observed since construction (a hit means the
   /// rational preserve arithmetic was skipped; the cross-instance
   /// sharing metric the telemetry layer reports).
@@ -225,7 +226,13 @@ public:
 
 private:
   friend class FrameworkInstance;
-  std::unordered_map<uint64_t, DistanceValue> Map;
+  /// Entry (classPairIndex * 2 + pr) of one (mode, direction): the
+  /// constant, valid once Known is set.
+  struct Table {
+    std::vector<DistanceValue> Values;
+    std::vector<char> Known;
+  };
+  Table Tables[4];
   uint64_t Hits = 0;
   uint64_t Misses = 0;
 };
@@ -297,6 +304,17 @@ struct LoopOrientation {
   unsigned MeetEdgesAll = 0;
   unsigned MeetEdgesNoSource = 0;
 
+  /// Intra-iteration reachability in the working orientation as bit
+  /// rows of ReachWords words: bit n of row m is set when m reaches n
+  /// (forward) or n reaches m (backward) within one iteration. The pr
+  /// predicate of a tracked reference is the complement of the OR of
+  /// its generating nodes' rows.
+  unsigned ReachWords = 0;
+  std::vector<uint64_t> Reach;
+  const uint64_t *reachRow(unsigned Node) const {
+    return Reach.data() + size_t(Node) * ReachWords;
+  }
+
   static LoopOrientation compute(const LoopFlowGraph &Graph,
                                  FlowDirection Dir);
 };
@@ -348,12 +366,32 @@ public:
   /// Maps an occurrence id to its tuple position, or -1 if untracked.
   int trackedIndexOf(unsigned OccId) const { return OccToTracked[OccId]; }
 
+  /// The tracked indices whose references name array \p Array
+  /// (ReferenceUniverse::arrayId), ascending. Kills and reuse only
+  /// connect same-array references, so a killer or a sink visits this
+  /// bucket instead of the whole tuple.
+  std::span<const unsigned> trackedOfArray(unsigned Array) const {
+    return {ByArray.data() + ArrayBegin[Array],
+            ByArray.data() + ArrayBegin[Array + 1]};
+  }
+
+  /// The distinct access classes of trackedOfArray(\p Array), in order
+  /// of first appearance. Extraction resolves a sink's class-pair
+  /// distances for these classes once, then reads them per element.
+  std::span<const unsigned> trackedClassesOfArray(unsigned Array) const {
+    return {ClassesByArray.data() + ArrayClassBegin[Array],
+            ClassesByArray.data() + ArrayClassBegin[Array + 1]};
+  }
+
+  /// Access class shared by every member of tuple element \p Idx.
+  unsigned trackedClass(unsigned Idx) const { return TrackedClass[Idx]; }
+
   /// pr(d, n) for tracked index \p Idx at node \p Node, evaluated in the
   /// working orientation (Section 3.1.2; successors for backward
   /// problems). For a grouped element, 0 when any member's node reaches
   /// \p Node intra-iteration.
   int64_t pr(unsigned Idx, unsigned Node) const {
-    return Pr[Idx * Graph->getNumNodes() + Node];
+    return Pr[size_t(Node) * Groups.size() + Idx];
   }
 
   /// True if tracked reference \p Idx is generated in node \p Node.
@@ -375,9 +413,26 @@ public:
   /// value in a forward problem, or a same-statement use killing the
   /// store's busyness in a backward problem) must apply after the
   /// generate function, with the fresh distance-0 instance in range.
+  /// Kept for generating cells only: pre generatesAt(Idx, Node).
   DistanceValue preserveAfterGen(unsigned Idx, unsigned Node) const {
-    return PreserveAfter[Node * Groups.size() + Idx];
+    return PreserveAfter[genSlot(Idx, Node)];
   }
+
+  /// The constant reuse distance delta with From(i - delta) == To(i)
+  /// for all i, between same-array access classes \p FromClass and
+  /// \p ToClass, when one exists and is an integer (constantReuseDistance
+  /// of the classes' affine views). Memoized per class pair on first
+  /// use, so reuse-pair extraction does no affine arithmetic per
+  /// occurrence pair.
+  std::optional<int64_t> reuseDistance(unsigned FromClass,
+                                       unsigned ToClass) const;
+
+  /// minOverlapDistance of the same-array access classes \p FromClass
+  /// and \p ToClass at pr value \p Pr over this instance's iteration
+  /// space (getTripCount(): the enclosing loop's in a with-respect-to
+  /// instance). Memoized per (class pair, pr) on first use.
+  std::optional<int64_t> overlapDistance(unsigned FromClass,
+                                         unsigned ToClass, int64_t Pr) const;
 
   /// Applies the node flow function f_n to one tuple component.
   DistanceValue applyNode(unsigned Node, unsigned Idx,
@@ -413,6 +468,9 @@ private:
   void computePr();
   void computePreserves();
 
+  /// Position of generating cell (\p Idx, \p Node) in GenCols.
+  size_t genSlot(unsigned Idx, unsigned Node) const;
+
   const LoopFlowGraph *Graph;
   ProblemSpec Spec;
   int64_t TripCount;
@@ -425,10 +483,27 @@ private:
   PreserveCache *Cache;
   std::vector<std::vector<unsigned>> Groups;
   std::vector<int> OccToTracked;
+  std::vector<unsigned> TrackedClass;
+  /// trackedOfArray buckets: ByArray[ArrayBegin[a], ArrayBegin[a+1]);
+  /// trackedClassesOfArray likewise over ClassesByArray.
+  std::vector<unsigned> ArrayBegin;
+  std::vector<unsigned> ByArray;
+  std::vector<unsigned> ArrayClassBegin;
+  std::vector<unsigned> ClassesByArray;
+  /// Node-major (Node * getNumTracked() + Idx) cell tables.
   std::vector<char> GenAt;
-  std::vector<int64_t> Pr;
+  std::vector<uint8_t> Pr;
   std::vector<DistanceValue> Preserve;
+  /// The generating cells, node-major: node n's tracked indices are
+  /// GenCols[GenBegin[n], GenBegin[n+1]), ascending; PreserveAfter runs
+  /// parallel to GenCols.
+  std::vector<unsigned> GenBegin;
+  std::vector<unsigned> GenCols;
   std::vector<DistanceValue> PreserveAfter;
+  /// Extraction memos, filled on first use: per class pair, resp. per
+  /// (class pair, pr); an empty outer optional means not yet computed.
+  mutable std::vector<std::optional<std::optional<int64_t>>> ReuseMemo;
+  mutable std::vector<std::optional<std::optional<int64_t>>> OverlapMemo;
 };
 
 /// Solves the equation system of \p FW (Section 3.2).

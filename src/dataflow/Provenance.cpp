@@ -84,13 +84,15 @@ SolveProvenance SolveProvenance::capture(const FrameworkInstance &FW) {
   }
 
   P.Preserve.resize(P.NumNodes * P.NumTracked);
-  P.PreserveAfter.resize(P.NumNodes * P.NumTracked);
+  P.PreserveAfter.resize(P.NumNodes * P.NumTracked,
+                         DistanceValue::allInstances());
   P.GenAt.resize(P.NumNodes * P.NumTracked);
   for (unsigned N = 0; N != P.NumNodes; ++N)
     for (unsigned Idx = 0; Idx != P.NumTracked; ++Idx) {
       P.Preserve[N * P.NumTracked + Idx] = FW.preserveAt(Idx, N);
-      P.PreserveAfter[N * P.NumTracked + Idx] = FW.preserveAfterGen(Idx, N);
       P.GenAt[N * P.NumTracked + Idx] = FW.generatesAt(Idx, N);
+      if (FW.generatesAt(Idx, N))
+        P.PreserveAfter[N * P.NumTracked + Idx] = FW.preserveAfterGen(Idx, N);
     }
   return P;
 }

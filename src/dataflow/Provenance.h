@@ -97,6 +97,7 @@ struct SolveProvenance {
   std::vector<NodeInfo> Nodes;
 
   /// Transfer constants per (node, tracked): index Node*NumTracked+Idx.
+  /// PreserveAfter is read only where GenAt is set.
   std::vector<DistanceValue> Preserve;
   std::vector<DistanceValue> PreserveAfter;
   std::vector<char> GenAt;

@@ -35,18 +35,36 @@ void ReferenceUniverse::computeAccessClasses() {
   // The canonical printed affine form is computed once per occurrence
   // here; framework instances group and cache by the resulting class
   // ids without touching strings again.
+  ArrayOf.assign(Occs.size(), 0);
   ClassOf.assign(Occs.size(), noAccessClass);
+  std::map<std::string, unsigned> ArrayOfName;
   std::map<std::string, unsigned> ClassOfKey;
   for (const RefOccurrence &Occ : Occs) {
+    auto [ArrayIt, NewArray] =
+        ArrayOfName.try_emplace(Occ.arrayName(), NumArrays);
+    if (NewArray) {
+      ++NumArrays;
+      ArrayClasses.push_back(0);
+    }
+    unsigned Array = ArrayOf[Occ.Id] = ArrayIt->second;
     if (!Occ.isTrackable())
       continue;
     std::string Key = Occ.arrayName() + "|" + Occ.Affine->A.toString() +
                       "|" + Occ.Affine->B.toString();
     auto [It, Inserted] = ClassOfKey.try_emplace(Key, NumClasses);
-    if (Inserted)
+    if (Inserted) {
       ++NumClasses;
+      ClassRep.push_back(Occ.Id);
+      ClassArray.push_back(Array);
+      ClassSlot.push_back(ArrayClasses[Array]++);
+    }
     ClassOf[Occ.Id] = It->second;
   }
+
+  PairBase.assign(NumArrays + 1, 0);
+  for (unsigned Array = 0; Array != NumArrays; ++Array)
+    PairBase[Array + 1] = PairBase[Array] + size_t(ArrayClasses[Array]) *
+                                                (ArrayClasses[Array] + 1);
 }
 
 void ReferenceUniverse::collectFromNode(unsigned Node) {

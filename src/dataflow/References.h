@@ -26,6 +26,7 @@
 #include "affine/AffineAccess.h"
 #include "cfg/LoopFlowGraph.h"
 
+#include <cassert>
 #include <optional>
 #include <string>
 #include <vector>
@@ -96,14 +97,52 @@ public:
     return ByNode[Node];
   }
 
+  /// Dense id of the array occurrence \p Id references, in order of
+  /// first occurrence. Every occurrence has one, trackable or not; only
+  /// same-array references can generate, kill, or reuse each other, so
+  /// instances bucket their tracked references by it.
+  unsigned arrayId(unsigned Id) const { return ArrayOf[Id]; }
+  unsigned numArrays() const { return NumArrays; }
+
   /// Access-class id of trackable occurrence \p Id: occurrences of the
   /// same array with the same affine subscript form one class. This is
   /// the problem-independent core of the GroupByAccess equivalence (and
-  /// the identity preserve-constant caching keys on); untrackable
+  /// the identity the class-pair tables key on); untrackable
   /// occurrences have no class (returns noAccessClass).
   unsigned accessClass(unsigned Id) const { return ClassOf[Id]; }
   unsigned numAccessClasses() const { return NumClasses; }
   static constexpr unsigned noAccessClass = ~0u;
+
+  /// The affine view every member of access class \p Class shares.
+  const AffineAccess &classAccess(unsigned Class) const {
+    return *Occs[ClassRep[Class]].Affine;
+  }
+
+  /// The number of access classes of array \p Array, and the slot of
+  /// class \p Class among its array's classes (0-based, in order of
+  /// first occurrence).
+  unsigned numArrayClasses(unsigned Array) const {
+    return ArrayClasses[Array];
+  }
+  unsigned classSlot(unsigned Class) const { return ClassSlot[Class]; }
+
+  /// Dense index of the ordered pair (\p Row, \p Col) of same-array
+  /// access classes, in [0, numClassPairs()). \p Col may be
+  /// wholeArrayColumn, which stands for a whole-array kill of \p Row's
+  /// array. Tables keyed by class pairs (preserve constants, reuse and
+  /// overlap distances) use this index space: the sum over arrays of
+  /// C * (C + 1) for an array's C classes, not the square of all
+  /// classes.
+  size_t classPairIndex(unsigned Row, unsigned Col) const {
+    unsigned Array = ClassArray[Row];
+    unsigned Width = ArrayClasses[Array] + 1;
+    assert((Col == wholeArrayColumn || ClassArray[Col] == Array) &&
+           "class pair of different arrays");
+    unsigned ColSlot = Col == wholeArrayColumn ? Width - 1 : ClassSlot[Col];
+    return PairBase[Array] + size_t(ClassSlot[Row]) * Width + ColSlot;
+  }
+  size_t numClassPairs() const { return PairBase[NumArrays]; }
+  static constexpr unsigned wholeArrayColumn = ~0u;
 
   const LoopFlowGraph &getGraph() const { return *Graph; }
   const Program &getProgram() const { return *Prog; }
@@ -122,8 +161,19 @@ private:
   std::string IV;
   std::vector<RefOccurrence> Occs;
   std::vector<std::vector<unsigned>> ByNode;
+  std::vector<unsigned> ArrayOf;
+  unsigned NumArrays = 0;
   std::vector<unsigned> ClassOf;
   unsigned NumClasses = 0;
+  /// Per class: first member, array id, and slot among the array's
+  /// classes.
+  std::vector<unsigned> ClassRep;
+  std::vector<unsigned> ClassArray;
+  std::vector<unsigned> ClassSlot;
+  /// Per array: class count, and the first classPairIndex of its block
+  /// (one extra entry holds the total).
+  std::vector<unsigned> ArrayClasses;
+  std::vector<size_t> PairBase;
 };
 
 } // namespace ardf

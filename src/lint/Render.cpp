@@ -35,19 +35,25 @@ std::string levelDistanceList(const Diagnostic &D) {
 
 } // namespace
 
+void SourceMap::add(std::string File, std::string Text) {
+  Source &S = Texts[std::move(File)];
+  S.Text = std::move(Text);
+  S.LineStarts.assign(1, 0);
+  for (size_t Pos = S.Text.find('\n'); Pos != std::string::npos;
+       Pos = S.Text.find('\n', Pos + 1))
+    S.LineStarts.push_back(Pos + 1);
+}
+
 std::string SourceMap::line(const std::string &File, unsigned Line) const {
-  const std::string *Text = textOf(File);
-  if (!Text || Line == 0)
+  auto It = Texts.find(File);
+  if (It == Texts.end() || Line == 0 || Line > It->second.LineStarts.size())
     return std::string();
-  size_t Begin = 0;
-  for (unsigned N = 1; N < Line; ++N) {
-    Begin = Text->find('\n', Begin);
-    if (Begin == std::string::npos)
-      return std::string();
-    ++Begin;
-  }
-  size_t End = Text->find('\n', Begin);
-  return Text->substr(Begin, End == std::string::npos ? End : End - Begin);
+  const Source &S = It->second;
+  size_t Begin = S.LineStarts[Line - 1];
+  size_t End = S.Text.size();
+  if (Line < S.LineStarts.size())
+    End = S.LineStarts[Line] - 1;
+  return S.Text.substr(Begin, End - Begin);
 }
 
 //===----------------------------------------------------------------------===//

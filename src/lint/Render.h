@@ -36,14 +36,14 @@ namespace ardf {
 /// text renderer can print the offending line under each diagnostic.
 class SourceMap {
 public:
-  void add(std::string File, std::string Text) {
-    Texts[std::move(File)] = std::move(Text);
-  }
+  /// Registers \p Text under \p File and indexes its line starts once,
+  /// so every snippet lookup is a constant-time slice.
+  void add(std::string File, std::string Text);
 
   /// The text of \p File, or null when unknown (snippets are skipped).
   const std::string *textOf(const std::string &File) const {
     auto It = Texts.find(File);
-    return It == Texts.end() ? nullptr : &It->second;
+    return It == Texts.end() ? nullptr : &It->second.Text;
   }
 
   /// Line \p Line (1-based) of \p File, without the newline; empty when
@@ -51,7 +51,13 @@ public:
   std::string line(const std::string &File, unsigned Line) const;
 
 private:
-  std::map<std::string, std::string> Texts;
+  struct Source {
+    std::string Text;
+    /// Offset of the first character of each line; a trailing newline
+    /// starts one more (empty) line.
+    std::vector<size_t> LineStarts;
+  };
+  std::map<std::string, Source> Texts;
 };
 
 /// Human text with source snippets and caret markers.

@@ -165,6 +165,23 @@ TEST(LintConflictTest, FlowDependenceAcrossIterations) {
   EXPECT_NE(D.Message.find("flow dependence"), std::string::npos);
 }
 
+TEST(LintConflictTest, OuterLevelDistanceSpansEnclosingIterations) {
+  // The j level analyzes the inner body over j's iterations [1, 10]:
+  // A[j] meets A[5] at j = 5 although the inner loop runs only 3 times,
+  // so the inner trip count must not bound the overlap search.
+  LintResult R = lint("do j = 1, 10 {\n"
+                      "  do i = 1, 3 {\n"
+                      "    A[5] = A[j] + 1;\n"
+                      "  }\n"
+                      "}\n");
+  std::vector<Diagnostic> Diags = ofCheck(R, checkid::CrossIterationConflict);
+  ASSERT_EQ(Diags.size(), 2u);
+  for (const Diagnostic &D : Diags) {
+    EXPECT_EQ(D.NestPath, "j/i");
+    EXPECT_EQ(D.Levels, (std::vector<int64_t>{1, 1}));
+  }
+}
+
 TEST(LintConflictTest, IndependentIterationsAreClean) {
   LintResult R = lint("do i = 1, 10 {\n"
                       "  A[i] = B[i] * 2;\n"
@@ -290,6 +307,29 @@ TEST(LintRenderTest, TextRendererShowsSnippetAndCaret) {
   EXPECT_NE(Out.find("^"), std::string::npos);
   EXPECT_NE(Out.find("distance: 1 iteration"), std::string::npos);
   EXPECT_NE(Out.find("fix:"), std::string::npos);
+}
+
+TEST(LintRenderTest, SourceMapLineLookup) {
+  SourceMap Sources;
+  Sources.add("open.arf", "first\n\nlast");
+  Sources.add("closed.arf", "one\ntwo\n");
+  EXPECT_EQ(Sources.line("open.arf", 0), "");
+  EXPECT_EQ(Sources.line("open.arf", 1), "first");
+  EXPECT_EQ(Sources.line("open.arf", 2), "");
+  // Last line without a trailing newline.
+  EXPECT_EQ(Sources.line("open.arf", 3), "last");
+  EXPECT_EQ(Sources.line("open.arf", 4), "");
+  // Last line with a trailing newline, then the empty line after it.
+  EXPECT_EQ(Sources.line("closed.arf", 2), "two");
+  EXPECT_EQ(Sources.line("closed.arf", 3), "");
+  EXPECT_EQ(Sources.line("closed.arf", 4), "");
+  EXPECT_EQ(Sources.line("unknown.arf", 1), "");
+  EXPECT_EQ(Sources.textOf("unknown.arf"), nullptr);
+  // Re-adding a file replaces its text and its line index.
+  Sources.add("open.arf", "x\ny");
+  EXPECT_EQ(*Sources.textOf("open.arf"), "x\ny");
+  EXPECT_EQ(Sources.line("open.arf", 2), "y");
+  EXPECT_EQ(Sources.line("open.arf", 3), "");
 }
 
 TEST(LintRenderTest, JsonLinesOneObjectPerDiagnostic) {
