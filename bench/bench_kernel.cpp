@@ -76,8 +76,8 @@ void printKernelTable() {
                 TR / Reps * 1e6, TK / Reps * 1e6, TR / TK);
   }
   std::printf("(both engines produce bit-identical SolveResult matrices; "
-              "the kernel sweeps packed uint64 rows through the %s "
-              "row-op backend)\n\n",
+              "the kernel sweeps packed uint64 rows with portable loops, "
+              "compiled for isa=%s)\n\n",
               simd::isaName(simd::activeIsa()));
 }
 
@@ -159,23 +159,15 @@ void BM_PackedKernelSolveBudgeted(benchmark::State &State) {
 }
 BENCHMARK(BM_PackedKernelSolveBudgeted)->Arg(32)->Arg(512);
 
-// The SoA interleaving experiment: the three forward paper problems
-// fused into one CompiledFlowGroup (shared traversal tables, one wide
-// row sweep) against the same three problems solved back-to-back over
-// their individual compiled programs. Both warm-workspace and
-// bit-identical per member; the delta is pure sweep fusion -- one pass
-// over the graph structure instead of three, wider rows for the SIMD
-// backends.
-std::vector<ProblemSpec> forwardPaperProblems() {
-  return {ProblemSpec::mustReachingDefs(), ProblemSpec::availableValues(),
-          ProblemSpec::reachingReferences()};
-}
-
+// The three forward paper problems solved back-to-back over their
+// compiled programs, each through its own warm workspace.
 void BM_IndependentForwardSolves(benchmark::State &State) {
   Program P = parseOrDie(sourceFor(State.range(0)));
   LoopAnalysisSession Session(P, *P.getFirstLoop());
   std::vector<const CompiledFlowProgram *> Parts;
-  for (const ProblemSpec &Spec : forwardPaperProblems())
+  for (const ProblemSpec &Spec :
+       {ProblemSpec::mustReachingDefs(), ProblemSpec::availableValues(),
+        ProblemSpec::reachingReferences()})
     Parts.push_back(&Session.compiledFlow(Spec));
   std::vector<SolveWorkspace> WS(Parts.size());
   for (auto _ : State) {
@@ -186,22 +178,6 @@ void BM_IndependentForwardSolves(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_IndependentForwardSolves)->Arg(32)->Arg(128)->Arg(512);
-
-void BM_InterleavedForwardSolves(benchmark::State &State) {
-  Program P = parseOrDie(sourceFor(State.range(0)));
-  LoopAnalysisSession Session(P, *P.getFirstLoop());
-  const CompiledFlowGroup &G =
-      Session.compiledFlowGroup(forwardPaperProblems());
-  GroupSolveWorkspace WS;
-  for (auto _ : State) {
-    const std::vector<SolveResult> &R = solveCompiledGroup(G, WS);
-    unsigned Visits = 0;
-    for (const SolveResult &M : R)
-      Visits += M.NodeVisits;
-    benchmark::DoNotOptimize(Visits);
-  }
-}
-BENCHMARK(BM_InterleavedForwardSolves)->Arg(32)->Arg(128)->Arg(512);
 
 // The one-time lowering cost a session amortizes over repeated solves.
 void BM_CompileFlowProgram(benchmark::State &State) {
@@ -262,36 +238,6 @@ void BM_FourProblemsSessionPacked(benchmark::State &State) {
   fourProblemsBench(State, SolverOptions::Engine::PackedKernel);
 }
 BENCHMARK(BM_FourProblemsSessionPacked)->Arg(32)->Arg(512);
-
-// The PackedSimd end-to-end: fresh session per iteration, the four
-// paper problems submitted as one batch so the cache-missing specs fuse
-// per direction (forward triple + lone backward) -- the path the driver
-// takes under --engine=simd, compile and group-fuse costs included.
-void BM_FourProblemsSessionSimd(benchmark::State &State) {
-  Program P = parseOrDie(sourceFor(State.range(0)));
-  const DoLoopStmt &Loop = *P.getFirstLoop();
-  std::vector<ProblemSpec> Specs = {
-      ProblemSpec::mustReachingDefs(), ProblemSpec::availableValues(),
-      ProblemSpec::busyStores(), ProblemSpec::reachingReferences()};
-  SolverOptions Opts;
-  Opts.Eng = SolverOptions::Engine::PackedSimd;
-  telem::Telemetry Telem;
-  telem::TelemetryScope Scope(Telem);
-  for (auto _ : State) {
-    LoopAnalysisSession Session(P, Loop);
-    unsigned Visits = 0;
-    for (const SolveResult *R : Session.solveInterleaved(Specs, Opts))
-      Visits += R->NodeVisits;
-    benchmark::DoNotOptimize(Visits);
-  }
-  State.counters["node_visits"] =
-      benchmark::Counter(Telem.get(telem::Counter::SolverNodeVisits),
-                         benchmark::Counter::kAvgIterations);
-  State.counters["group_sweeps"] =
-      benchmark::Counter(Telem.get(telem::Counter::SolverGroupSweeps),
-                         benchmark::Counter::kAvgIterations);
-}
-BENCHMARK(BM_FourProblemsSessionSimd)->Arg(32)->Arg(512);
 
 } // namespace
 

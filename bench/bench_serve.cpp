@@ -7,10 +7,7 @@
 // through ProgramAnalysisDriver::rerun, and an identical repeat pays
 // only the response-memo replay. The table prints the cold/warm/memo
 // split per engine; the google-benchmark timings add sustained
-// requests/sec at 1 and N submitter threads. The summary-engine rows
-// export the warm-apply counters (summary_applies, summary_cache_hits)
-// so BENCH_serve.json records how many solves the warm path served
-// without schedule passes.
+// requests/sec at 1 and N submitter threads.
 //
 //===----------------------------------------------------------------------===//
 
@@ -76,7 +73,7 @@ void printServeTable() {
   std::printf("== ardf-serve: cold vs warm vs memo, per engine ==\n");
   std::printf("%10s | %12s %12s %12s\n", "engine", "cold", "warm-edit",
               "memo-hit");
-  for (const char *Engine : {"reference", "packed", "summary"}) {
+  for (const char *Engine : {"reference", "packed"}) {
     AnalysisServer S;
     std::string File = std::string("bench-") + Engine + ".arf";
     // Cold: first contact builds the document, driver, and sessions.
@@ -139,27 +136,6 @@ void BM_ServeWarmRerun(benchmark::State &State) {
       S.telemetry().get(telem::Counter::ServeReruns));
 }
 BENCHMARK(BM_ServeWarmRerun);
-
-void BM_ServeWarmRerunSummary(benchmark::State &State) {
-  // The same edit stream under the summary engine: warm re-solves apply
-  // memoized transfer summaries instead of running schedule passes; the
-  // exported counters record how many solves the summaries served.
-  AnalysisServer S;
-  call(S, analyzeLine(programSource(4, 100), "warm.arf", "summary"));
-  int64_t Trip = 200;
-  for (auto _ : State) {
-    std::string R =
-        call(S, analyzeLine(programSource(4, Trip++), "warm.arf",
-                            "summary"));
-    benchmark::DoNotOptimize(R.data());
-  }
-  State.SetItemsProcessed(State.iterations());
-  State.counters["summary_applies"] = static_cast<double>(
-      S.telemetry().get(telem::Counter::SummaryApplies));
-  State.counters["summary_cache_hits"] = static_cast<double>(
-      S.telemetry().get(telem::Counter::SummaryCacheHits));
-}
-BENCHMARK(BM_ServeWarmRerunSummary);
 
 void BM_ServeMemoHit(benchmark::State &State) {
   // The identical request line: content hash + options key -> replay.

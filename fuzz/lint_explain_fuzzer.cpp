@@ -46,20 +46,8 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t *Data, size_t Size) {
 
   LintOptions Opts;
   Opts.Explain = true;
-  switch (Sel & 3) {
-  case 0:
-    Opts.Engine = SolverOptions::Engine::Reference;
-    break;
-  case 1:
-    Opts.Engine = SolverOptions::Engine::PackedKernel;
-    break;
-  case 2:
-    Opts.Engine = SolverOptions::Engine::PackedSimd;
-    break;
-  default:
-    Opts.Engine = SolverOptions::Engine::Summary;
-    break;
-  }
+  Opts.Engine = (Sel & 1) ? SolverOptions::Engine::PackedKernel
+                          : SolverOptions::Engine::Reference;
   if (Sel & 4)
     Opts.ExplainCheck = "cross-iteration-conflict";
 

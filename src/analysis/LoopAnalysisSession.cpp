@@ -56,7 +56,7 @@ LoopAnalysisSession::instanceRecord(const ProblemSpec &Spec) {
       Spec,
       FrameworkInstance(*Universe, orientation(Spec.Direction), Spec,
                         TripCount, &Cache),
-      nullptr, nullptr}));
+      nullptr}));
   return *Instances.back();
 }
 
@@ -66,7 +66,8 @@ LoopAnalysisSession::instance(const ProblemSpec &Spec) {
 }
 
 const CompiledFlowProgram &
-LoopAnalysisSession::compiledFor(Instance &I) {
+LoopAnalysisSession::compiledFlow(const ProblemSpec &Spec) {
+  Instance &I = instanceRecord(Spec);
   if (I.Compiled) {
     ++Stats.CompiledHits;
     telem::count(telem::Counter::SessionCompiledHits);
@@ -80,51 +81,19 @@ LoopAnalysisSession::compiledFor(Instance &I) {
   return *I.Compiled;
 }
 
-const CompiledFlowProgram &
-LoopAnalysisSession::compiledFlow(const ProblemSpec &Spec) {
-  return compiledFor(instanceRecord(Spec));
-}
-
-const FlowSummary &
-LoopAnalysisSession::flowSummary(const ProblemSpec &Spec) {
-  Instance &I = instanceRecord(Spec);
-  if (I.Summary) {
-    ++Stats.SummaryHits;
-    telem::count(telem::Counter::SummaryCacheHits);
-    return *I.Summary;
-  }
-  ++Stats.SummaryMisses;
-  I.Summary = std::make_unique<FlowSummary>(FlowSummary::lower(compiledFor(I)));
-  return *I.Summary;
-}
-
-const LoopAnalysisSession::Solution *
-LoopAnalysisSession::lookupSolution(const ProblemSpec &Spec,
-                                    const SolverOptions &Opts) const {
-  for (const std::unique_ptr<Solution> &S : Solutions)
-    if (sameProblem(S->Spec, Spec) && S->Opts == Opts)
-      return S.get();
-  return nullptr;
-}
-
 const SolveResult &LoopAnalysisSession::solve(const ProblemSpec &Spec,
                                               const SolverOptions &Opts) {
-  if (const Solution *S = lookupSolution(Spec, Opts)) {
-    ++Stats.SolutionHits;
-    telem::count(telem::Counter::SessionSolutionHits);
-    return S->Result;
-  }
+  for (const std::unique_ptr<Solution> &S : Solutions)
+    if (sameProblem(S->Spec, Spec) && S->Opts == Opts) {
+      ++Stats.SolutionHits;
+      telem::count(telem::Counter::SessionSolutionHits);
+      return S->Result;
+    }
   ++Stats.SolutionMisses;
   telem::count(telem::Counter::SessionSolutionMisses);
   const FrameworkInstance &FW = instance(Spec);
   SolveResult Result;
-  if (Opts.Eng == SolverOptions::Engine::Summary && summaryEligible(Opts)) {
-    // The memoized summary serves any budget (replayed per
-    // application); an invalid one falls through to the kernel.
-    const FlowSummary &S = flowSummary(Spec);
-    Result = S.Valid ? applySummary(S, Opts)
-                     : solveCompiled(compiledFlow(Spec), Opts);
-  } else if (Opts.usesPackedKernel() && !Opts.RecordProvenance) {
+  if (Opts.usesPackedKernel() && !Opts.RecordProvenance) {
     Result = solveCompiled(compiledFlow(Spec), Opts);
   } else {
     // Reference path; RecordProvenance lands here for every engine
@@ -134,83 +103,6 @@ const SolveResult &LoopAnalysisSession::solve(const ProblemSpec &Spec,
   Solutions.push_back(std::make_unique<Solution>(
       Solution{Spec, Opts, std::move(Result)}));
   return Solutions.back()->Result;
-}
-
-const CompiledFlowGroup &LoopAnalysisSession::compiledGroup(
-    const std::vector<const CompiledFlowProgram *> &Parts) {
-  for (const std::unique_ptr<Group> &G : Groups)
-    if (G->Parts == Parts) {
-      ++Stats.GroupHits;
-      telem::count(telem::Counter::SessionGroupHits);
-      return G->Fused;
-    }
-  ++Stats.GroupMisses;
-  telem::count(telem::Counter::SessionGroupMisses);
-  Groups.push_back(std::make_unique<Group>(
-      Group{Parts, CompiledFlowGroup::compile(Parts)}));
-  return Groups.back()->Fused;
-}
-
-const CompiledFlowGroup &LoopAnalysisSession::compiledFlowGroup(
-    const std::vector<ProblemSpec> &Specs) {
-  std::vector<const CompiledFlowProgram *> Parts;
-  Parts.reserve(Specs.size());
-  for (const ProblemSpec &Spec : Specs)
-    Parts.push_back(&compiledFlow(Spec));
-  return compiledGroup(Parts);
-}
-
-std::vector<const SolveResult *>
-LoopAnalysisSession::solveInterleaved(const std::vector<ProblemSpec> &Specs,
-                                      const SolverOptions &Opts) {
-  // Fusing requires the packed kernel on the plain paper schedule:
-  // change-tracked iteration would couple the members' convergence and
-  // history snapshots would interleave their matrices, either of which
-  // breaks the per-member bit-identity contract. Summary solves skip
-  // fusion too -- each spec's memoized summary is already a zero-pass
-  // application, so the fill loop below is the fast path.
-  bool Fusable = Opts.usesPackedKernel() &&
-                 Opts.Eng != SolverOptions::Engine::Summary &&
-                 Opts.Strat == SolverOptions::Strategy::PaperSchedule &&
-                 !Opts.RecordHistory && !Opts.RecordProvenance;
-  if (Fusable) {
-    for (FlowDirection Dir :
-         {FlowDirection::Forward, FlowDirection::Backward}) {
-      // The specs of this direction that miss the solution cache, first
-      // occurrence only (duplicates resolve from the cache afterwards).
-      std::vector<const ProblemSpec *> Need;
-      for (const ProblemSpec &Spec : Specs) {
-        if (Spec.Direction != Dir || lookupSolution(Spec, Opts))
-          continue;
-        bool Seen = false;
-        for (const ProblemSpec *N : Need)
-          Seen |= sameProblem(*N, Spec);
-        if (!Seen)
-          Need.push_back(&Spec);
-      }
-      // A lone miss gains nothing from the group layout; the fill loop
-      // below solves it through the ordinary memoized path.
-      if (Need.size() < 2)
-        continue;
-      std::vector<const CompiledFlowProgram *> Parts;
-      Parts.reserve(Need.size());
-      for (const ProblemSpec *Spec : Need)
-        Parts.push_back(&compiledFlow(*Spec));
-      std::vector<SolveResult> Solved =
-          solveCompiledGroup(compiledGroup(Parts), Opts);
-      for (size_t I = 0; I != Need.size(); ++I) {
-        ++Stats.SolutionMisses;
-        telem::count(telem::Counter::SessionSolutionMisses);
-        Solutions.push_back(std::make_unique<Solution>(
-            Solution{*Need[I], Opts, std::move(Solved[I])}));
-      }
-    }
-  }
-  std::vector<const SolveResult *> Results;
-  Results.reserve(Specs.size());
-  for (const ProblemSpec &Spec : Specs)
-    Results.push_back(&solve(Spec, Opts));
-  return Results;
 }
 
 std::vector<ReusePair>

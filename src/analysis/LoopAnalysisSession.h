@@ -32,7 +32,6 @@
 #define ARDF_ANALYSIS_LOOPANALYSISSESSION_H
 
 #include "dataflow/CompiledFlow.h"
-#include "dataflow/FlowSummary.h"
 #include "dataflow/Framework.h"
 
 #include <memory>
@@ -76,10 +75,6 @@ struct SessionCacheStats {
   uint64_t SolutionMisses = 0;
   uint64_t CompiledHits = 0;
   uint64_t CompiledMisses = 0;
-  uint64_t GroupHits = 0;
-  uint64_t GroupMisses = 0;
-  uint64_t SummaryHits = 0;
-  uint64_t SummaryMisses = 0;
   uint64_t PreserveHits = 0;
   uint64_t PreserveMisses = 0;
 };
@@ -111,42 +106,16 @@ public:
   const FrameworkInstance &instance(const ProblemSpec &Spec);
 
   /// The memoized solution for (\p Spec, \p Opts). The reference stays
-  /// valid for the lifetime of the session. With a packed engine
-  /// (PackedKernel or PackedSimd) the solve runs the packed kernel over
-  /// the memoized compiled flow program (bit-identical results;
-  /// distinct cache entry from the reference engine's).
+  /// valid for the lifetime of the session. With Engine::PackedKernel
+  /// the solve runs the packed kernel over the memoized compiled flow
+  /// program (bit-identical results; distinct cache entry from the
+  /// reference engine's).
   const SolveResult &solve(const ProblemSpec &Spec,
                            const SolverOptions &Opts = SolverOptions());
 
-  /// Solves every spec of \p Specs, returning the memoized solutions in
-  /// spec order (references stay valid for the session's lifetime, like
-  /// solve). With a packed engine on the plain paper schedule, the
-  /// specs that miss the solution cache are fused per direction into
-  /// one CompiledFlowGroup and solved in a single interleaved sweep;
-  /// every other configuration (reference engine, fixpoint iteration,
-  /// history recording) falls back to per-spec solve calls. Either way
-  /// each returned solution is bit-identical to solve(Spec, Opts).
-  std::vector<const SolveResult *>
-  solveInterleaved(const std::vector<ProblemSpec> &Specs,
-                   const SolverOptions &Opts = SolverOptions());
-
   /// The memoized compiled flow program of \p Spec's instance (lowered
-  /// on first use; what the packed engines solve against).
+  /// on first use; what the packed engine solves against).
   const CompiledFlowProgram &compiledFlow(const ProblemSpec &Spec);
-
-  /// The memoized transfer summary of \p Spec's compiled program
-  /// (composed on first use; what Engine::Summary applies). Memoized
-  /// beside the compiled program and independent of any budget -- the
-  /// budget is replayed per application -- so one summary serves every
-  /// re-solve of the instance. May come back with Valid == false, in
-  /// which case solve falls back to the kernel.
-  const FlowSummary &flowSummary(const ProblemSpec &Spec);
-
-  /// The memoized fused group of \p Specs' compiled programs, in spec
-  /// order (lowered on first use; what solveInterleaved sweeps). Pre:
-  /// \p Specs is non-empty and all specs share one direction.
-  const CompiledFlowGroup &
-  compiledFlowGroup(const std::vector<ProblemSpec> &Specs);
 
   /// Reuse pairs of \p Spec's solution (solving first if needed).
   std::vector<ReusePair> reusePairs(const ProblemSpec &Spec,
@@ -183,33 +152,14 @@ private:
     FrameworkInstance FW;
     /// Lazily lowered packed flow program (Engine::PackedKernel).
     std::unique_ptr<CompiledFlowProgram> Compiled;
-    /// Lazily composed transfer summary (Engine::Summary).
-    std::unique_ptr<FlowSummary> Summary;
   };
 
   Instance &instanceRecord(const ProblemSpec &Spec);
-  const CompiledFlowProgram &compiledFor(Instance &I);
   struct Solution {
     ProblemSpec Spec;
     SolverOptions Opts;
     SolveResult Result;
   };
-
-  /// Non-counting solution-cache probe (solveInterleaved peeks without
-  /// distorting the hit/miss tallies; the final solve() fill pass does
-  /// the counting).
-  const Solution *lookupSolution(const ProblemSpec &Spec,
-                                 const SolverOptions &Opts) const;
-
-  struct Group {
-    /// The fused parts in part order (stable addresses: compiled
-    /// programs are memoized per instance record).
-    std::vector<const CompiledFlowProgram *> Parts;
-    CompiledFlowGroup Fused;
-  };
-
-  const CompiledFlowGroup &
-  compiledGroup(const std::vector<const CompiledFlowProgram *> &Parts);
 
   const Program *Prog;
   const DoLoopStmt *TheLoop;
@@ -224,7 +174,6 @@ private:
   /// unique_ptr entries so handed-out references survive growth.
   std::vector<std::unique_ptr<Instance>> Instances;
   std::vector<std::unique_ptr<Solution>> Solutions;
-  std::vector<std::unique_ptr<Group>> Groups;
   /// Per-cache hit/miss tallies (preserve pair lives in Cache).
   SessionCacheStats Stats;
 };

@@ -10,7 +10,7 @@
 /// to the paper's analyzable form. Each supported nest level yields a
 /// normalized DoLoopStmt whose body has inner loops replaced by their
 /// own reduced forms, so the existing LoopFlowGraph / LoopAnalysisSession
-/// machinery (and all four solver engines) apply unchanged per level.
+/// machinery (and both solver engines) apply unchanged per level.
 ///
 /// Induction-variable recognition turns the counted while pattern
 ///

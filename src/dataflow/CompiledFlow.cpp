@@ -5,7 +5,6 @@
 #include "cfg/LoopFlowGraph.h"
 #include "telemetry/Telemetry.h"
 
-#include <algorithm>
 #include <cassert>
 
 using namespace ardf;
@@ -59,25 +58,6 @@ CompiledFlowProgram CompiledFlowProgram::compile(const FrameworkInstance &FW) {
   }
   CF.GenOffsets[CF.NumNodes] = static_cast<uint32_t>(CF.GenCols.size());
 
-  // Decide cell narrowing from the constants alone: reachable values
-  // are bounded by the constants (meets and clamps never exceed their
-  // operands, the increment saturates at IncBound), so narrowable
-  // constants imply a narrowable fixed point. An unknown trip count
-  // leaves IncBound at AllInstances, where the increment's saturation
-  // no longer commutes with the map -- such programs stay wide.
-  CF.Narrow32 = CF.IncBound != packed::AllInstances &&
-                packed::narrowable(CF.IncBound) &&
-                std::all_of(CF.Preserve.begin(), CF.Preserve.end(),
-                            packed::narrowable) &&
-                std::all_of(CF.GenQ.begin(), CF.GenQ.end(),
-                            packed::narrowable);
-  if (CF.Narrow32) {
-    CF.Preserve32.resize(CF.Preserve.size());
-    std::transform(CF.Preserve.begin(), CF.Preserve.end(),
-                   CF.Preserve32.begin(),
-                   [](uint64_t V) { return packed::narrow(V); });
-  }
-
   if (Telem) {
     Telem->add(telem::Counter::FlowCompiles);
     Telem->add(telem::Counter::FlowCompiledCells, CF.cells());
@@ -89,105 +69,4 @@ CompiledFlowProgram CompiledFlowProgram::compile(const FrameworkInstance &FW) {
     S.arg("pred_edges", CF.Preds.size());
   }
   return CF;
-}
-
-CompiledFlowGroup
-CompiledFlowGroup::compile(const std::vector<const CompiledFlowProgram *> &Parts) {
-  assert(!Parts.empty() && "group needs at least one member");
-  telem::Telemetry *Telem = telem::Telemetry::current();
-  telem::Span S("compile-group", "flow");
-  uint64_t Start = Telem ? telem::wallNowNs() : 0;
-
-  const CompiledFlowProgram &Head = *Parts.front();
-  CompiledFlowGroup G;
-  G.NumNodes = Head.NumNodes;
-  G.SourceNode = Head.SourceNode;
-  G.ExitNode = Head.ExitNode;
-  G.IncBound = Head.IncBound;
-  G.Order = Head.Order;
-  G.PredOffsets = Head.PredOffsets;
-  G.Preds = Head.Preds;
-
-  for (const CompiledFlowProgram *CF : Parts) {
-    (void)CF;
-    assert(CF->NumNodes == G.NumNodes && CF->Order == G.Order &&
-           CF->PredOffsets == G.PredOffsets && CF->Preds == G.Preds &&
-           CF->SourceNode == G.SourceNode && CF->ExitNode == G.ExitNode &&
-           CF->IncBound == G.IncBound &&
-           "group members must share orientation");
-  }
-
-  // Column layout: must members first so each polarity's columns form
-  // one contiguous segment per row.
-  for (unsigned Pass = 0; Pass != 2; ++Pass) {
-    bool WantMust = Pass == 0;
-    for (size_t P = 0; P != Parts.size(); ++P) {
-      const CompiledFlowProgram &CF = *Parts[P];
-      if (CF.IsMust != WantMust)
-        continue;
-      Member M;
-      M.PartIndex = static_cast<unsigned>(P);
-      M.Begin = G.TotalTracked;
-      M.Count = CF.NumTracked;
-      M.IsMust = CF.IsMust;
-      M.MeetEdgesAll = CF.MeetEdgesAll;
-      M.MeetEdgesNoSource = CF.MeetEdgesNoSource;
-      M.ProblemName = CF.ProblemName;
-      G.Members.push_back(std::move(M));
-      G.TotalTracked += CF.NumTracked;
-      if (WantMust)
-        G.MustTracked = G.TotalTracked;
-    }
-  }
-
-  // Interleave the preserve rows and remap the generate patches into
-  // wide-column space, must cells leading within each node.
-  G.Preserve.resize(G.cells());
-  G.GenOffsets.resize(G.NumNodes + 1, 0);
-  G.GenMustEnd.resize(G.NumNodes, 0);
-  for (unsigned Node = 0; Node != G.NumNodes; ++Node) {
-    G.GenOffsets[Node] = static_cast<uint32_t>(G.GenCols.size());
-    size_t Row = static_cast<size_t>(Node) * G.TotalTracked;
-    for (const Member &M : G.Members) {
-      const CompiledFlowProgram &CF = *Parts[M.PartIndex];
-      size_t SrcRow = static_cast<size_t>(Node) * CF.NumTracked;
-      std::copy(CF.Preserve.begin() + SrcRow,
-                CF.Preserve.begin() + SrcRow + CF.NumTracked,
-                G.Preserve.begin() + Row + M.Begin);
-      for (uint32_t K = CF.GenOffsets[Node]; K != CF.GenOffsets[Node + 1];
-           ++K) {
-        G.GenCols.push_back(M.Begin + CF.GenCols[K]);
-        G.GenQ.push_back(CF.GenQ[K]);
-      }
-      if (M.IsMust)
-        G.GenMustEnd[Node] = static_cast<uint32_t>(G.GenCols.size());
-    }
-    if (G.GenMustEnd[Node] < G.GenOffsets[Node])
-      G.GenMustEnd[Node] = G.GenOffsets[Node];
-  }
-  G.GenOffsets[G.NumNodes] = static_cast<uint32_t>(G.GenCols.size());
-
-  // The group narrows exactly when every member does (the shared
-  // IncBound and the member constants were all vetted per part).
-  G.Narrow32 = std::all_of(
-      Parts.begin(), Parts.end(),
-      [](const CompiledFlowProgram *CF) { return CF->Narrow32; });
-  if (G.Narrow32) {
-    G.Preserve32.resize(G.Preserve.size());
-    std::transform(G.Preserve.begin(), G.Preserve.end(),
-                   G.Preserve32.begin(),
-                   [](uint64_t V) { return packed::narrow(V); });
-  }
-
-  if (Telem) {
-    Telem->add(telem::Counter::FlowGroupCompiles);
-    Telem->add(telem::Counter::FlowCompiledCells, G.cells());
-    Telem->add(telem::Counter::FlowCompileNs, telem::wallNowNs() - Start);
-  }
-  if (S.active()) {
-    S.arg("members", G.Members.size());
-    S.arg("cells", G.cells());
-    S.arg("must_tracked", G.MustTracked);
-  }
-  return G;
 }

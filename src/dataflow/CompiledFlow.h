@@ -91,16 +91,6 @@ struct CompiledFlowProgram {
   std::vector<uint32_t> GenCols;
   std::vector<uint64_t> GenQ;
 
-  /// True when every packed constant (IncBound, Preserve, GenQ) is
-  /// narrowable to 32-bit cells (see PackedDistance.h); the kernel then
-  /// sweeps uint32_t matrices -- half the memory traffic -- and still
-  /// unpacks bit-identical results. Loop distances are bounded by trip
-  /// counts, so in practice only unknown-trip programs stay wide.
-  bool Narrow32 = false;
-
-  /// Narrowed image of Preserve, filled exactly when Narrow32.
-  std::vector<uint32_t> Preserve32;
-
   /// Display name of the lowered problem (telemetry span labels).
   std::string ProblemName;
 
@@ -131,137 +121,6 @@ SolveResult solveCompiled(const CompiledFlowProgram &CF,
 const SolveResult &solveCompiled(const CompiledFlowProgram &CF,
                                  SolveWorkspace &WS,
                                  const SolverOptions &Opts = SolverOptions());
-
-/// Several compiled flow programs of one loop fused into a
-/// structure-of-arrays layout: the members share the graph, the working
-/// order, the CSR predecessor lists, and the exit increment bound, so
-/// their matrices interleave column-wise into one wide NumNodes x
-/// TotalTracked matrix per side. One row sweep then meets and applies
-/// every member at once -- the meet touches each predecessor row one
-/// time instead of once per problem, and the wide rows keep the SIMD
-/// lanes of VectorOps.h full even when individual problems track few
-/// references.
-///
-/// Must members occupy the leading columns and may members the trailing
-/// ones, so the mixed-polarity meet is two segment sweeps (min then
-/// max), and the must-initialization pass patches a per-node prefix of
-/// the generate list. Columns never interact, so every member's fixed
-/// point -- and its unpacked SolveResult, visit counts included -- is
-/// bit-identical to an independent solve of its CompiledFlowProgram.
-///
-/// Members may only differ in problem parameters, not orientation:
-/// fusing requires equal traversal tables, which holds exactly for
-/// same-direction problems of one LoopAnalysisSession (the session
-/// builds one LoopOrientation per direction and shares it).
-struct CompiledFlowGroup {
-  unsigned NumNodes = 0;
-
-  /// Total interleaved row width (sum of member widths).
-  unsigned TotalTracked = 0;
-
-  /// Columns [0, MustTracked) belong to must members (min meet); the
-  /// rest to may members (max meet).
-  unsigned MustTracked = 0;
-
-  unsigned SourceNode = 0;
-  unsigned ExitNode = 0;
-  uint64_t IncBound = packed::AllInstances;
-
-  /// Shared traversal tables (identical across members by precondition).
-  std::vector<unsigned> Order;
-  std::vector<uint32_t> PredOffsets;
-  std::vector<uint32_t> Preds;
-
-  /// Row-major NumNodes x TotalTracked packed preserve constants, member
-  /// columns side by side.
-  std::vector<uint64_t> Preserve;
-
-  /// Generating cells in wide-column space, CSR by node id; within a
-  /// node the must-member cells form a prefix ending at GenMustEnd[n]
-  /// (the slice the must-initialization pass patches).
-  std::vector<uint32_t> GenOffsets;
-  std::vector<uint32_t> GenCols;
-  std::vector<uint64_t> GenQ;
-  std::vector<uint32_t> GenMustEnd;
-
-  /// Narrowed-cell layout, exactly as in CompiledFlowProgram: the group
-  /// narrows when every member does (members share IncBound already).
-  bool Narrow32 = false;
-  std::vector<uint32_t> Preserve32;
-
-  /// One fused problem: its column range plus the per-problem scalars
-  /// the solver needs to account visits, meets, and budgets exactly as
-  /// an independent solve would.
-  struct Member {
-    /// Index into the part list compileGroup was given (group results
-    /// are returned in that order).
-    unsigned PartIndex = 0;
-    unsigned Begin = 0;
-    unsigned Count = 0;
-    bool IsMust = true;
-    unsigned MeetEdgesAll = 0;
-    unsigned MeetEdgesNoSource = 0;
-    std::string ProblemName;
-  };
-
-  /// Fused members, must problems first.
-  std::vector<Member> Members;
-
-  /// Cells per wide matrix side.
-  size_t cells() const {
-    return static_cast<size_t>(NumNodes) * TotalTracked;
-  }
-
-  /// Fuses \p Parts (each outliving nothing -- the group copies what it
-  /// needs). Pre: at least one part, and all parts share NumNodes,
-  /// Order, predecessor tables, source/exit nodes, and increment bound.
-  static CompiledFlowGroup
-  compile(const std::vector<const CompiledFlowProgram *> &Parts);
-};
-
-/// Recyclable buffers for repeated interleaved solves: the per-member
-/// result matrices plus the wide packed working set. Warm repeats are
-/// allocation-free once grown, like SolveWorkspace.
-class GroupSolveWorkspace {
-public:
-  /// Results of the most recent group solve, indexed like the part list
-  /// the group was compiled from (valid until the next solve).
-  const std::vector<SolveResult> &results() const { return Results; }
-
-  /// Solves that had to grow an allocation, and total solves run.
-  unsigned matrixGrowths() const { return Growths; }
-  unsigned solves() const { return Solves; }
-
-private:
-  friend const std::vector<SolveResult> &
-  solveCompiledGroup(const CompiledFlowGroup &G, GroupSolveWorkspace &WS,
-                     const SolverOptions &Opts);
-  std::vector<SolveResult> Results;
-  std::vector<uint64_t> PackedOut;
-  std::vector<uint64_t> PackedScratch;
-  std::vector<uint32_t> PackedOut32;
-  std::vector<uint32_t> PackedScratch32;
-  unsigned Growths = 0;
-  unsigned Solves = 0;
-};
-
-/// Solves every member of \p G in one interleaved sweep, returning one
-/// SolveResult per part in part order, each bit-identical to an
-/// independent solveCompiled of that part (budget degradation
-/// semantics, visit counts, and telemetry per member included).
-///
-/// Pre: Opts.Strat == Strategy::PaperSchedule and !Opts.RecordHistory
-/// (change tracking and history snapshots would couple the members;
-/// LoopAnalysisSession::solveInterleaved falls back to independent
-/// solves for those modes).
-std::vector<SolveResult>
-solveCompiledGroup(const CompiledFlowGroup &G,
-                   const SolverOptions &Opts = SolverOptions());
-
-/// Workspace form of the interleaved solve (see GroupSolveWorkspace).
-const std::vector<SolveResult> &
-solveCompiledGroup(const CompiledFlowGroup &G, GroupSolveWorkspace &WS,
-                   const SolverOptions &Opts = SolverOptions());
 
 } // namespace ardf
 

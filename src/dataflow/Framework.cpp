@@ -3,7 +3,6 @@
 #include "dataflow/Framework.h"
 
 #include "dataflow/CompiledFlow.h"
-#include "dataflow/FlowSummary.h"
 #include "dataflow/Provenance.h"
 #include "dataflow/SolverTelemetry.h"
 #include "ir/PrettyPrinter.h"
@@ -631,10 +630,6 @@ const char *ardf::engineName(SolverOptions::Engine E) {
     return "reference";
   case SolverOptions::Engine::PackedKernel:
     return "packed";
-  case SolverOptions::Engine::PackedSimd:
-    return "simd";
-  case SolverOptions::Engine::Summary:
-    return "summary";
   }
   return "unknown";
 }
@@ -645,49 +640,18 @@ bool ardf::parseEngineName(std::string_view Name,
     Out = SolverOptions::Engine::Reference;
   else if (Name == "packed")
     Out = SolverOptions::Engine::PackedKernel;
-  else if (Name == "simd")
-    Out = SolverOptions::Engine::PackedSimd;
-  else if (Name == "summary")
-    Out = SolverOptions::Engine::Summary;
   else
     return false;
   return true;
 }
 
-const char *ardf::engineNameList() { return "reference, packed, simd, summary"; }
-
-namespace {
-
-/// One-shot summary solve for direct solveDataFlow calls: lower, then
-/// apply if the summary can serve, else fall through to the kernel.
-/// Repeated solvers should go through a LoopAnalysisSession, which
-/// memoizes the summary beside the compiled program.
-bool trySummary(const CompiledFlowProgram &CF, const SolverOptions &Opts,
-                SolveResult &Out) {
-  if (!summaryEligible(Opts))
-    return false;
-  FlowSummary S = FlowSummary::lower(CF);
-  if (!S.Valid)
-    return false;
-  Out = applySummary(S, Opts);
-  return true;
-}
-
-} // namespace
+const char *ardf::engineNameList() { return "reference, packed"; }
 
 SolveResult ardf::solveDataFlow(const FrameworkInstance &FW,
                                 const SolverOptions &Opts) {
   // Provenance recording exists only in the scalar solver: it overrides
   // the engine choice so explain flows can re-derive any fast-engine
   // result (bit-identical by the engines' oracle contract).
-  if (Opts.Eng == SolverOptions::Engine::Summary &&
-      !Opts.RecordProvenance) {
-    CompiledFlowProgram CF = CompiledFlowProgram::compile(FW);
-    SolveResult Result;
-    if (trySummary(CF, Opts, Result))
-      return Result;
-    return solveCompiled(CF, Opts);
-  }
   if (Opts.usesPackedKernel() && !Opts.RecordProvenance)
     return solveCompiled(CompiledFlowProgram::compile(FW), Opts);
   SolveResult Result;
@@ -699,16 +663,6 @@ SolveResult ardf::solveDataFlow(const FrameworkInstance &FW,
 const SolveResult &ardf::solveDataFlow(const FrameworkInstance &FW,
                                        SolveWorkspace &WS,
                                        const SolverOptions &Opts) {
-  if (Opts.Eng == SolverOptions::Engine::Summary &&
-      !Opts.RecordProvenance) {
-    CompiledFlowProgram CF = CompiledFlowProgram::compile(FW);
-    if (summaryEligible(Opts)) {
-      FlowSummary S = FlowSummary::lower(CF);
-      if (S.Valid)
-        return applySummary(S, WS, Opts);
-    }
-    return solveCompiled(CF, WS, Opts);
-  }
   if (Opts.usesPackedKernel() && !Opts.RecordProvenance) {
     // One-shot compile; callers that solve repeatedly should compile
     // once (or go through a LoopAnalysisSession, which memoizes the
@@ -719,7 +673,6 @@ const SolveResult &ardf::solveDataFlow(const FrameworkInstance &FW,
   if (resetResult(WS.Result, FW))
     ++WS.Growths;
   ++WS.Solves;
-  WS.WarmSummaryId = 0;
   runReference(FW, Opts, WS.Result);
   return WS.Result;
 }

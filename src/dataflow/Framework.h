@@ -131,24 +131,7 @@ struct SolverOptions {
     /// (bit-identical results; see CompiledFlow.h). Through a
     /// LoopAnalysisSession the compiled program is memoized per
     /// instance; a direct solveDataFlow call compiles on the fly.
-    PackedKernel,
-    /// The packed kernel with explicit SIMD row operations
-    /// (dataflow/VectorOps.h, runtime-dispatched) plus
-    /// structure-of-arrays multi-problem interleaving: batch entry
-    /// points (LoopAnalysisSession::solveInterleaved, the driver's
-    /// problem loop) fuse same-direction problems of a loop into one
-    /// CompiledFlowGroup sweep. A single solve behaves exactly like
-    /// PackedKernel. Results stay bit-identical to Reference.
-    PackedSimd,
-    /// Precomposed transfer summaries (dataflow/FlowSummary.h): the
-    /// compiled program's flow functions are composed along the loop
-    /// flow graph and closed over the back edge once, so every further
-    /// solve of the instance is a single summary application -- O(N)
-    /// cell writes, zero schedule passes -- with the kernel's exact
-    /// result, counters, and budget semantics. Requests a summary
-    /// cannot serve (IterateToFixpoint, RecordHistory, or a program
-    /// whose shape defeats composition) fall back to the SIMD kernel.
-    Summary
+    PackedKernel
   };
 
   Strategy Strat = Strategy::PaperSchedule;
@@ -158,9 +141,9 @@ struct SolverOptions {
 
   /// Records a full derivation (dataflow/Provenance.h) into
   /// SolveResult::Provenance. Forces the scalar reference path -- the
-  /// packed/SIMD/summary engines stay untouched and fast -- so explain
-  /// flows re-solve on demand and cross-check against the cached
-  /// fast-engine result. Off on every hot path.
+  /// packed engine stays untouched and fast -- so explain flows
+  /// re-solve on demand and cross-check against the cached packed
+  /// result. Off on every hot path.
   bool RecordProvenance = false;
 
   /// Resource ceilings for each solve (default: nothing enforced). Part
@@ -179,15 +162,11 @@ struct SolverOptions {
     return !(A == B);
   }
 
-  /// True for every engine that solves over packed matrices
-  /// (PackedKernel and PackedSimd share the kernel solver; Summary
-  /// lowers through the same compiled program and falls back to the
-  /// kernel whenever a summary cannot serve -- dispatch sites test
-  /// Engine::Summary before this).
-  bool usesPackedKernel() const { return Eng != Engine::Reference; }
+  /// True when solves run the packed kernel over a compiled program.
+  bool usesPackedKernel() const { return Eng == Engine::PackedKernel; }
 };
 
-/// CLI name of \p E: "reference", "packed", "simd", "summary".
+/// CLI name of \p E: "reference", "packed".
 const char *engineName(SolverOptions::Engine E);
 
 /// Parses a CLI engine name into \p Out; false when \p Name is not a
@@ -202,7 +181,6 @@ const char *engineNameList();
 
 class FrameworkInstance;
 struct CompiledFlowProgram;
-struct FlowSummary;
 struct SolveProvenance;
 
 /// Memoized preserve constants. The p constant of Section 3.1.2 depends
@@ -263,26 +241,13 @@ private:
   friend const SolveResult &solveCompiled(const CompiledFlowProgram &CF,
                                           SolveWorkspace &WS,
                                           const SolverOptions &Opts);
-  friend const SolveResult &applySummary(const FlowSummary &S,
-                                         SolveWorkspace &WS,
-                                         const SolverOptions &Opts);
   SolveResult Result;
   /// Packed row-major IN/OUT buffers of the kernel engine, plus its
   /// one-row scratch buffer (IN rows of non-final passes and old-OUT
-  /// snapshots of change-tracked passes never leave it). Programs whose
-  /// constants narrow (CompiledFlowProgram::Narrow32) solve in the
-  /// uint32_t set instead; both sets persist so a workspace can
-  /// alternate widths without reallocating.
+  /// snapshots of change-tracked passes never leave it).
   std::vector<uint64_t> PackedIn;
   std::vector<uint64_t> PackedOut;
   std::vector<uint64_t> PackedScratch;
-  std::vector<uint32_t> PackedIn32;
-  std::vector<uint32_t> PackedOut32;
-  std::vector<uint32_t> PackedScratch32;
-  /// FlowSummary::Id whose clean export Result currently holds, or 0.
-  /// applySummary skips the export sweep when it matches (the bytes are
-  /// already in place); every other writer of Result resets it to 0.
-  uint64_t WarmSummaryId = 0;
   unsigned Growths = 0;
   unsigned Solves = 0;
 };

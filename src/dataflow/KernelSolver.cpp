@@ -14,10 +14,8 @@
 //
 // The engine exists to win the memory-bandwidth game the reference
 // solver loses at large shapes, so the pass loop is frugal with bytes:
-// cells are 8B instead of 16B -- or 4B when the program's constants
-// narrow (CompiledFlowProgram::Narrow32; the solvers below are
-// templated over the cell type) -- the IN rows of non-final passes live
-// in a one-row scratch buffer (nothing ever reads them again), and the
+// cells are 8B instead of 16B, the IN rows of non-final passes live in
+// a one-row scratch buffer (nothing ever reads them again), and the
 // buffers are reshaped without refilling between warm solves (every
 // cell the result exposes is written before it is read).
 //
@@ -35,44 +33,15 @@ using namespace ardf;
 
 namespace {
 
-/// The cell-width policy the solver templates bind: which row-operation
-/// table to call through, which Preserve image to sweep, and how packed
-/// uint64 constants (GenQ, IncBound) reach cell width. The lattice
-/// anchors NoInstance (0) and Zero (1) are width-invariant; only the
-/// AllInstances sentinel moves, via constant().
-template <typename Cell> struct CellTraits;
-
-template <> struct CellTraits<uint64_t> {
-  using Ops = simd::RowOps;
-  static const Ops &ops() { return simd::rowOps(); }
-  static uint64_t constant(uint64_t C) { return C; }
-  template <typename Program> static const uint64_t *preserve(const Program &P) {
-    return P.Preserve.data();
-  }
-};
-
-template <> struct CellTraits<uint32_t> {
-  using Ops = simd::RowOps32;
-  static const Ops &ops() { return simd::rowOps32(); }
-  // Pre: narrowable -- compile() only sets Narrow32 after vetting every
-  // packed constant.
-  static uint32_t constant(uint64_t C) { return packed::narrow(C); }
-  template <typename Program> static const uint32_t *preserve(const Program &P) {
-    return P.Preserve32.data();
-  }
-};
-
 /// Overwrites both result matrices with the conservative lattice value
 /// (must: NoInstance, may: AllInstances) and tags \p Result degraded.
-/// The matrices carry their own shape, so the fill serves both a
-/// single-program solve and one member of a group solve.
-void fillDegraded(SolveResult &Result, bool IsMust, size_t Cells,
+void fillDegraded(SolveResult &Result, const CompiledFlowProgram &CF,
                   BreachReason Reason) {
-  DistanceValue Fill =
-      IsMust ? DistanceValue::noInstance() : DistanceValue::allInstances();
+  DistanceValue Fill = CF.IsMust ? DistanceValue::noInstance()
+                                 : DistanceValue::allInstances();
   DistanceValue *DI = Result.In.data();
   DistanceValue *DO = Result.Out.data();
-  for (size_t C = 0; C != Cells; ++C) {
+  for (size_t C = 0; C != CF.cells(); ++C) {
     DI[C] = Fill;
     DO[C] = Fill;
   }
@@ -81,23 +50,14 @@ void fillDegraded(SolveResult &Result, bool IsMust, size_t Cells,
   Result.Breach = Reason;
 }
 
-void fillDegraded(SolveResult &Result, const CompiledFlowProgram &CF,
-                  BreachReason Reason) {
-  fillDegraded(Result, CF.IsMust, CF.cells(), Reason);
-}
-
-template <typename Cell> class KernelSolver {
-  using Traits = CellTraits<Cell>;
-
+class KernelSolver {
 public:
   KernelSolver(const CompiledFlowProgram &CF, const SolverOptions &Opts,
-               SolveResult &Result, std::vector<Cell> &InBuf,
-               std::vector<Cell> &OutBuf, std::vector<Cell> &ScratchBuf)
+               SolveResult &Result, std::vector<uint64_t> &InBuf,
+               std::vector<uint64_t> &OutBuf,
+               std::vector<uint64_t> &ScratchBuf)
       : CF(CF), Opts(Opts), Result(Result), In(InBuf.data()),
-        Out(OutBuf.data()), Scratch(ScratchBuf.data()),
-        Preserve(Traits::preserve(CF)), T(CF.NumTracked),
-        Ops(Traits::ops()), All(Traits::constant(packed::AllInstances)),
-        IncBound(Traits::constant(CF.IncBound)),
+        Out(OutBuf.data()), Scratch(ScratchBuf.data()), T(CF.NumTracked),
         // Change-tracked passes diff against the previous IN rows and
         // history snapshots unpack the IN matrix after every pass, so
         // both modes keep IN real throughout; the plain paper schedule
@@ -162,16 +122,16 @@ private:
   /// source pinned to bottom.
   void initMust() {
     for (unsigned Node : CF.Order) {
-      Cell *InRow = RealIn ? In + static_cast<size_t>(Node) * T : Scratch;
-      Cell *OutRow = Out + static_cast<size_t>(Node) * T;
+      uint64_t *InRow = RealIn ? In + static_cast<size_t>(Node) * T : Scratch;
+      uint64_t *OutRow = Out + static_cast<size_t>(Node) * T;
       if (Node == CF.SourceNode)
-        std::fill(InRow, InRow + T, Cell(packed::NoInstance));
+        std::fill(InRow, InRow + T, packed::NoInstance);
       else
         meetRow(Node, InRow);
       std::copy(InRow, InRow + T, OutRow);
       for (uint32_t K = CF.GenOffsets[Node]; K != CF.GenOffsets[Node + 1];
            ++K)
-        OutRow[CF.GenCols[K]] = All;
+        OutRow[CF.GenCols[K]] = packed::AllInstances;
     }
     Result.NodeVisits += static_cast<unsigned>(CF.Order.size());
   }
@@ -180,24 +140,24 @@ private:
   /// The IN matrix only needs the guess when the pass loop will read it
   /// (change tracking) or expose it (history).
   void initMay() {
-    std::fill(Out, Out + CF.cells(), All);
+    std::fill(Out, Out + CF.cells(), packed::AllInstances);
     if (RealIn)
-      std::fill(In, In + CF.cells(), All);
+      std::fill(In, In + CF.cells(), packed::AllInstances);
   }
 
   /// Whole-row meet over the working predecessors into \p Dst.
-  void meetRow(unsigned Node, Cell *Dst) {
+  void meetRow(unsigned Node, uint64_t *Dst) {
     const uint32_t *P = CF.Preds.data() + CF.PredOffsets[Node];
     unsigned K = CF.PredOffsets[Node + 1] - CF.PredOffsets[Node];
     assert(K != 0 && "flow graph node without predecessors");
-    const Cell *First = Out + static_cast<size_t>(P[0]) * T;
+    const uint64_t *First = Out + static_cast<size_t>(P[0]) * T;
     std::copy(First, First + T, Dst);
     for (unsigned I = 1; I != K; ++I) {
-      const Cell *S = Out + static_cast<size_t>(P[I]) * T;
+      const uint64_t *S = Out + static_cast<size_t>(P[I]) * T;
       if (CF.IsMust)
-        Ops.MinInto(Dst, S, T);
+        simd::minInto(Dst, S, T);
       else
-        Ops.MaxInto(Dst, S, T);
+        simd::maxInto(Dst, S, T);
     }
   }
 
@@ -206,17 +166,17 @@ private:
   /// saturating increment at the exit node. Exactly applyNode's
   /// case analysis: min(in, p), then max with pack(0) and min with the
   /// post-generation constant at generating cells only.
-  void applyRow(unsigned Node, const Cell *InRow, Cell *OutRow) {
+  void applyRow(unsigned Node, const uint64_t *InRow, uint64_t *OutRow) {
     if (Node == CF.ExitNode) {
-      Ops.Increment(OutRow, InRow, T, IncBound);
+      simd::increment(OutRow, InRow, T, CF.IncBound);
       return;
     }
-    Ops.MinRows(OutRow, InRow, Preserve + static_cast<size_t>(Node) * T, T);
+    simd::minRows(OutRow, InRow,
+                  CF.Preserve.data() + static_cast<size_t>(Node) * T, T);
     for (uint32_t K = CF.GenOffsets[Node]; K != CF.GenOffsets[Node + 1];
          ++K) {
       uint32_t C = CF.GenCols[K];
-      OutRow[C] = std::min(std::max(OutRow[C], Cell(packed::Zero)),
-                           Traits::constant(CF.GenQ[K]));
+      OutRow[C] = std::min(std::max(OutRow[C], packed::Zero), CF.GenQ[K]);
     }
   }
 
@@ -229,9 +189,9 @@ private:
   /// replaces a full packed-IN write plus a cold re-read at the end.
   void passFast(bool Final) {
     for (unsigned Node : CF.Order) {
-      const Cell *InRow;
+      const uint64_t *InRow;
       if (RealIn) {
-        Cell *Dst = In + static_cast<size_t>(Node) * T;
+        uint64_t *Dst = In + static_cast<size_t>(Node) * T;
         meetRow(Node, Dst);
         InRow = Dst;
       } else {
@@ -247,17 +207,17 @@ private:
           InRow = Scratch;
         }
         if (Final)
-          Ops.Unpack(Result.In.data() + static_cast<size_t>(Node) * T,
-                     InRow, T);
+          simd::unpack(Result.In.data() + static_cast<size_t>(Node) * T,
+                       InRow, T);
       }
-      Cell *OutRow = Out + static_cast<size_t>(Node) * T;
+      uint64_t *OutRow = Out + static_cast<size_t>(Node) * T;
       applyRow(Node, InRow, OutRow);
       // Each node is applied exactly once per pass, so its OUT row is
       // final right here -- export it while it is still hot instead of
       // re-streaming the whole matrix afterwards.
       if (Final && !RealIn)
-        Ops.Unpack(Result.Out.data() + static_cast<size_t>(Node) * T,
-                   OutRow, T);
+        simd::unpack(Result.Out.data() + static_cast<size_t>(Node) * T,
+                     OutRow, T);
     }
     Result.NodeVisits += static_cast<unsigned>(CF.Order.size());
   }
@@ -266,24 +226,24 @@ private:
   /// equality is value equality). The scratch row holds each node's
   /// previous OUT so the diff can be taken after the sparse patch.
   bool passTracked() {
-    Cell Diff = 0;
+    uint64_t Diff = 0;
     for (unsigned Node : CF.Order) {
-      Cell *InRow = In + static_cast<size_t>(Node) * T;
-      Cell *OutRow = Out + static_cast<size_t>(Node) * T;
+      uint64_t *InRow = In + static_cast<size_t>(Node) * T;
+      uint64_t *OutRow = Out + static_cast<size_t>(Node) * T;
       std::copy(InRow, InRow + T, Scratch);
       meetRow(Node, InRow);
-      Diff |= Ops.XorAccum(InRow, Scratch, T);
+      Diff |= simd::xorAccum(InRow, Scratch, T);
       std::copy(OutRow, OutRow + T, Scratch);
       applyRow(Node, InRow, OutRow);
-      Diff |= Ops.XorAccum(OutRow, Scratch, T);
+      Diff |= simd::xorAccum(OutRow, Scratch, T);
     }
     Result.NodeVisits += static_cast<unsigned>(CF.Order.size());
     return Diff != 0;
   }
 
   void unpackInto(DistanceMatrix &MIn, DistanceMatrix &MOut) const {
-    Ops.Unpack(MIn.data(), In, CF.cells());
-    Ops.Unpack(MOut.data(), Out, CF.cells());
+    simd::unpack(MIn.data(), In, CF.cells());
+    simd::unpack(MOut.data(), Out, CF.cells());
   }
 
   void snapshot(std::string Label) {
@@ -300,14 +260,10 @@ private:
   const CompiledFlowProgram &CF;
   const SolverOptions &Opts;
   SolveResult &Result;
-  Cell *In;
-  Cell *Out;
-  Cell *Scratch;
-  const Cell *Preserve;
+  uint64_t *In;
+  uint64_t *Out;
+  uint64_t *Scratch;
   const unsigned T;
-  const typename Traits::Ops &Ops;
-  const Cell All;
-  const Cell IncBound;
   const bool RealIn;
 };
 
@@ -316,11 +272,10 @@ private:
 /// Shaping never refills retained cells: the kernel writes every cell
 /// of both result matrices (unpackInto) and of every packed row it ever
 /// reads, so a refill would only stream stale megabytes through cache.
-template <typename Cell>
-bool resetKernel(SolveResult &Result, std::vector<Cell> &InBuf,
-                 std::vector<Cell> &OutBuf, std::vector<Cell> &ScratchBuf,
-                 const CompiledFlowProgram &CF, const SolverOptions &Opts,
-                 bool SkipPacked) {
+bool resetKernel(SolveResult &Result, std::vector<uint64_t> &InBuf,
+                 std::vector<uint64_t> &OutBuf,
+                 std::vector<uint64_t> &ScratchBuf,
+                 const CompiledFlowProgram &CF, const SolverOptions &Opts) {
   bool GrewIn = Result.In.reshape(CF.NumNodes, CF.NumTracked);
   bool GrewOut = Result.Out.reshape(CF.NumNodes, CF.NumTracked);
   Result.NodeVisits = 0;
@@ -333,7 +288,8 @@ bool resetKernel(SolveResult &Result, std::vector<Cell> &InBuf,
   Result.History.clear();
   // A matrix-cell breach skips all solving, so the packed working set
   // is never materialized -- the point of the cap.
-  if (SkipPacked)
+  if (Opts.Budget.MaxMatrixCells != 0 &&
+      CF.cells() > Opts.Budget.MaxMatrixCells)
     return GrewIn || GrewOut;
   size_t CapIn = InBuf.capacity();
   size_t CapOut = OutBuf.capacity();
@@ -352,10 +308,10 @@ bool resetKernel(SolveResult &Result, std::vector<Cell> &InBuf,
 
 /// Runs the packed kernel over \p CF into \p Result, with per-solve
 /// span and counter telemetry (inert when no context is installed).
-template <typename Cell>
 void runKernel(const CompiledFlowProgram &CF, const SolverOptions &Opts,
-               SolveResult &Result, std::vector<Cell> &InBuf,
-               std::vector<Cell> &OutBuf, std::vector<Cell> &ScratchBuf) {
+               SolveResult &Result, std::vector<uint64_t> &InBuf,
+               std::vector<uint64_t> &OutBuf,
+               std::vector<uint64_t> &ScratchBuf) {
   telem::Span S("solve", "solver", CF.ProblemName.c_str());
   telem::LatencyTimer LT(telem::Histo::SolveNs);
   detail::BudgetGuard Guard(Opts.Budget, CF.IsMust, CF.NumNodes,
@@ -364,8 +320,7 @@ void runKernel(const CompiledFlowProgram &CF, const SolverOptions &Opts,
       Cells != BreachReason::None)
     fillDegraded(Result, CF, Cells);
   else
-    KernelSolver<Cell>(CF, Opts, Result, InBuf, OutBuf, ScratchBuf)
-        .run(Guard);
+    KernelSolver(CF, Opts, Result, InBuf, OutBuf, ScratchBuf).run(Guard);
   detail::finishSolveCounts(Result, CF.IsMust, CF.NumNodes, CF.NumTracked,
                             CF.MeetEdgesAll, CF.MeetEdgesNoSource);
   detail::recordSolveTelemetry(Result, CF.IsMust, CF.NumNodes,
@@ -378,356 +333,25 @@ void runKernel(const CompiledFlowProgram &CF, const SolverOptions &Opts,
   }
 }
 
-/// The interleaved solver: every member of a CompiledFlowGroup swept in
-/// one paper-schedule run over the wide SoA matrices. The meets split
-/// each wide row into the must prefix (MinInto) and the may suffix
-/// (MaxInto); the flow application is polarity-free (the preserve min
-/// and the exit increment are shared by both problem kinds), so it runs
-/// full wide rows. Per member it keeps an own BudgetGuard, checked at
-/// exactly the pass boundaries an independent solve would check, and an
-/// own visit/pass ledger -- a member that breaches freezes its counters
-/// and receives the conservative fill at the end, while the sweep
-/// carries the remaining members to their fixed points.
-template <typename Cell> class GroupSolver {
-  using Traits = CellTraits<Cell>;
-
-public:
-  GroupSolver(const CompiledFlowGroup &G, const SolverOptions &Opts,
-              std::vector<SolveResult> &Results, std::vector<Cell> &OutBuf,
-              std::vector<Cell> &ScratchBuf)
-      : G(G), Opts(Opts), Results(Results), Out(OutBuf.data()),
-        Scratch(ScratchBuf.data()), Preserve(Traits::preserve(G)),
-        T(G.TotalTracked), MustT(G.MustTracked), Ops(Traits::ops()),
-        All(Traits::constant(packed::AllInstances)),
-        IncBound(Traits::constant(G.IncBound)) {}
-
-  void run() {
-    assert(Opts.Strat == SolverOptions::Strategy::PaperSchedule &&
-           !Opts.RecordHistory &&
-           "group solves support only the plain paper schedule");
-    const size_t NumM = G.Members.size();
-    Breach.assign(NumM, BreachReason::None);
-    Guards.clear();
-    Guards.reserve(NumM);
-    unsigned Live = 0;
-    for (size_t I = 0; I != NumM; ++I) {
-      const CompiledFlowGroup::Member &M = G.Members[I];
-      Guards.emplace_back(Opts.Budget, M.IsMust, G.NumNodes, M.Count);
-      Breach[I] = Guards[I].checkCells();
-      Live += Breach[I] == BreachReason::None;
-    }
-
-    // Same boundary structure as an independent solve of each member:
-    // initialization, guard check, two passes with a check after each.
-    if (Live != 0) {
-      init();
-      Live = checkBoundary();
-    }
-    for (unsigned P = 0; P != 2 && Live != 0; ++P) {
-      pass(/*Final=*/P == 1);
-      Live = checkBoundary();
-    }
-
-    // Live members were exported row by row during the final pass (a
-    // member that never breached was live for it); breached members
-    // get the conservative fill, overwriting any rows the final pass
-    // exported before their breach was detected.
-    for (size_t I = 0; I != NumM; ++I) {
-      const CompiledFlowGroup::Member &M = G.Members[I];
-      if (Breach[I] != BreachReason::None)
-        fillDegraded(Results[M.PartIndex], M.IsMust,
-                     static_cast<size_t>(G.NumNodes) * M.Count, Breach[I]);
-    }
-  }
-
-private:
-  /// The may segment's initial guess (bottom = AllInstances, zero node
-  /// visits) followed by the must segment's initialization pass, which
-  /// patches only the must prefix of each node's generate list. IN rows
-  /// are scratch: the paper schedule materializes IN on the final pass.
-  void init() {
-    if (T != MustT)
-      for (unsigned Node = 0; Node != G.NumNodes; ++Node) {
-        Cell *Row = Out + static_cast<size_t>(Node) * T;
-        std::fill(Row + MustT, Row + T, All);
-      }
-    if (MustT != 0)
-      for (unsigned Node : G.Order) {
-        Cell *OutRow = Out + static_cast<size_t>(Node) * T;
-        if (Node == G.SourceNode)
-          std::fill(Scratch, Scratch + MustT, Cell(packed::NoInstance));
-        else
-          meetRow(Node, Scratch, MustT);
-        std::copy(Scratch, Scratch + MustT, OutRow);
-        for (uint32_t K = G.GenOffsets[Node]; K != G.GenMustEnd[Node]; ++K)
-          OutRow[G.GenCols[K]] = All;
-      }
-    forEachLive([&](const CompiledFlowGroup::Member &M, SolveResult &R) {
-      if (M.IsMust)
-        R.NodeVisits += G.NumNodes;
-    });
-  }
-
-  /// Whole-row meet over the working predecessors: min on the must
-  /// prefix, max on the may suffix. \p Width is MustT during the must
-  /// initialization pass and T during the main passes.
-  void meetRow(unsigned Node, Cell *Dst, unsigned Width) {
-    const uint32_t *P = G.Preds.data() + G.PredOffsets[Node];
-    unsigned K = G.PredOffsets[Node + 1] - G.PredOffsets[Node];
-    assert(K != 0 && "flow graph node without predecessors");
-    const Cell *First = Out + static_cast<size_t>(P[0]) * T;
-    std::copy(First, First + Width, Dst);
-    for (unsigned I = 1; I != K; ++I) {
-      const Cell *S = Out + static_cast<size_t>(P[I]) * T;
-      if (MustT != 0)
-        Ops.MinInto(Dst, S, MustT);
-      if (Width > MustT)
-        Ops.MaxInto(Dst + MustT, S + MustT, Width - MustT);
-    }
-  }
-
-  /// One main pass over all members at once. The flow application needs
-  /// no polarity split, so the wide rows run through the same MinRows /
-  /// Increment / sparse-patch sequence as a single-program pass. No
-  /// wide packed IN matrix exists: the final pass deinterleaves each
-  /// meet row straight into the live members' unpacked IN matrices
-  /// while the row is hot (mirroring passFast's fusion; a breached
-  /// member's rows are skipped -- the conservative fill owns them).
-  void pass(bool Final) {
-    for (unsigned Node : G.Order) {
-      const Cell *InRow;
-      unsigned K = G.PredOffsets[Node + 1] - G.PredOffsets[Node];
-      if (K == 1) {
-        // A one-predecessor meet is that row itself (see passFast).
-        const uint32_t *P = G.Preds.data() + G.PredOffsets[Node];
-        InRow = Out + static_cast<size_t>(P[0]) * T;
-      } else {
-        meetRow(Node, Scratch, T);
-        InRow = Scratch;
-      }
-      Cell *OutRow = Out + static_cast<size_t>(Node) * T;
-      if (Final)
-        forEachLive([&](const CompiledFlowGroup::Member &M,
-                        SolveResult &R) {
-          Ops.Unpack(R.In.data() + static_cast<size_t>(Node) * M.Count,
-                     InRow + M.Begin, M.Count);
-        });
-      if (Node == G.ExitNode) {
-        Ops.Increment(OutRow, InRow, T, IncBound);
-      } else {
-        Ops.MinRows(OutRow, InRow, Preserve + static_cast<size_t>(Node) * T,
-                    T);
-        for (uint32_t K = G.GenOffsets[Node]; K != G.GenOffsets[Node + 1];
-             ++K) {
-          uint32_t C = G.GenCols[K];
-          OutRow[C] = std::min(std::max(OutRow[C], Cell(packed::Zero)),
-                               Traits::constant(G.GenQ[K]));
-        }
-      }
-      // The OUT row is final after its one application per pass;
-      // deinterleave it into the live members while it is hot (see
-      // passFast).
-      if (Final)
-        forEachLive([&](const CompiledFlowGroup::Member &M,
-                        SolveResult &R) {
-          Ops.Unpack(R.Out.data() + static_cast<size_t>(Node) * M.Count,
-                     OutRow + M.Begin, M.Count);
-        });
-    }
-    forEachLive([&](const CompiledFlowGroup::Member &, SolveResult &R) {
-      R.NodeVisits += G.NumNodes;
-      ++R.Passes;
-    });
-  }
-
-  /// Per-member pass-boundary budget check; a breached member freezes
-  /// (its counters stop, its fill happens at the end). Returns the
-  /// number of members still live.
-  unsigned checkBoundary() {
-    unsigned Live = 0;
-    for (size_t I = 0; I != G.Members.size(); ++I) {
-      if (Breach[I] != BreachReason::None)
-        continue;
-      Breach[I] =
-          Guards[I].check(Results[G.Members[I].PartIndex].NodeVisits);
-      Live += Breach[I] == BreachReason::None;
-    }
-    return Live;
-  }
-
-  template <typename Fn> void forEachLive(Fn &&F) {
-    for (size_t I = 0; I != G.Members.size(); ++I)
-      if (Breach[I] == BreachReason::None)
-        F(G.Members[I], Results[G.Members[I].PartIndex]);
-  }
-
-  const CompiledFlowGroup &G;
-  const SolverOptions &Opts;
-  std::vector<SolveResult> &Results;
-  Cell *Out;
-  Cell *Scratch;
-  const Cell *Preserve;
-  const unsigned T;
-  const unsigned MustT;
-  const typename Traits::Ops &Ops;
-  const Cell All;
-  const Cell IncBound;
-  std::vector<detail::BudgetGuard> Guards;
-  std::vector<BreachReason> Breach;
-};
-
-/// True when every member trips the matrix-cell cap: no packed buffers
-/// are materialized at all, mirroring the single-program SkipPacked
-/// path. One admissible member forces the full wide working set (its
-/// columns cannot be swept without the rest of the row).
-bool groupSkipsPacked(const CompiledFlowGroup &G, const SolverOptions &Opts) {
-  uint64_t Cap = Opts.Budget.MaxMatrixCells;
-  if (Cap == 0)
-    return false;
-  for (const CompiledFlowGroup::Member &M : G.Members)
-    if (static_cast<uint64_t>(G.NumNodes) * M.Count <= Cap)
-      return false;
-  return true;
-}
-
-/// Group analogue of resetKernel: shapes every member's result matrices
-/// and the wide packed buffers, reusing allocations; true when anything
-/// grew.
-template <typename Cell>
-bool resetGroup(std::vector<SolveResult> &Results, std::vector<Cell> &OutBuf,
-                std::vector<Cell> &ScratchBuf, const CompiledFlowGroup &G,
-                bool SkipPacked) {
-  bool Grew = false;
-  if (Results.size() != G.Members.size()) {
-    Results.resize(G.Members.size());
-    Grew = true;
-  }
-  for (const CompiledFlowGroup::Member &M : G.Members) {
-    SolveResult &R = Results[M.PartIndex];
-    Grew |= R.In.reshape(G.NumNodes, M.Count);
-    Grew |= R.Out.reshape(G.NumNodes, M.Count);
-    R.NodeVisits = 0;
-    R.Passes = 0;
-    R.MeetOps = 0;
-    R.ApplyOps = 0;
-    R.Converged = true;
-    R.Outcome = SolveOutcome::Ok;
-    R.Breach = BreachReason::None;
-    R.History.clear();
-  }
-  if (SkipPacked)
-    return Grew;
-  size_t CapOut = OutBuf.capacity();
-  size_t CapScratch = ScratchBuf.capacity();
-  OutBuf.resize(G.cells());
-  ScratchBuf.resize(G.TotalTracked);
-  return Grew || OutBuf.capacity() != CapOut ||
-         ScratchBuf.capacity() != CapScratch;
-}
-
-/// Runs the interleaved kernel over \p G, then finishes each member's
-/// operation counts and telemetry exactly as an independent packed
-/// solve would (one SolverRunsPacked tick per member, plus one group
-/// sweep tick).
-template <typename Cell>
-void runGroupKernel(const CompiledFlowGroup &G, const SolverOptions &Opts,
-                    std::vector<SolveResult> &Results,
-                    std::vector<Cell> &OutBuf,
-                    std::vector<Cell> &ScratchBuf) {
-  telem::Span S("solve-group", "solver");
-  telem::LatencyTimer LT(telem::Histo::SolveNs);
-  GroupSolver<Cell>(G, Opts, Results, OutBuf, ScratchBuf).run();
-  for (const CompiledFlowGroup::Member &M : G.Members) {
-    SolveResult &R = Results[M.PartIndex];
-    detail::finishSolveCounts(R, M.IsMust, G.NumNodes, M.Count,
-                              M.MeetEdgesAll, M.MeetEdgesNoSource);
-    detail::recordSolveTelemetry(R, M.IsMust, G.NumNodes,
-                                 /*PackedEngine=*/true);
-  }
-  if (telem::Telemetry *Telem = telem::Telemetry::current())
-    Telem->add(telem::Counter::SolverGroupSweeps);
-  if (S.active()) {
-    S.arg("members", G.Members.size());
-    S.arg("nodes", G.NumNodes);
-    S.arg("tracked", G.TotalTracked);
-    S.arg("isa_tier", static_cast<uint64_t>(simd::activeIsa()));
-  }
-}
-
 } // namespace
 
 SolveResult ardf::solveCompiled(const CompiledFlowProgram &CF,
                                 const SolverOptions &Opts) {
   SolveResult Result;
-  bool SkipPacked = Opts.Budget.MaxMatrixCells != 0 &&
-                    CF.cells() > Opts.Budget.MaxMatrixCells;
-  if (CF.Narrow32) {
-    std::vector<uint32_t> InBuf, OutBuf, ScratchBuf;
-    resetKernel(Result, InBuf, OutBuf, ScratchBuf, CF, Opts, SkipPacked);
-    runKernel(CF, Opts, Result, InBuf, OutBuf, ScratchBuf);
-  } else {
-    std::vector<uint64_t> InBuf, OutBuf, ScratchBuf;
-    resetKernel(Result, InBuf, OutBuf, ScratchBuf, CF, Opts, SkipPacked);
-    runKernel(CF, Opts, Result, InBuf, OutBuf, ScratchBuf);
-  }
+  std::vector<uint64_t> InBuf, OutBuf, ScratchBuf;
+  resetKernel(Result, InBuf, OutBuf, ScratchBuf, CF, Opts);
+  runKernel(CF, Opts, Result, InBuf, OutBuf, ScratchBuf);
   return Result;
 }
 
 const SolveResult &ardf::solveCompiled(const CompiledFlowProgram &CF,
                                        SolveWorkspace &WS,
                                        const SolverOptions &Opts) {
-  bool SkipPacked = Opts.Budget.MaxMatrixCells != 0 &&
-                    CF.cells() > Opts.Budget.MaxMatrixCells;
-  WS.WarmSummaryId = 0;
-  if (CF.Narrow32) {
-    if (resetKernel(WS.Result, WS.PackedIn32, WS.PackedOut32,
-                    WS.PackedScratch32, CF, Opts, SkipPacked))
-      ++WS.Growths;
-    ++WS.Solves;
-    runKernel(CF, Opts, WS.Result, WS.PackedIn32, WS.PackedOut32,
-              WS.PackedScratch32);
-  } else {
-    if (resetKernel(WS.Result, WS.PackedIn, WS.PackedOut, WS.PackedScratch,
-                    CF, Opts, SkipPacked))
-      ++WS.Growths;
-    ++WS.Solves;
-    runKernel(CF, Opts, WS.Result, WS.PackedIn, WS.PackedOut,
-              WS.PackedScratch);
-  }
+  if (resetKernel(WS.Result, WS.PackedIn, WS.PackedOut, WS.PackedScratch, CF,
+                  Opts))
+    ++WS.Growths;
+  ++WS.Solves;
+  runKernel(CF, Opts, WS.Result, WS.PackedIn, WS.PackedOut,
+            WS.PackedScratch);
   return WS.Result;
-}
-
-std::vector<SolveResult>
-ardf::solveCompiledGroup(const CompiledFlowGroup &G,
-                         const SolverOptions &Opts) {
-  std::vector<SolveResult> Results;
-  bool Skip = groupSkipsPacked(G, Opts);
-  if (G.Narrow32) {
-    std::vector<uint32_t> OutBuf, ScratchBuf;
-    resetGroup(Results, OutBuf, ScratchBuf, G, Skip);
-    runGroupKernel(G, Opts, Results, OutBuf, ScratchBuf);
-  } else {
-    std::vector<uint64_t> OutBuf, ScratchBuf;
-    resetGroup(Results, OutBuf, ScratchBuf, G, Skip);
-    runGroupKernel(G, Opts, Results, OutBuf, ScratchBuf);
-  }
-  return Results;
-}
-
-const std::vector<SolveResult> &
-ardf::solveCompiledGroup(const CompiledFlowGroup &G, GroupSolveWorkspace &WS,
-                         const SolverOptions &Opts) {
-  bool Skip = groupSkipsPacked(G, Opts);
-  if (G.Narrow32) {
-    if (resetGroup(WS.Results, WS.PackedOut32, WS.PackedScratch32, G, Skip))
-      ++WS.Growths;
-    ++WS.Solves;
-    runGroupKernel(G, Opts, WS.Results, WS.PackedOut32, WS.PackedScratch32);
-  } else {
-    if (resetGroup(WS.Results, WS.PackedOut, WS.PackedScratch, G, Skip))
-      ++WS.Growths;
-    ++WS.Solves;
-    runGroupKernel(G, Opts, WS.Results, WS.PackedOut, WS.PackedScratch);
-  }
-  return WS.Results;
 }

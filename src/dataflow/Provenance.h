@@ -16,11 +16,10 @@
 /// losing values were), which pass settled it, and which back-edge
 /// increments produced its iteration distance.
 ///
-/// The fast engines (kernel, SIMD, summary) never record; explain flows
-/// re-solve the loop through the reference engine on demand and
-/// cross-check the result bit-identical against the cached fast-engine
-/// solution (the engines are oracle-tested equal, so this never loses
-/// information).
+/// The packed kernel never records; explain flows re-solve the loop
+/// through the reference engine on demand and cross-check the result
+/// bit-identical against the cached packed solution (the engines are
+/// oracle-tested equal, so this never loses information).
 ///
 /// Two consumers are built on the raw recording:
 ///  - buildDerivation interns the backward slice of one cell into a

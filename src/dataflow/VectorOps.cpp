@@ -1,983 +1,20 @@
-//===- dataflow/VectorOps.cpp - SIMD row operations ----------------------===//
-//
-// Part of ardf, a reproduction of Duesterwald, Gupta & Soffa, PLDI 1993.
-//
-// Backend tables for VectorOps.h. The x86 backends carry per-function
-// target attributes, so this file compiles with the baseline ISA and
-// the binary still contains AVX2/AVX-512 code paths -- rowOps() decides
-// at runtime which one the host may execute. AVX2 has no unsigned
-// 64-bit min/max or compare, so those backends bias both operands by
-// 2^63 (an order isomorphism from unsigned to signed order) and use the
-// signed compare; AVX-512F and AArch64 NEON compare unsigned natively.
-//
-//===----------------------------------------------------------------------===//
+//===- dataflow/VectorOps.cpp - Packed row operations --------------------===//
 
 #include "dataflow/VectorOps.h"
 
-#include "lattice/Distance.h"
-#include "lattice/PackedDistance.h"
-
-#include <algorithm>
-#include <atomic>
-#include <cassert>
-#include <cstdlib>
-#include <cstring>
-#include <type_traits>
-
-#if defined(__x86_64__) || defined(_M_X64)
-#define ARDF_SIMD_X86 1
-#include <immintrin.h>
-#endif
-#if defined(__aarch64__)
-#define ARDF_SIMD_NEON 1
-#include <arm_neon.h>
-#endif
-
-using namespace ardf;
-using simd::Isa;
-using simd::RowOps;
-using simd::RowOps32;
-
-//===----------------------------------------------------------------------===//
-// Scalar backend: portable loops, the executable specification the SIMD
-// backends are tested bit-identical against. Simple enough that the
-// compiler auto-vectorizes them for whatever ISA the build targets.
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-void minIntoScalar(uint64_t *Dst, const uint64_t *Src, size_t N) {
-  for (size_t I = 0; I != N; ++I)
-    Dst[I] = std::min(Dst[I], Src[I]);
-}
-
-void maxIntoScalar(uint64_t *Dst, const uint64_t *Src, size_t N) {
-  for (size_t I = 0; I != N; ++I)
-    Dst[I] = std::max(Dst[I], Src[I]);
-}
-
-void minRowsScalar(uint64_t *Dst, const uint64_t *A, const uint64_t *B,
-                   size_t N) {
-  for (size_t I = 0; I != N; ++I)
-    Dst[I] = std::min(A[I], B[I]);
-}
-
-void incrementScalar(uint64_t *Dst, const uint64_t *Src, size_t N,
-                     uint64_t Bound) {
-  for (size_t I = 0; I != N; ++I)
-    Dst[I] = packed::increment(Src[I], Bound);
-}
-
-uint64_t xorAccumScalar(const uint64_t *A, const uint64_t *B, size_t N) {
-  uint64_t Acc = 0;
-  for (size_t I = 0; I != N; ++I)
-    Acc |= A[I] ^ B[I];
-  return Acc;
-}
-
-void unpackScalar(DistanceValue *Dst, const uint64_t *Src, size_t N) {
-  for (size_t I = 0; I != N; ++I)
-    Dst[I] = packed::unpack(Src[I]);
-}
-
-constexpr RowOps ScalarOps = {
-    Isa::Scalar,
-    minIntoScalar,
-    maxIntoScalar,
-    minRowsScalar,
-    incrementScalar,
-    xorAccumScalar,
-    unpackScalar,
-};
-
-// Narrowed-cell scalar backend: same loops over uint32_t.
-
-void minInto32Scalar(uint32_t *Dst, const uint32_t *Src, size_t N) {
-  for (size_t I = 0; I != N; ++I)
-    Dst[I] = std::min(Dst[I], Src[I]);
-}
-
-void maxInto32Scalar(uint32_t *Dst, const uint32_t *Src, size_t N) {
-  for (size_t I = 0; I != N; ++I)
-    Dst[I] = std::max(Dst[I], Src[I]);
-}
-
-void minRows32Scalar(uint32_t *Dst, const uint32_t *A, const uint32_t *B,
-                     size_t N) {
-  for (size_t I = 0; I != N; ++I)
-    Dst[I] = std::min(A[I], B[I]);
-}
-
-void increment32Scalar(uint32_t *Dst, const uint32_t *Src, size_t N,
-                       uint32_t Bound) {
-  for (size_t I = 0; I != N; ++I)
-    Dst[I] = packed::increment32(Src[I], Bound);
-}
-
-uint32_t xorAccum32Scalar(const uint32_t *A, const uint32_t *B, size_t N) {
-  uint32_t Acc = 0;
-  for (size_t I = 0; I != N; ++I)
-    Acc |= A[I] ^ B[I];
-  return Acc;
-}
-
-void unpack32Scalar(DistanceValue *Dst, const uint32_t *Src, size_t N) {
-  for (size_t I = 0; I != N; ++I)
-    Dst[I] = packed::unpack32(Src[I]);
-}
-
-constexpr RowOps32 ScalarOps32 = {
-    Isa::Scalar,
-    minInto32Scalar,
-    maxInto32Scalar,
-    minRows32Scalar,
-    increment32Scalar,
-    xorAccum32Scalar,
-    unpack32Scalar,
-};
-
-//===----------------------------------------------------------------------===//
-// AVX2 backend (x86-64): 4 lanes per step, signed compares over
-// sign-biased operands, scalar tails.
-//===----------------------------------------------------------------------===//
-
-#if ARDF_SIMD_X86
-
-/// The vectorized unpack stores DistanceValue cells as {low qword = tag
-/// byte, high qword = distance}. DistanceValue's tag encoding is
-/// private, so the three tag byte values are read back from real
-/// objects here rather than hard-coded; equality on DistanceValue is
-/// memberwise, so the zeroed padding these stores produce compares
-/// equal to constructor-built values.
-struct UnpackImages {
-  long long TagNo, TagFinite, TagAll;
-};
-
-UnpackImages computeUnpackImages() {
-  static_assert(sizeof(DistanceValue) == 16,
-                "SIMD unpack assumes 16-byte DistanceValue cells");
-  static_assert(std::is_trivially_copyable_v<DistanceValue>,
-                "SIMD unpack stores raw bytes into DistanceValue");
-  auto TagOf = [](DistanceValue V) {
-    unsigned char Byte;
-    std::memcpy(&Byte, &V, 1);
-    return static_cast<long long>(Byte);
-  };
-  // Sanity-check the {tag, distance} qword split the stores rely on.
-  DistanceValue Probe = DistanceValue::finite(0x1122334455667788LL);
-  uint64_t High;
-  std::memcpy(&High, reinterpret_cast<const char *>(&Probe) + 8, 8);
-  assert(High == 0x1122334455667788ULL &&
-         "SIMD unpack assumes the distance occupies the high qword");
-  (void)High;
-  return {TagOf(DistanceValue::noInstance()), TagOf(DistanceValue::finite(0)),
-          TagOf(DistanceValue::allInstances())};
-}
-
-const UnpackImages &unpackImages() {
-  static const UnpackImages Images = computeUnpackImages();
-  return Images;
-}
-
-#define ARDF_TGT_AVX2 __attribute__((target("avx2")))
-
-ARDF_TGT_AVX2 inline __m256i signBias256() {
-  return _mm256_set1_epi64x(static_cast<long long>(1ULL << 63));
-}
-
-/// Lanewise A > B in unsigned order.
-ARDF_TGT_AVX2 inline __m256i cmpGtU64(__m256i A, __m256i B) {
-  const __m256i Bias = signBias256();
-  return _mm256_cmpgt_epi64(_mm256_xor_si256(A, Bias),
-                            _mm256_xor_si256(B, Bias));
-}
-
-ARDF_TGT_AVX2 inline __m256i minU64(__m256i A, __m256i B) {
-  return _mm256_blendv_epi8(A, B, cmpGtU64(A, B));
-}
-
-ARDF_TGT_AVX2 inline __m256i maxU64(__m256i A, __m256i B) {
-  return _mm256_blendv_epi8(B, A, cmpGtU64(A, B));
-}
-
-ARDF_TGT_AVX2 void minIntoAvx2(uint64_t *Dst, const uint64_t *Src,
-                               size_t N) {
-  size_t I = 0;
-  for (; I + 4 <= N; I += 4) {
-    __m256i D = _mm256_loadu_si256(reinterpret_cast<const __m256i *>(Dst + I));
-    __m256i S = _mm256_loadu_si256(reinterpret_cast<const __m256i *>(Src + I));
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(Dst + I), minU64(D, S));
-  }
-  for (; I != N; ++I)
-    Dst[I] = std::min(Dst[I], Src[I]);
-}
-
-ARDF_TGT_AVX2 void maxIntoAvx2(uint64_t *Dst, const uint64_t *Src,
-                               size_t N) {
-  size_t I = 0;
-  for (; I + 4 <= N; I += 4) {
-    __m256i D = _mm256_loadu_si256(reinterpret_cast<const __m256i *>(Dst + I));
-    __m256i S = _mm256_loadu_si256(reinterpret_cast<const __m256i *>(Src + I));
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(Dst + I), maxU64(D, S));
-  }
-  for (; I != N; ++I)
-    Dst[I] = std::max(Dst[I], Src[I]);
-}
-
-ARDF_TGT_AVX2 void minRowsAvx2(uint64_t *Dst, const uint64_t *A,
-                               const uint64_t *B, size_t N) {
-  size_t I = 0;
-  for (; I + 4 <= N; I += 4) {
-    __m256i VA = _mm256_loadu_si256(reinterpret_cast<const __m256i *>(A + I));
-    __m256i VB = _mm256_loadu_si256(reinterpret_cast<const __m256i *>(B + I));
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(Dst + I), minU64(VA, VB));
-  }
-  for (; I != N; ++I)
-    Dst[I] = std::min(A[I], B[I]);
-}
-
-ARDF_TGT_AVX2 void incrementAvx2(uint64_t *Dst, const uint64_t *Src,
-                                 size_t N, uint64_t Bound) {
-  const __m256i Zero = _mm256_setzero_si256();
-  const __m256i Ones = _mm256_set1_epi64x(-1);
-  const __m256i One = _mm256_set1_epi64x(1);
-  const __m256i Bias = signBias256();
-  const __m256i BoundBiased = _mm256_xor_si256(
-      _mm256_set1_epi64x(static_cast<long long>(Bound)), Bias);
-  size_t I = 0;
-  for (; I + 4 <= N; I += 4) {
-    __m256i X = _mm256_loadu_si256(reinterpret_cast<const __m256i *>(Src + I));
-    // NoInstance and AllInstances are fixed points of the increment.
-    __m256i Fixed = _mm256_or_si256(_mm256_cmpeq_epi64(X, Zero),
-                                    _mm256_cmpeq_epi64(X, Ones));
-    __m256i Next = _mm256_add_epi64(X, _mm256_andnot_si256(Fixed, One));
-    // Next < Bound keeps Next; otherwise clamp to AllInstances.
-    __m256i Lt =
-        _mm256_cmpgt_epi64(BoundBiased, _mm256_xor_si256(Next, Bias));
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(Dst + I),
-                        _mm256_blendv_epi8(Ones, Next, Lt));
-  }
-  for (; I != N; ++I)
-    Dst[I] = packed::increment(Src[I], Bound);
-}
-
-ARDF_TGT_AVX2 uint64_t xorAccumAvx2(const uint64_t *A, const uint64_t *B,
-                                    size_t N) {
-  __m256i Acc = _mm256_setzero_si256();
-  size_t I = 0;
-  for (; I + 4 <= N; I += 4) {
-    __m256i VA = _mm256_loadu_si256(reinterpret_cast<const __m256i *>(A + I));
-    __m256i VB = _mm256_loadu_si256(reinterpret_cast<const __m256i *>(B + I));
-    Acc = _mm256_or_si256(Acc, _mm256_xor_si256(VA, VB));
-  }
-  __m128i Half = _mm_or_si128(_mm256_castsi256_si128(Acc),
-                              _mm256_extracti128_si256(Acc, 1));
-  uint64_t Tail = static_cast<uint64_t>(_mm_cvtsi128_si64(Half)) |
-                  static_cast<uint64_t>(_mm_extract_epi64(Half, 1));
-  for (; I != N; ++I)
-    Tail |= A[I] ^ B[I];
-  return Tail;
-}
-
-/// Rows at least this long stream their cells with non-temporal
-/// stores: the 16B-per-cell export is the largest write stream in a
-/// solve, the caller reads it well after the solve finishes, and NT
-/// stores skip both the read-for-ownership traffic and the cache
-/// pollution. Short rows keep ordinary stores (they are about to be
-/// read and fit in cache anyway).
-constexpr size_t NtStoreMinCells = 256;
-
-ARDF_TGT_AVX2 void unpackAvx2(DistanceValue *Dst, const uint64_t *Src,
-                              size_t N) {
-  const UnpackImages &Images = unpackImages();
-  const __m256i Zero = _mm256_setzero_si256();
-  const __m256i Ones = _mm256_set1_epi64x(-1);
-  const __m256i One = _mm256_set1_epi64x(1);
-  const __m256i TagNo = _mm256_set1_epi64x(Images.TagNo);
-  const __m256i TagFin = _mm256_set1_epi64x(Images.TagFinite);
-  const __m256i TagAll = _mm256_set1_epi64x(Images.TagAll);
-  unsigned char *Raw = reinterpret_cast<unsigned char *>(Dst);
-  size_t I = 0;
-  bool Stream = N >= NtStoreMinCells;
-  if (Stream)
-    // Scalar-unpack up to the first 32B-aligned cell so the streaming
-    // stores (which require alignment) cover the rest.
-    for (; I != N && (reinterpret_cast<uintptr_t>(Raw + I * 16) & 31) != 0;
-         ++I)
-      Dst[I] = packed::unpack(Src[I]);
-  for (; I + 4 <= N; I += 4) {
-    __m256i X = _mm256_loadu_si256(reinterpret_cast<const __m256i *>(Src + I));
-    __m256i IsNo = _mm256_cmpeq_epi64(X, Zero);
-    __m256i IsAll = _mm256_cmpeq_epi64(X, Ones);
-    __m256i Tag = _mm256_blendv_epi8(
-        _mm256_blendv_epi8(TagFin, TagNo, IsNo), TagAll, IsAll);
-    // Finite packed X encodes distance X - 1; the two fixed points
-    // store distance 0.
-    __m256i Dist = _mm256_andnot_si256(_mm256_or_si256(IsNo, IsAll),
-                                       _mm256_sub_epi64(X, One));
-    // Interleave {tag, dist} pairs back into 16-byte cells.
-    __m256i Lo = _mm256_unpacklo_epi64(Tag, Dist); // T0 D0 T2 D2
-    __m256i Hi = _mm256_unpackhi_epi64(Tag, Dist); // T1 D1 T3 D3
-    __m256i Cells0 = _mm256_permute2x128_si256(Lo, Hi, 0x20);
-    __m256i Cells1 = _mm256_permute2x128_si256(Lo, Hi, 0x31);
-    if (Stream) {
-      _mm256_stream_si256(reinterpret_cast<__m256i *>(Raw + I * 16), Cells0);
-      _mm256_stream_si256(reinterpret_cast<__m256i *>(Raw + I * 16 + 32),
-                          Cells1);
-    } else {
-      _mm256_storeu_si256(reinterpret_cast<__m256i *>(Raw + I * 16), Cells0);
-      _mm256_storeu_si256(reinterpret_cast<__m256i *>(Raw + I * 16 + 32),
-                          Cells1);
-    }
-  }
-  for (; I != N; ++I)
-    Dst[I] = packed::unpack(Src[I]);
-  if (Stream)
-    _mm_sfence();
-}
-
-constexpr RowOps Avx2Ops = {
-    Isa::AVX2,
-    minIntoAvx2,
-    maxIntoAvx2,
-    minRowsAvx2,
-    incrementAvx2,
-    xorAccumAvx2,
-    unpackAvx2,
-};
-
-// Narrowed-cell AVX2 backend: 8 lanes per step, and unlike the 64-bit
-// lanes AVX2 has native unsigned 32-bit min/max, so only the increment
-// still needs the sign-bias compare.
-
-ARDF_TGT_AVX2 void minInto32Avx2(uint32_t *Dst, const uint32_t *Src,
-                                 size_t N) {
-  size_t I = 0;
-  for (; I + 8 <= N; I += 8) {
-    __m256i D = _mm256_loadu_si256(reinterpret_cast<const __m256i *>(Dst + I));
-    __m256i S = _mm256_loadu_si256(reinterpret_cast<const __m256i *>(Src + I));
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(Dst + I),
-                        _mm256_min_epu32(D, S));
-  }
-  for (; I != N; ++I)
-    Dst[I] = std::min(Dst[I], Src[I]);
-}
-
-ARDF_TGT_AVX2 void maxInto32Avx2(uint32_t *Dst, const uint32_t *Src,
-                                 size_t N) {
-  size_t I = 0;
-  for (; I + 8 <= N; I += 8) {
-    __m256i D = _mm256_loadu_si256(reinterpret_cast<const __m256i *>(Dst + I));
-    __m256i S = _mm256_loadu_si256(reinterpret_cast<const __m256i *>(Src + I));
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(Dst + I),
-                        _mm256_max_epu32(D, S));
-  }
-  for (; I != N; ++I)
-    Dst[I] = std::max(Dst[I], Src[I]);
-}
-
-ARDF_TGT_AVX2 void minRows32Avx2(uint32_t *Dst, const uint32_t *A,
-                                 const uint32_t *B, size_t N) {
-  size_t I = 0;
-  for (; I + 8 <= N; I += 8) {
-    __m256i VA = _mm256_loadu_si256(reinterpret_cast<const __m256i *>(A + I));
-    __m256i VB = _mm256_loadu_si256(reinterpret_cast<const __m256i *>(B + I));
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(Dst + I),
-                        _mm256_min_epu32(VA, VB));
-  }
-  for (; I != N; ++I)
-    Dst[I] = std::min(A[I], B[I]);
-}
-
-ARDF_TGT_AVX2 void increment32Avx2(uint32_t *Dst, const uint32_t *Src,
-                                   size_t N, uint32_t Bound) {
-  const __m256i Zero = _mm256_setzero_si256();
-  const __m256i Ones = _mm256_set1_epi32(-1);
-  const __m256i One = _mm256_set1_epi32(1);
-  const __m256i Bias = _mm256_set1_epi32(INT32_MIN);
-  const __m256i BoundBiased =
-      _mm256_xor_si256(_mm256_set1_epi32(static_cast<int>(Bound)), Bias);
-  size_t I = 0;
-  for (; I + 8 <= N; I += 8) {
-    __m256i X = _mm256_loadu_si256(reinterpret_cast<const __m256i *>(Src + I));
-    __m256i Fixed = _mm256_or_si256(_mm256_cmpeq_epi32(X, Zero),
-                                    _mm256_cmpeq_epi32(X, Ones));
-    __m256i Next = _mm256_add_epi32(X, _mm256_andnot_si256(Fixed, One));
-    __m256i Lt =
-        _mm256_cmpgt_epi32(BoundBiased, _mm256_xor_si256(Next, Bias));
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(Dst + I),
-                        _mm256_blendv_epi8(Ones, Next, Lt));
-  }
-  for (; I != N; ++I)
-    Dst[I] = packed::increment32(Src[I], Bound);
-}
-
-ARDF_TGT_AVX2 uint32_t xorAccum32Avx2(const uint32_t *A, const uint32_t *B,
-                                      size_t N) {
-  __m256i Acc = _mm256_setzero_si256();
-  size_t I = 0;
-  for (; I + 8 <= N; I += 8) {
-    __m256i VA = _mm256_loadu_si256(reinterpret_cast<const __m256i *>(A + I));
-    __m256i VB = _mm256_loadu_si256(reinterpret_cast<const __m256i *>(B + I));
-    Acc = _mm256_or_si256(Acc, _mm256_xor_si256(VA, VB));
-  }
-  __m128i Half = _mm_or_si128(_mm256_castsi256_si128(Acc),
-                              _mm256_extracti128_si256(Acc, 1));
-  Half = _mm_or_si128(Half, _mm_srli_si128(Half, 8));
-  Half = _mm_or_si128(Half, _mm_srli_si128(Half, 4));
-  uint32_t Tail = static_cast<uint32_t>(_mm_cvtsi128_si32(Half));
-  for (; I != N; ++I)
-    Tail |= A[I] ^ B[I];
-  return Tail;
-}
-
-ARDF_TGT_AVX2 void unpack32Avx2(DistanceValue *Dst, const uint32_t *Src,
-                                size_t N) {
-  const UnpackImages &Images = unpackImages();
-  const __m256i Zero = _mm256_setzero_si256();
-  // Widened cells compare against the 32-bit sentinel, not all-ones.
-  const __m256i All = _mm256_set1_epi64x(
-      static_cast<long long>(packed::AllInstances32));
-  const __m256i One = _mm256_set1_epi64x(1);
-  const __m256i TagNo = _mm256_set1_epi64x(Images.TagNo);
-  const __m256i TagFin = _mm256_set1_epi64x(Images.TagFinite);
-  const __m256i TagAll = _mm256_set1_epi64x(Images.TagAll);
-  unsigned char *Raw = reinterpret_cast<unsigned char *>(Dst);
-  size_t I = 0;
-  bool Stream = N >= NtStoreMinCells;
-  if (Stream)
-    for (; I != N && (reinterpret_cast<uintptr_t>(Raw + I * 16) & 31) != 0;
-         ++I)
-      Dst[I] = packed::unpack32(Src[I]);
-  for (; I + 4 <= N; I += 4) {
-    __m256i X = _mm256_cvtepu32_epi64(
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(Src + I)));
-    __m256i IsNo = _mm256_cmpeq_epi64(X, Zero);
-    __m256i IsAll = _mm256_cmpeq_epi64(X, All);
-    __m256i Tag = _mm256_blendv_epi8(
-        _mm256_blendv_epi8(TagFin, TagNo, IsNo), TagAll, IsAll);
-    __m256i Dist = _mm256_andnot_si256(_mm256_or_si256(IsNo, IsAll),
-                                       _mm256_sub_epi64(X, One));
-    __m256i Lo = _mm256_unpacklo_epi64(Tag, Dist);
-    __m256i Hi = _mm256_unpackhi_epi64(Tag, Dist);
-    __m256i Cells0 = _mm256_permute2x128_si256(Lo, Hi, 0x20);
-    __m256i Cells1 = _mm256_permute2x128_si256(Lo, Hi, 0x31);
-    if (Stream) {
-      _mm256_stream_si256(reinterpret_cast<__m256i *>(Raw + I * 16), Cells0);
-      _mm256_stream_si256(reinterpret_cast<__m256i *>(Raw + I * 16 + 32),
-                          Cells1);
-    } else {
-      _mm256_storeu_si256(reinterpret_cast<__m256i *>(Raw + I * 16), Cells0);
-      _mm256_storeu_si256(reinterpret_cast<__m256i *>(Raw + I * 16 + 32),
-                          Cells1);
-    }
-  }
-  for (; I != N; ++I)
-    Dst[I] = packed::unpack32(Src[I]);
-  if (Stream)
-    _mm_sfence();
-}
-
-constexpr RowOps32 Avx2Ops32 = {
-    Isa::AVX2,
-    minInto32Avx2,
-    maxInto32Avx2,
-    minRows32Avx2,
-    increment32Avx2,
-    xorAccum32Avx2,
-    unpack32Avx2,
-};
-
-//===----------------------------------------------------------------------===//
-// AVX-512F backend (x86-64): 8 lanes per step, native unsigned min and
-// compares, mask-blended clamp, scalar tails.
-//===----------------------------------------------------------------------===//
-
-#define ARDF_TGT_AVX512 __attribute__((target("avx512f")))
-
-ARDF_TGT_AVX512 void minIntoAvx512(uint64_t *Dst, const uint64_t *Src,
-                                   size_t N) {
-  size_t I = 0;
-  for (; I + 8 <= N; I += 8) {
-    __m512i D = _mm512_loadu_si512(Dst + I);
-    __m512i S = _mm512_loadu_si512(Src + I);
-    _mm512_storeu_si512(Dst + I, _mm512_min_epu64(D, S));
-  }
-  for (; I != N; ++I)
-    Dst[I] = std::min(Dst[I], Src[I]);
-}
-
-ARDF_TGT_AVX512 void maxIntoAvx512(uint64_t *Dst, const uint64_t *Src,
-                                   size_t N) {
-  size_t I = 0;
-  for (; I + 8 <= N; I += 8) {
-    __m512i D = _mm512_loadu_si512(Dst + I);
-    __m512i S = _mm512_loadu_si512(Src + I);
-    _mm512_storeu_si512(Dst + I, _mm512_max_epu64(D, S));
-  }
-  for (; I != N; ++I)
-    Dst[I] = std::max(Dst[I], Src[I]);
-}
-
-ARDF_TGT_AVX512 void minRowsAvx512(uint64_t *Dst, const uint64_t *A,
-                                   const uint64_t *B, size_t N) {
-  size_t I = 0;
-  for (; I + 8 <= N; I += 8) {
-    __m512i VA = _mm512_loadu_si512(A + I);
-    __m512i VB = _mm512_loadu_si512(B + I);
-    _mm512_storeu_si512(Dst + I, _mm512_min_epu64(VA, VB));
-  }
-  for (; I != N; ++I)
-    Dst[I] = std::min(A[I], B[I]);
-}
-
-ARDF_TGT_AVX512 void incrementAvx512(uint64_t *Dst, const uint64_t *Src,
-                                     size_t N, uint64_t Bound) {
-  const __m512i Zero = _mm512_setzero_si512();
-  const __m512i Ones = _mm512_set1_epi64(-1);
-  const __m512i One = _mm512_set1_epi64(1);
-  const __m512i BoundV =
-      _mm512_set1_epi64(static_cast<long long>(Bound));
-  size_t I = 0;
-  for (; I + 8 <= N; I += 8) {
-    __m512i X = _mm512_loadu_si512(Src + I);
-    __mmask8 Fixed =
-        static_cast<__mmask8>(_mm512_cmpeq_epi64_mask(X, Zero) |
-                              _mm512_cmpeq_epi64_mask(X, Ones));
-    __m512i Next =
-        _mm512_mask_add_epi64(X, static_cast<__mmask8>(~Fixed), X, One);
-    __mmask8 Lt = _mm512_cmplt_epu64_mask(Next, BoundV);
-    _mm512_storeu_si512(Dst + I, _mm512_mask_mov_epi64(Ones, Lt, Next));
-  }
-  for (; I != N; ++I)
-    Dst[I] = packed::increment(Src[I], Bound);
-}
-
-ARDF_TGT_AVX512 uint64_t xorAccumAvx512(const uint64_t *A, const uint64_t *B,
-                                        size_t N) {
-  __m512i Acc = _mm512_setzero_si512();
-  size_t I = 0;
-  for (; I + 8 <= N; I += 8) {
-    __m512i VA = _mm512_loadu_si512(A + I);
-    __m512i VB = _mm512_loadu_si512(B + I);
-    Acc = _mm512_or_si512(Acc, _mm512_xor_si512(VA, VB));
-  }
-  uint64_t Tail = static_cast<uint64_t>(_mm512_reduce_or_epi64(Acc));
-  for (; I != N; ++I)
-    Tail |= A[I] ^ B[I];
-  return Tail;
-}
-
-ARDF_TGT_AVX512 void unpackAvx512(DistanceValue *Dst, const uint64_t *Src,
-                                  size_t N) {
-  const UnpackImages &Images = unpackImages();
-  const __m512i Zero = _mm512_setzero_si512();
-  const __m512i Ones = _mm512_set1_epi64(-1);
-  const __m512i One = _mm512_set1_epi64(1);
-  const __m512i TagNo = _mm512_set1_epi64(Images.TagNo);
-  const __m512i TagFin = _mm512_set1_epi64(Images.TagFinite);
-  const __m512i TagAll = _mm512_set1_epi64(Images.TagAll);
-  const __m512i IdxLo = _mm512_setr_epi64(0, 8, 1, 9, 2, 10, 3, 11);
-  const __m512i IdxHi = _mm512_setr_epi64(4, 12, 5, 13, 6, 14, 7, 15);
-  unsigned char *Raw = reinterpret_cast<unsigned char *>(Dst);
-  size_t I = 0;
-  bool Stream = N >= NtStoreMinCells;
-  if (Stream)
-    // Scalar-unpack up to the first 64B-aligned cell (see unpackAvx2).
-    for (; I != N && (reinterpret_cast<uintptr_t>(Raw + I * 16) & 63) != 0;
-         ++I)
-      Dst[I] = packed::unpack(Src[I]);
-  for (; I + 8 <= N; I += 8) {
-    __m512i X = _mm512_loadu_si512(Src + I);
-    __mmask8 IsNo = _mm512_cmpeq_epi64_mask(X, Zero);
-    __mmask8 IsAll = _mm512_cmpeq_epi64_mask(X, Ones);
-    __m512i Tag = _mm512_mask_mov_epi64(
-        _mm512_mask_mov_epi64(TagFin, IsNo, TagNo), IsAll, TagAll);
-    // Finite packed X encodes distance X - 1; fixed points store 0.
-    __m512i Dist = _mm512_maskz_sub_epi64(
-        static_cast<__mmask8>(~(IsNo | IsAll)), X, One);
-    // Interleave {tag, dist} pairs back into 16-byte cells.
-    __m512i Cells0 = _mm512_permutex2var_epi64(Tag, IdxLo, Dist);
-    __m512i Cells1 = _mm512_permutex2var_epi64(Tag, IdxHi, Dist);
-    if (Stream) {
-      _mm512_stream_si512(reinterpret_cast<__m512i *>(Raw + I * 16), Cells0);
-      _mm512_stream_si512(reinterpret_cast<__m512i *>(Raw + I * 16 + 64),
-                          Cells1);
-    } else {
-      _mm512_storeu_si512(Raw + I * 16, Cells0);
-      _mm512_storeu_si512(Raw + I * 16 + 64, Cells1);
-    }
-  }
-  for (; I != N; ++I)
-    Dst[I] = packed::unpack(Src[I]);
-  if (Stream)
-    _mm_sfence();
-}
-
-constexpr RowOps Avx512Ops = {
-    Isa::AVX512,
-    minIntoAvx512,
-    maxIntoAvx512,
-    minRowsAvx512,
-    incrementAvx512,
-    xorAccumAvx512,
-    unpackAvx512,
-};
-
-// Narrowed-cell AVX-512F backend: 16 lanes per step, native unsigned
-// 32-bit min/max/compare throughout.
-
-ARDF_TGT_AVX512 void minInto32Avx512(uint32_t *Dst, const uint32_t *Src,
-                                     size_t N) {
-  size_t I = 0;
-  for (; I + 16 <= N; I += 16) {
-    __m512i D = _mm512_loadu_si512(Dst + I);
-    __m512i S = _mm512_loadu_si512(Src + I);
-    _mm512_storeu_si512(Dst + I, _mm512_min_epu32(D, S));
-  }
-  for (; I != N; ++I)
-    Dst[I] = std::min(Dst[I], Src[I]);
-}
-
-ARDF_TGT_AVX512 void maxInto32Avx512(uint32_t *Dst, const uint32_t *Src,
-                                     size_t N) {
-  size_t I = 0;
-  for (; I + 16 <= N; I += 16) {
-    __m512i D = _mm512_loadu_si512(Dst + I);
-    __m512i S = _mm512_loadu_si512(Src + I);
-    _mm512_storeu_si512(Dst + I, _mm512_max_epu32(D, S));
-  }
-  for (; I != N; ++I)
-    Dst[I] = std::max(Dst[I], Src[I]);
-}
-
-ARDF_TGT_AVX512 void minRows32Avx512(uint32_t *Dst, const uint32_t *A,
-                                     const uint32_t *B, size_t N) {
-  size_t I = 0;
-  for (; I + 16 <= N; I += 16) {
-    __m512i VA = _mm512_loadu_si512(A + I);
-    __m512i VB = _mm512_loadu_si512(B + I);
-    _mm512_storeu_si512(Dst + I, _mm512_min_epu32(VA, VB));
-  }
-  for (; I != N; ++I)
-    Dst[I] = std::min(A[I], B[I]);
-}
-
-ARDF_TGT_AVX512 void increment32Avx512(uint32_t *Dst, const uint32_t *Src,
-                                       size_t N, uint32_t Bound) {
-  const __m512i Zero = _mm512_setzero_si512();
-  const __m512i Ones = _mm512_set1_epi32(-1);
-  const __m512i One = _mm512_set1_epi32(1);
-  const __m512i BoundV = _mm512_set1_epi32(static_cast<int>(Bound));
-  size_t I = 0;
-  for (; I + 16 <= N; I += 16) {
-    __m512i X = _mm512_loadu_si512(Src + I);
-    __mmask16 Fixed = _mm512_cmpeq_epi32_mask(X, Zero) |
-                      _mm512_cmpeq_epi32_mask(X, Ones);
-    __m512i Next =
-        _mm512_mask_add_epi32(X, static_cast<__mmask16>(~Fixed), X, One);
-    __mmask16 Lt = _mm512_cmplt_epu32_mask(Next, BoundV);
-    _mm512_storeu_si512(Dst + I, _mm512_mask_mov_epi32(Ones, Lt, Next));
-  }
-  for (; I != N; ++I)
-    Dst[I] = packed::increment32(Src[I], Bound);
-}
-
-ARDF_TGT_AVX512 uint32_t xorAccum32Avx512(const uint32_t *A,
-                                          const uint32_t *B, size_t N) {
-  __m512i Acc = _mm512_setzero_si512();
-  size_t I = 0;
-  for (; I + 16 <= N; I += 16) {
-    __m512i VA = _mm512_loadu_si512(A + I);
-    __m512i VB = _mm512_loadu_si512(B + I);
-    Acc = _mm512_or_si512(Acc, _mm512_xor_si512(VA, VB));
-  }
-  uint32_t Tail = static_cast<uint32_t>(_mm512_reduce_or_epi32(Acc));
-  for (; I != N; ++I)
-    Tail |= A[I] ^ B[I];
-  return Tail;
-}
-
-ARDF_TGT_AVX512 void unpack32Avx512(DistanceValue *Dst, const uint32_t *Src,
-                                    size_t N) {
-  const UnpackImages &Images = unpackImages();
-  const __m512i Zero = _mm512_setzero_si512();
-  // Widened cells compare against the 32-bit sentinel, not all-ones.
-  const __m512i All =
-      _mm512_set1_epi64(static_cast<long long>(packed::AllInstances32));
-  const __m512i One = _mm512_set1_epi64(1);
-  const __m512i TagNo = _mm512_set1_epi64(Images.TagNo);
-  const __m512i TagFin = _mm512_set1_epi64(Images.TagFinite);
-  const __m512i TagAll = _mm512_set1_epi64(Images.TagAll);
-  const __m512i IdxLo = _mm512_setr_epi64(0, 8, 1, 9, 2, 10, 3, 11);
-  const __m512i IdxHi = _mm512_setr_epi64(4, 12, 5, 13, 6, 14, 7, 15);
-  unsigned char *Raw = reinterpret_cast<unsigned char *>(Dst);
-  size_t I = 0;
-  bool Stream = N >= NtStoreMinCells;
-  if (Stream)
-    for (; I != N && (reinterpret_cast<uintptr_t>(Raw + I * 16) & 63) != 0;
-         ++I)
-      Dst[I] = packed::unpack32(Src[I]);
-  for (; I + 8 <= N; I += 8) {
-    __m512i X = _mm512_cvtepu32_epi64(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(Src + I)));
-    __mmask8 IsNo = _mm512_cmpeq_epi64_mask(X, Zero);
-    __mmask8 IsAll = _mm512_cmpeq_epi64_mask(X, All);
-    __m512i Tag = _mm512_mask_mov_epi64(
-        _mm512_mask_mov_epi64(TagFin, IsNo, TagNo), IsAll, TagAll);
-    __m512i Dist = _mm512_maskz_sub_epi64(
-        static_cast<__mmask8>(~(IsNo | IsAll)), X, One);
-    __m512i Cells0 = _mm512_permutex2var_epi64(Tag, IdxLo, Dist);
-    __m512i Cells1 = _mm512_permutex2var_epi64(Tag, IdxHi, Dist);
-    if (Stream) {
-      _mm512_stream_si512(reinterpret_cast<__m512i *>(Raw + I * 16), Cells0);
-      _mm512_stream_si512(reinterpret_cast<__m512i *>(Raw + I * 16 + 64),
-                          Cells1);
-    } else {
-      _mm512_storeu_si512(Raw + I * 16, Cells0);
-      _mm512_storeu_si512(Raw + I * 16 + 64, Cells1);
-    }
-  }
-  for (; I != N; ++I)
-    Dst[I] = packed::unpack32(Src[I]);
-  if (Stream)
-    _mm_sfence();
-}
-
-constexpr RowOps32 Avx512Ops32 = {
-    Isa::AVX512,
-    minInto32Avx512,
-    maxInto32Avx512,
-    minRows32Avx512,
-    increment32Avx512,
-    xorAccum32Avx512,
-    unpack32Avx512,
-};
-
-#endif // ARDF_SIMD_X86
-
-//===----------------------------------------------------------------------===//
-// NEON backend (AArch64): 2 lanes per step. NEON is baseline on
-// AArch64, so no target attributes are needed.
-//===----------------------------------------------------------------------===//
-
-#if ARDF_SIMD_NEON
-
-inline uint64x2_t minU64Neon(uint64x2_t A, uint64x2_t B) {
-  return vbslq_u64(vcgtq_u64(A, B), B, A);
-}
-
-inline uint64x2_t maxU64Neon(uint64x2_t A, uint64x2_t B) {
-  return vbslq_u64(vcgtq_u64(A, B), A, B);
-}
-
-void minIntoNeon(uint64_t *Dst, const uint64_t *Src, size_t N) {
-  size_t I = 0;
-  for (; I + 2 <= N; I += 2)
-    vst1q_u64(Dst + I, minU64Neon(vld1q_u64(Dst + I), vld1q_u64(Src + I)));
-  for (; I != N; ++I)
-    Dst[I] = std::min(Dst[I], Src[I]);
-}
-
-void maxIntoNeon(uint64_t *Dst, const uint64_t *Src, size_t N) {
-  size_t I = 0;
-  for (; I + 2 <= N; I += 2)
-    vst1q_u64(Dst + I, maxU64Neon(vld1q_u64(Dst + I), vld1q_u64(Src + I)));
-  for (; I != N; ++I)
-    Dst[I] = std::max(Dst[I], Src[I]);
-}
-
-void minRowsNeon(uint64_t *Dst, const uint64_t *A, const uint64_t *B,
-                 size_t N) {
-  size_t I = 0;
-  for (; I + 2 <= N; I += 2)
-    vst1q_u64(Dst + I, minU64Neon(vld1q_u64(A + I), vld1q_u64(B + I)));
-  for (; I != N; ++I)
-    Dst[I] = std::min(A[I], B[I]);
-}
-
-void incrementNeon(uint64_t *Dst, const uint64_t *Src, size_t N,
-                   uint64_t Bound) {
-  const uint64x2_t Zero = vdupq_n_u64(0);
-  const uint64x2_t Ones = vdupq_n_u64(UINT64_MAX);
-  const uint64x2_t One = vdupq_n_u64(1);
-  const uint64x2_t BoundV = vdupq_n_u64(Bound);
-  size_t I = 0;
-  for (; I + 2 <= N; I += 2) {
-    uint64x2_t X = vld1q_u64(Src + I);
-    uint64x2_t Fixed = vorrq_u64(vceqq_u64(X, Zero), vceqq_u64(X, Ones));
-    uint64x2_t Next = vaddq_u64(X, vbicq_u64(One, Fixed));
-    uint64x2_t Lt = vcgtq_u64(BoundV, Next);
-    vst1q_u64(Dst + I, vbslq_u64(Lt, Next, Ones));
-  }
-  for (; I != N; ++I)
-    Dst[I] = packed::increment(Src[I], Bound);
-}
-
-uint64_t xorAccumNeon(const uint64_t *A, const uint64_t *B, size_t N) {
-  uint64x2_t Acc = vdupq_n_u64(0);
-  size_t I = 0;
-  for (; I + 2 <= N; I += 2)
-    Acc = vorrq_u64(Acc, veorq_u64(vld1q_u64(A + I), vld1q_u64(B + I)));
-  uint64_t Tail = vgetq_lane_u64(Acc, 0) | vgetq_lane_u64(Acc, 1);
-  for (; I != N; ++I)
-    Tail |= A[I] ^ B[I];
-  return Tail;
-}
-
-// Unpack stays scalar on NEON: the 8B -> 16B widening store is
-// bandwidth-bound and the scalar loop already saturates it there.
-constexpr RowOps NeonOps = {
-    Isa::NEON,
-    minIntoNeon,
-    maxIntoNeon,
-    minRowsNeon,
-    incrementNeon,
-    xorAccumNeon,
-    unpackScalar,
-};
-
-// Narrowed cells ride the scalar loops on NEON: the u32 min/max sweeps
-// are exactly the shape the AArch64 baseline compiler auto-vectorizes,
-// so a hand-written table would only restate the codegen.
-constexpr RowOps32 NeonOps32 = {
-    Isa::NEON,
-    minInto32Scalar,
-    maxInto32Scalar,
-    minRows32Scalar,
-    increment32Scalar,
-    xorAccum32Scalar,
-    unpack32Scalar,
-};
-
-#endif // ARDF_SIMD_NEON
-
-//===----------------------------------------------------------------------===//
-// Dispatch
-//===----------------------------------------------------------------------===//
-
-/// Process-wide dispatch state: the active table pointer (atomic so the
-/// test hook can repoint it) plus what ARDF_FORCE_ISA did. Initialized
-/// on first use under the magic-static lock.
-struct DispatchState {
-  std::atomic<const RowOps *> Active;
-  simd::ForceStatus Status = simd::ForceStatus::None;
-
-  DispatchState() {
-    Isa Tier = simd::bestSupportedIsa();
-    if (const char *Env = std::getenv("ARDF_FORCE_ISA")) {
-      Isa Forced;
-      if (!simd::parseIsaName(Env, Forced))
-        Status = simd::ForceStatus::Invalid;
-      else if (!simd::isaSupported(Forced))
-        Status = simd::ForceStatus::Unsupported;
-      else {
-        Tier = Forced;
-        Status = simd::ForceStatus::Applied;
-      }
-    }
-    Active.store(&simd::backendOps(Tier), std::memory_order_relaxed);
-  }
-};
-
-DispatchState &dispatchState() {
-  static DispatchState State;
-  return State;
-}
-
-} // namespace
-
-bool simd::isaSupported(Isa Tier) {
-  switch (Tier) {
-  case Isa::Scalar:
-    return true;
-  case Isa::NEON:
-#if ARDF_SIMD_NEON
-    return true;
+ardf::simd::Isa ardf::simd::activeIsa() {
+#if defined(__AVX512F__)
+  return Isa::AVX512;
+#elif defined(__AVX2__)
+  return Isa::AVX2;
+#elif defined(__ARM_NEON)
+  return Isa::NEON;
 #else
-    return false;
-#endif
-  case Isa::AVX2:
-#if ARDF_SIMD_X86
-    return __builtin_cpu_supports("avx2");
-#else
-    return false;
-#endif
-  case Isa::AVX512:
-#if ARDF_SIMD_X86
-    return __builtin_cpu_supports("avx512f");
-#else
-    return false;
-#endif
-  }
-  return false;
-}
-
-simd::Isa simd::bestSupportedIsa() {
-  if (isaSupported(Isa::AVX512))
-    return Isa::AVX512;
-  if (isaSupported(Isa::AVX2))
-    return Isa::AVX2;
-  if (isaSupported(Isa::NEON))
-    return Isa::NEON;
   return Isa::Scalar;
-}
-
-const RowOps &simd::backendOps(Isa Tier) {
-  assert(isaSupported(Tier) && "backendOps: tier not executable here");
-  switch (Tier) {
-#if ARDF_SIMD_X86
-  case Isa::AVX512:
-    return Avx512Ops;
-  case Isa::AVX2:
-    return Avx2Ops;
 #endif
-#if ARDF_SIMD_NEON
-  case Isa::NEON:
-    return NeonOps;
-#endif
-  default:
-    return ScalarOps;
-  }
 }
 
-const RowOps32 &simd::backendOps32(Isa Tier) {
-  assert(isaSupported(Tier) && "backendOps32: tier not executable here");
-  switch (Tier) {
-#if ARDF_SIMD_X86
-  case Isa::AVX512:
-    return Avx512Ops32;
-  case Isa::AVX2:
-    return Avx2Ops32;
-#endif
-#if ARDF_SIMD_NEON
-  case Isa::NEON:
-    return NeonOps32;
-#endif
-  default:
-    return ScalarOps32;
-  }
-}
-
-const RowOps &simd::rowOps() {
-  return *dispatchState().Active.load(std::memory_order_relaxed);
-}
-
-const RowOps32 &simd::rowOps32() { return backendOps32(rowOps().Tier); }
-
-simd::Isa simd::activeIsa() { return rowOps().Tier; }
-
-simd::ForceStatus simd::forceStatus() { return dispatchState().Status; }
-
-bool simd::setActiveIsaForTesting(Isa Tier) {
-  if (!isaSupported(Tier))
-    return false;
-  dispatchState().Active.store(&backendOps(Tier),
-                               std::memory_order_relaxed);
-  return true;
-}
-
-const char *simd::isaName(Isa Tier) {
+const char *ardf::simd::isaName(Isa Tier) {
   switch (Tier) {
   case Isa::Scalar:
     return "scalar";
@@ -989,18 +26,4 @@ const char *simd::isaName(Isa Tier) {
     return "avx512";
   }
   return "unknown";
-}
-
-bool simd::parseIsaName(std::string_view Name, Isa &Out) {
-  if (Name == "scalar")
-    Out = Isa::Scalar;
-  else if (Name == "neon")
-    Out = Isa::NEON;
-  else if (Name == "avx2")
-    Out = Isa::AVX2;
-  else if (Name == "avx512")
-    Out = Isa::AVX512;
-  else
-    return false;
-  return true;
 }

@@ -1,135 +1,88 @@
-//===- dataflow/VectorOps.h - SIMD row operations --------------*- C++ -*-===//
+//===- dataflow/VectorOps.h - Packed row operations ------------*- C++ -*-===//
 //
 // Part of ardf, a reproduction of Duesterwald, Gupta & Soffa, PLDI 1993.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The data-parallel layer under the packed kernel engine. The packed
+/// The row operations under the packed kernel engine. The packed
 /// lattice (lattice/PackedDistance.h) reduced every flow operator to
 /// exact unsigned 64-bit arithmetic -- min, max, a saturating add, an
-/// XOR diff -- so whole matrix rows can be swept with SIMD. This header
-/// names those row operations once and dispatches them at runtime:
+/// XOR diff -- so whole matrix rows are swept by six plain loops:
 ///
-///   MinInto    Dst[i] = min(Dst[i], Src[i])        (must meet)
-///   MaxInto    Dst[i] = max(Dst[i], Src[i])        (may meet)
-///   MinRows    Dst[i] = min(A[i], B[i])            (preserve apply)
-///   Increment  Dst[i] = packed::increment(Src[i])  (exit node)
-///   XorAccum   OR over i of A[i] ^ B[i]            (change tracking)
-///   Unpack     Dst[i] = packed::unpack(Src[i])     (result export)
+///   minInto    Dst[i] = min(Dst[i], Src[i])        (must meet)
+///   maxInto    Dst[i] = max(Dst[i], Src[i])        (may meet)
+///   minRows    Dst[i] = min(A[i], B[i])            (preserve apply)
+///   increment  Dst[i] = packed::increment(Src[i])  (exit node)
+///   xorAccum   OR over i of A[i] ^ B[i]            (change tracking)
+///   unpack     Dst[i] = packed::unpack(Src[i])     (result export)
 ///
-/// Four backends implement the table: portable scalar loops (always
-/// available, and what the compiler auto-vectorizes for the baseline
-/// ISA), AVX2 and AVX-512 on x86-64 (compiled with per-function target
-/// attributes, so a plain baseline build still carries them), and NEON
-/// on AArch64. rowOps() picks the widest backend the host supports via
-/// CPUID at first use -- not at configure time, so one binary serves a
-/// whole fleet -- and the choice can be pinned with the ARDF_FORCE_ISA
-/// environment variable (scalar|avx2|avx512|neon) or, tier by tier
-/// within one process, with setActiveIsaForTesting (what the
-/// scalar-vs-SIMD bit-identity oracle iterates).
-///
-/// Every operation is exact integer arithmetic: all backends return
-/// bit-identical results by construction, and the VectorOps tests
-/// assert it over boundary-heavy random rows for every supported tier.
+/// They are portable element-wise loops of exact integer arithmetic,
+/// the shape the compiler auto-vectorizes for whatever ISA the build
+/// targets (configure with -DARDF_NATIVE_ARCH=ON to let it use the
+/// host's widest vectors). Dst may alias a source exactly: every loop
+/// reads lane i before it writes lane i.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef ARDF_DATAFLOW_VECTOROPS_H
 #define ARDF_DATAFLOW_VECTOROPS_H
 
+#include "lattice/PackedDistance.h"
+
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <string_view>
 
 namespace ardf {
-
-class DistanceValue;
-
 namespace simd {
 
-/// Instruction-set tiers a backend can target, widest last.
+/// Instruction-set tiers the compiler can vectorize for, widest last.
 enum class Isa : uint8_t { Scalar, NEON, AVX2, AVX512 };
 
-/// One backend's row-operation table (see the file comment for the
-/// per-entry semantics). Plain function pointers: the kernel solver
-/// loads the table once per solve and calls through it, so the dispatch
-/// cost is independent of row count.
-struct RowOps {
-  Isa Tier;
-  void (*MinInto)(uint64_t *Dst, const uint64_t *Src, size_t N);
-  void (*MaxInto)(uint64_t *Dst, const uint64_t *Src, size_t N);
-  void (*MinRows)(uint64_t *Dst, const uint64_t *A, const uint64_t *B,
-                  size_t N);
-  void (*Increment)(uint64_t *Dst, const uint64_t *Src, size_t N,
-                    uint64_t Bound);
-  uint64_t (*XorAccum)(const uint64_t *A, const uint64_t *B, size_t N);
-  void (*Unpack)(DistanceValue *Dst, const uint64_t *Src, size_t N);
-};
-
-/// The same operation table over narrowed uint32_t cells (see
-/// PackedDistance.h): twice the lanes per vector and half the memory
-/// traffic, for compiled programs whose constants narrow. Unpack here
-/// widens while it unpacks, so narrowed solves export the same 16-byte
-/// DistanceValue cells.
-struct RowOps32 {
-  Isa Tier;
-  void (*MinInto)(uint32_t *Dst, const uint32_t *Src, size_t N);
-  void (*MaxInto)(uint32_t *Dst, const uint32_t *Src, size_t N);
-  void (*MinRows)(uint32_t *Dst, const uint32_t *A, const uint32_t *B,
-                  size_t N);
-  void (*Increment)(uint32_t *Dst, const uint32_t *Src, size_t N,
-                    uint32_t Bound);
-  uint32_t (*XorAccum)(const uint32_t *A, const uint32_t *B, size_t N);
-  void (*Unpack)(DistanceValue *Dst, const uint32_t *Src, size_t N);
-};
-
-/// The active row-operation table: the widest host-supported tier,
-/// unless overridden by ARDF_FORCE_ISA or setActiveIsaForTesting.
-/// Selected once (thread-safe); the returned reference is stable.
-const RowOps &rowOps();
-
-/// The narrowed-cell table of the same active tier as rowOps().
-const RowOps32 &rowOps32();
-
-/// The tier rowOps() currently dispatches to.
+/// The widest tier the library's translation units were compiled for,
+/// read from the compiler's predefined macros (__AVX512F__, __AVX2__,
+/// __ARM_NEON) -- the vectors the row operations may be auto-vectorized
+/// to. Evaluated at library compile time, like libraryBuildType, so a
+/// default x86-64 build reports Scalar (baseline SSE2 only).
 Isa activeIsa();
-
-/// True when this host can execute \p Tier (Scalar is always true).
-bool isaSupported(Isa Tier);
-
-/// The widest tier isaSupported() admits on this host.
-Isa bestSupportedIsa();
 
 /// Display name of \p Tier: "scalar", "neon", "avx2", "avx512".
 const char *isaName(Isa Tier);
 
-/// Parses an ARDF_FORCE_ISA-style name into \p Out; false if \p Name
-/// is not a known tier name.
-bool parseIsaName(std::string_view Name, Isa &Out);
+inline void minInto(uint64_t *Dst, const uint64_t *Src, size_t N) {
+  for (size_t I = 0; I != N; ++I)
+    Dst[I] = std::min(Dst[I], Src[I]);
+}
 
-/// What the ARDF_FORCE_ISA environment variable did at dispatch time.
-enum class ForceStatus : uint8_t {
-  None,        ///< Variable unset: auto-detected tier.
-  Applied,     ///< Named tier recognized, supported, and active.
-  Unsupported, ///< Named tier not executable here; fell back to auto.
-  Invalid      ///< Unrecognized name; fell back to auto.
-};
-ForceStatus forceStatus();
+inline void maxInto(uint64_t *Dst, const uint64_t *Src, size_t N) {
+  for (size_t I = 0; I != N; ++I)
+    Dst[I] = std::max(Dst[I], Src[I]);
+}
 
-/// Repoints rowOps() at \p Tier for the rest of the process (or until
-/// the next call). Returns false -- leaving the active table unchanged
-/// -- when the host cannot execute \p Tier. Test-only: not thread-safe
-/// against concurrent solves; the oracle suites iterate tiers in one
-/// single-threaded process.
-bool setActiveIsaForTesting(Isa Tier);
+inline void minRows(uint64_t *Dst, const uint64_t *A, const uint64_t *B,
+                    size_t N) {
+  for (size_t I = 0; I != N; ++I)
+    Dst[I] = std::min(A[I], B[I]);
+}
 
-/// The raw backend table of \p Tier regardless of the active choice.
-/// Pre: isaSupported(Tier).
-const RowOps &backendOps(Isa Tier);
+inline void increment(uint64_t *Dst, const uint64_t *Src, size_t N,
+                      uint64_t Bound) {
+  for (size_t I = 0; I != N; ++I)
+    Dst[I] = packed::increment(Src[I], Bound);
+}
 
-/// Narrowed-cell analogue of backendOps. Pre: isaSupported(Tier).
-const RowOps32 &backendOps32(Isa Tier);
+inline uint64_t xorAccum(const uint64_t *A, const uint64_t *B, size_t N) {
+  uint64_t Acc = 0;
+  for (size_t I = 0; I != N; ++I)
+    Acc |= A[I] ^ B[I];
+  return Acc;
+}
+
+inline void unpack(DistanceValue *Dst, const uint64_t *Src, size_t N) {
+  for (size_t I = 0; I != N; ++I)
+    Dst[I] = packed::unpack(Src[I]);
+}
 
 } // namespace simd
 } // namespace ardf

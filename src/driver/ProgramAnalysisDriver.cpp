@@ -77,29 +77,6 @@ void ProgramAnalysisDriver::analyzeLoop(AnalyzedLoop &R) const {
     Fail("session", "unknown exception");
     return;
   }
-  // The SIMD engine first runs the whole problem batch through the
-  // session's interleaved path (one fused sweep per direction). On a
-  // throw it falls through to the per-problem loop, whose per-spec
-  // fault boundary pins the failure to its problem; partially cached
-  // solutions from the batched attempt are simply re-served.
-  if (Opts.Solver.Eng == SolverOptions::Engine::PackedSimd) {
-    try {
-      std::vector<const SolveResult *> Batch =
-          R.Session->solveInterleaved(Opts.Problems, Opts.Solver);
-      for (const SolveResult *Res : Batch) {
-        R.NodeVisits += Res->NodeVisits;
-        if (Res->Outcome != SolveOutcome::Ok &&
-            R.Status == SolveOutcome::Ok) {
-          R.Status = SolveOutcome::Degraded;
-          R.Breach = Res->Breach;
-        }
-      }
-      S.arg("node_visits", R.NodeVisits);
-      telem::count(telem::Counter::DriverLoops);
-      return;
-    } catch (...) {
-    }
-  }
   for (const ProblemSpec &Spec : Opts.Problems) {
     try {
       const SolveResult &Res = R.Session->solve(Spec, Opts.Solver);

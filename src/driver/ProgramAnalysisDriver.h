@@ -68,11 +68,7 @@ struct DriverOptions {
   /// SolverOptions::Engine::PackedKernel makes every session run the
   /// compiled packed-kernel solver (bit-identical results; each session
   /// memoizes its compiled flow programs, so the invariant above holds
-  /// unchanged). Engine::PackedSimd additionally batches each loop's
-  /// problem list through LoopAnalysisSession::solveInterleaved, fusing
-  /// same-direction problems into one SoA sweep; if the batched path
-  /// throws, the driver falls back to the per-problem loop so fault
-  /// attribution stays per spec.
+  /// unchanged).
   SolverOptions Solver;
 };
 
@@ -143,8 +139,8 @@ struct DriverReport {
 
 /// Outcome of one incremental re-analysis (see rerun()).
 struct DriverRerun {
-  /// Loops whose record -- session, memoized compiled programs,
-  /// transfer summaries, and solutions -- was carried over unchanged.
+  /// Loops whose record -- session, memoized compiled programs, and
+  /// solutions -- was carried over unchanged.
   unsigned Reused = 0;
 
   /// Loops analyzed from scratch (edited, new, or previously failed).
@@ -168,12 +164,12 @@ public:
   /// a new-program loop that matches a successfully analyzed old loop
   /// (equal nesting depth, DoLoopStmt::equals, and unchanged array
   /// declarations) keeps that loop's whole record -- its session with
-  /// every memoized compiled program, transfer summary, and solution
-  /// stays warm, and no solver work runs for it at all. Only unmatched
-  /// loops are (re)analyzed, through the same worker pool and fault
-  /// boundaries as run(). This is the daemon-style warm path: with
-  /// Engine::Summary a small edit re-lowers exactly the touched loops'
-  /// summaries.
+  /// every memoized compiled program and solution stays warm, and no
+  /// solver work runs for it at all. Only unmatched loops are
+  /// (re)analyzed, through the same worker pool and fault boundaries as
+  /// run(). This is the daemon-style warm path: with
+  /// Engine::PackedKernel a small edit re-lowers exactly the touched
+  /// loops' compiled programs.
   ///
   /// Lifetime: a reused session keeps referencing the program it was
   /// built against, so every program ever handed to the driver must

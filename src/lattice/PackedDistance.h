@@ -119,70 +119,6 @@ constexpr bool covers(PackedDistance X, int64_t Delta) {
          (X != NoInstance && static_cast<uint64_t>(Delta) < X);
 }
 
-//===----------------------------------------------------------------------===//
-// 32-bit narrowed cells
-//
-// Loop iteration distances are tiny (bounded by the trip count and the
-// loop body size), so when every packed constant of a compiled program
-// fits well under 2^32, the whole working set can run in uint32_t cells
-// -- half the memory traffic of the bandwidth-bound kernel sweeps. The
-// narrowing map
-//
-//   NoInstance   -> 0
-//   finite v     -> v            (v < NarrowLimit)
-//   AllInstances -> UINT32_MAX
-//
-// is an order isomorphism onto its image, so min, max, the generate
-// clamp, and the bounded increment commute with it element by element:
-// a narrowed solve reaches the image of the wide fixed point and
-// unpacks to bit-identical DistanceValue matrices. Values reachable
-// during iteration never leave the image: meets and clamps are bounded
-// by their operands and the increment saturates at the (narrowable)
-// bound, which is why CompiledFlowProgram::compile can decide
-// narrowability from the constants alone (see Narrow32).
-//===----------------------------------------------------------------------===//
-
-/// A narrowed packed chain-lattice element.
-using PackedDistance32 = uint32_t;
-
-/// narrow(AllInstances).
-constexpr PackedDistance32 AllInstances32 = UINT32_MAX;
-
-/// Finite packed constants must stay strictly below this for a program
-/// to narrow. The slack below UINT32_MAX keeps the increment's +1 (and
-/// any future small headroom) from ever colliding with the
-/// AllInstances32 sentinel.
-constexpr uint64_t NarrowLimit = 0xFFFF0000ull;
-
-/// True when the packed constant \p X survives narrowing exactly.
-constexpr bool narrowable(PackedDistance X) {
-  return X == AllInstances || X < NarrowLimit;
-}
-
-/// The narrowing map. Pre: narrowable(X).
-constexpr PackedDistance32 narrow(PackedDistance X) {
-  return X == AllInstances ? AllInstances32
-                           : static_cast<PackedDistance32>(X);
-}
-
-/// Exact inverse of narrow on its image.
-constexpr PackedDistance widen(PackedDistance32 X) {
-  return X == AllInstances32 ? AllInstances
-                             : static_cast<PackedDistance>(X);
-}
-
-/// The exit increment over narrowed cells; the image of increment under
-/// narrow when the bound is narrowable.
-constexpr PackedDistance32 increment32(PackedDistance32 X, uint32_t Bound) {
-  PackedDistance32 Next =
-      X + (static_cast<uint32_t>(X != 0) &
-           static_cast<uint32_t>(X != AllInstances32));
-  return Next >= Bound ? AllInstances32 : Next;
-}
-
-/// Exact unpack of a narrowed cell.
-inline DistanceValue unpack32(PackedDistance32 X) { return unpack(widen(X)); }
-
 } // namespace packed
 } // namespace ardf
 

@@ -11,7 +11,7 @@
 /// explain key (the backing problem plus the occurrence pair) onto its
 /// findings for free; when explain is requested, attachRemarks re-solves
 /// each referenced problem through the reference engine with provenance
-/// recording -- the fast engines stay untouched -- cross-checks the
+/// recording -- the packed engine stays untouched -- cross-checks the
 /// re-solve bit-identical against the cached configured-engine result,
 /// and attaches the solution cell's chronological derivation trail plus
 /// the full derivation DAG (as compact JSON) to the diagnostic. The

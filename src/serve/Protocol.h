@@ -17,7 +17,7 @@
 ///                 "tenant"?: string,     // cache partition ("default")
 ///                 "file"?: string,       // artifact name for diagnostics
 ///                 "source"?: string,     // .arf program text
-///                 "engine"?: string,     // reference|packed|simd|summary
+///                 "engine"?: string,     // reference|packed
 ///                 "cross_check"?: bool, "nested"?: bool,
 ///                 "explain_check"?: string,
 ///                 "budget"?: { "visits"?: int, "slack"?: number,

@@ -8,7 +8,7 @@
 /// The daemon's cross-request memory: one Document per (tenant, file)
 /// holding every parsed Program version the warm driver still
 /// references, the ProgramAnalysisDriver whose sessions (compiled flow
-/// programs, transfer summaries, solutions) stay warm across edits, and
+/// programs and solutions) stay warm across edits, and
 /// a small LRU of rendered responses keyed by content hash x request
 /// options.
 ///

@@ -48,12 +48,8 @@ const char *telem::counterName(Counter C) {
     return "solver.may.node_visits";
   case Counter::MayVisitBound:
     return "solver.may.visit_bound";
-  case Counter::SolverGroupSweeps:
-    return "solver.group_sweeps";
   case Counter::FlowCompiles:
     return "flow.compiles";
-  case Counter::FlowGroupCompiles:
-    return "flow.group_compiles";
   case Counter::FlowCompiledCells:
     return "flow.compiled_cells";
   case Counter::FlowCompileNs:
@@ -72,10 +68,6 @@ const char *telem::counterName(Counter C) {
     return "session.compiled.hits";
   case Counter::SessionCompiledMisses:
     return "session.compiled.misses";
-  case Counter::SessionGroupHits:
-    return "session.group.hits";
-  case Counter::SessionGroupMisses:
-    return "session.group.misses";
   case Counter::PreserveHits:
     return "preserve.hits";
   case Counter::PreserveMisses:
@@ -98,12 +90,6 @@ const char *telem::counterName(Counter C) {
     return "driver.loop_failures";
   case Counter::FailpointHits:
     return "failpoint.hits";
-  case Counter::SummaryLowerings:
-    return "summary.lowerings";
-  case Counter::SummaryApplies:
-    return "summary.applies";
-  case Counter::SummaryCacheHits:
-    return "summary.cache.hits";
   case Counter::CfgBlocks:
     return "cfg.blocks";
   case Counter::CfgLoops:

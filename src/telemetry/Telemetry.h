@@ -84,12 +84,8 @@ enum class Counter : unsigned {
   MayNodeVisits,
   /// Paper bound: 2N summed over may solves.
   MayVisitBound,
-  /// Interleaved group sweeps (solveCompiledGroup executions).
-  SolverGroupSweeps,
   /// CompiledFlowProgram lowerings.
   FlowCompiles,
-  /// CompiledFlowGroup fusions (SoA multi-problem lowerings).
-  FlowGroupCompiles,
   /// Packed matrix cells lowered.
   FlowCompiledCells,
   /// Wall nanoseconds spent lowering.
@@ -108,10 +104,6 @@ enum class Counter : unsigned {
   SessionCompiledHits,
   /// Session compiled-program cache misses.
   SessionCompiledMisses,
-  /// Session compiled-group cache hits.
-  SessionGroupHits,
-  /// Session compiled-group cache misses.
-  SessionGroupMisses,
   /// Preserve-constant cache hits.
   PreserveHits,
   /// Preserve-constant cache misses.
@@ -134,12 +126,6 @@ enum class Counter : unsigned {
   LoopFailures,
   /// Armed failpoints that fired (support/FailPoint.h).
   FailpointHits,
-  /// FlowSummary lowerings (transfer compositions run).
-  SummaryLowerings,
-  /// Summary applications (solves served without schedule passes).
-  SummaryApplies,
-  /// Session summary-cache hits (a memoized summary served a solve).
-  SummaryCacheHits,
   /// Basic blocks created by CFG construction (cfg/Cfg.h).
   CfgBlocks,
   /// Natural loops discovered by back-edge detection.
@@ -182,7 +168,7 @@ const char *counterName(Counter C);
 /// nanoseconds bucketed by bit width (log2 buckets), so one histogram is
 /// a fixed array of atomic counts -- no allocation, no locks.
 enum class Histo : unsigned {
-  /// One data-flow solve, any engine (reference, kernel, SIMD, summary).
+  /// One data-flow solve, either engine (reference or packed kernel).
   SolveNs,
   /// One lint check over one loop (including its solves).
   CheckNs,

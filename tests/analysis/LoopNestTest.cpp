@@ -280,8 +280,7 @@ TEST(LoopNestTest, ReducedFormsSolveBitIdenticallyOnAllEngines) {
   EXPECT_EQ(T.supportedCount(), 3u);
 
   const SolverOptions::Engine Engines[] = {
-      SolverOptions::Engine::Reference, SolverOptions::Engine::PackedKernel,
-      SolverOptions::Engine::PackedSimd, SolverOptions::Engine::Summary};
+      SolverOptions::Engine::Reference, SolverOptions::Engine::PackedKernel};
   T.forEach([&](const NestLoop &N) {
     if (!N.isSupported())
       return;

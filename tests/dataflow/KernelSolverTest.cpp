@@ -152,46 +152,6 @@ TEST(KernelSolverTest, WorkspaceAndFreshSolvesAgree) {
   }
 }
 
-TEST(KernelSolverTest, NarrowAndWideCellPathsSplitOnTripCount) {
-  // Bounded trip counts narrow every packed constant, so the compiled
-  // program takes the uint32_t kernel; an unknown trip count leaves
-  // IncBound at AllInstances and must stay on the uint64_t kernel.
-  // Both paths share one workspace (alternating widths) and both must
-  // match the reference engine bit for bit.
-  const char *Bounded = HandCorpus[0];
-  const char *Unknown = HandCorpus[2];
-  for (const ProblemSpec &Spec : allSpecs) {
-    Program PB = parseOrDie(Bounded);
-    LoopFlowGraph GB(*PB.getFirstLoop());
-    FrameworkInstance FB(GB, PB, Spec);
-    CompiledFlowProgram CFB = CompiledFlowProgram::compile(FB);
-    EXPECT_TRUE(CFB.Narrow32) << Spec.Name;
-    EXPECT_EQ(CFB.Preserve32.size(), CFB.Preserve.size()) << Spec.Name;
-
-    Program PU = parseOrDie(Unknown);
-    LoopFlowGraph GU(*PU.getFirstLoop());
-    FrameworkInstance FU(GU, PU, Spec);
-    CompiledFlowProgram CFU = CompiledFlowProgram::compile(FU);
-    EXPECT_FALSE(CFU.Narrow32) << Spec.Name;
-    EXPECT_TRUE(CFU.Preserve32.empty()) << Spec.Name;
-
-    SolveResult RefB = solveDataFlow(FB, referenceOpts());
-    SolveResult RefU = solveDataFlow(FU, referenceOpts());
-    SolveWorkspace WS;
-    const SolveResult &KB = solveCompiled(CFB, WS);
-    EXPECT_EQ(KB.In, RefB.In) << Spec.Name;
-    EXPECT_EQ(KB.Out, RefB.Out) << Spec.Name;
-    const SolveResult &KU = solveCompiled(CFU, WS);
-    EXPECT_EQ(KU.In, RefU.In) << Spec.Name;
-    EXPECT_EQ(KU.Out, RefU.Out) << Spec.Name;
-    // Back to the narrow program: warm reuse across a width switch.
-    const SolveResult &KB2 = solveCompiled(CFB, WS);
-    EXPECT_EQ(KB2.In, RefB.In) << Spec.Name;
-    EXPECT_EQ(KB2.Out, RefB.Out) << Spec.Name;
-    EXPECT_EQ(WS.solves(), 3u) << Spec.Name;
-  }
-}
-
 TEST(KernelSolverTest, SessionMemoizesCompiledProgramsPerInstance) {
   Program P = parseOrDie(HandCorpus[3]);
   LoopAnalysisSession Session(P, *P.getFirstLoop());

@@ -99,18 +99,15 @@ TEST(ProvenanceTest, ReplayOracleFixpointStrategy) {
 
 TEST(ProvenanceTest, RecordingForcesReferenceEngineBitIdentical) {
   // A provenance solve must land on the reference path regardless of
-  // the requested engine, and the result must equal every fast
+  // the requested engine, and the result must equal the packed
   // engine's -- the cross-check contract explain flows rely on.
   std::string Source = ardfbench::makeSyntheticLoop(19, 4, 30, 977, 800);
   Program P = parseOrDie(Source);
   LoopFlowGraph Graph(*P.getFirstLoop());
   for (const ProblemSpec &Spec : allSpecs) {
     FrameworkInstance FW(Graph, P, Spec);
-    for (SolverOptions::Engine Eng :
-         {SolverOptions::Engine::Reference,
-          SolverOptions::Engine::PackedKernel,
-          SolverOptions::Engine::PackedSimd,
-          SolverOptions::Engine::Summary}) {
+    for (SolverOptions::Engine Eng : {SolverOptions::Engine::Reference,
+                                      SolverOptions::Engine::PackedKernel}) {
       SolverOptions Prov = provenanceOpts();
       Prov.Eng = Eng;
       SolveResult Recorded = solveDataFlow(FW, Prov);

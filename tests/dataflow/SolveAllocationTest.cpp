@@ -39,6 +39,20 @@ void operator delete(void *P) noexcept { std::free(P); }
 void operator delete[](void *P) noexcept { std::free(P); }
 void operator delete(void *P, size_t) noexcept { std::free(P); }
 void operator delete[](void *P, size_t) noexcept { std::free(P); }
+// The nothrow forms too (std::stable_sort's temporary buffer uses them):
+// otherwise AddressSanitizer's own nothrow new pairs with the free()
+// above and aborts on an alloc-dealloc mismatch.
+void *operator new(size_t Size, const std::nothrow_t &) noexcept {
+  GAllocCount.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(Size ? Size : 1);
+}
+void *operator new[](size_t Size, const std::nothrow_t &Tag) noexcept {
+  return operator new(Size, Tag);
+}
+void operator delete(void *P, const std::nothrow_t &) noexcept { std::free(P); }
+void operator delete[](void *P, const std::nothrow_t &) noexcept {
+  std::free(P);
+}
 
 using namespace ardf;
 

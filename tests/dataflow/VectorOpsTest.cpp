@@ -1,10 +1,10 @@
-//===- tests/dataflow/VectorOpsTest.cpp - SIMD row-op backends -----------===//
+//===- tests/dataflow/VectorOpsTest.cpp - Packed row operations ----------===//
 //
-// The operation half of the SIMD guarantee: every backend the host can
-// execute must agree bit-for-bit with the portable scalar backend on
-// every row operation, over boundary-heavy random rows of many lengths
-// (vector bodies plus scalar tails). The solver half (whole solves
-// bit-identical across tiers) lives in SimdOracleTest.cpp.
+// The row operations that encode lattice semantics must agree with the
+// per-cell packed operators over boundary-heavy random rows of many
+// lengths (vector bodies plus tails, as the auto-vectorized loops see
+// them). The whole-solve half of the guarantee (kernel bit-identical to
+// the reference solver) lives in KernelSolverTest.cpp.
 //
 //===----------------------------------------------------------------------===//
 
@@ -14,27 +14,15 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <random>
 #include <vector>
 
 using namespace ardf;
-using simd::Isa;
 
 namespace {
 
-const Isa AllTiers[] = {Isa::Scalar, Isa::NEON, Isa::AVX2, Isa::AVX512};
-
-std::vector<Isa> supportedTiers() {
-  std::vector<Isa> Tiers;
-  for (Isa T : AllTiers)
-    if (simd::isaSupported(T))
-      Tiers.push_back(T);
-  return Tiers;
-}
-
 /// Lattice boundary values mixed with uniform noise: saturation points,
-/// the sign bit the AVX2 backend biases around, and near-bound packs.
+/// the sign bit, and near-bound packs.
 std::vector<uint64_t> randomRow(std::mt19937_64 &Rng, size_t N) {
   static const uint64_t Boundary[] = {packed::NoInstance,
                                       packed::Zero,
@@ -54,25 +42,23 @@ std::vector<uint64_t> randomRow(std::mt19937_64 &Rng, size_t N) {
   return Row;
 }
 
-/// Narrowed-cell boundary mix: the u32 saturation points, the sign bit
-/// the AVX2 increment biases around, and values just under NarrowLimit.
-std::vector<uint32_t> randomRow32(std::mt19937_64 &Rng, size_t N) {
-  static const uint32_t Boundary[] = {0,
-                                      1,
+/// Packed cells that are the image of some DistanceValue -- NoInstance,
+/// finite d in [0, INT64_MAX], AllInstances -- the domain of unpack.
+std::vector<uint64_t> packedValueRow(std::mt19937_64 &Rng, size_t N) {
+  static const uint64_t Boundary[] = {packed::NoInstance,
+                                      packed::Zero,
                                       2,
                                       3,
-                                      packed::AllInstances32,
-                                      packed::AllInstances32 - 1,
-                                      (1u << 31) - 1,
-                                      1u << 31,
-                                      (1u << 31) + 1,
-                                      static_cast<uint32_t>(packed::NarrowLimit - 1),
+                                      packed::AllInstances,
+                                      packed::finite(INT64_MAX),
+                                      packed::finite(INT64_MAX - 1),
                                       999,
-                                      1000};
-  std::vector<uint32_t> Row(N);
-  for (uint32_t &V : Row)
+                                      1000,
+                                      1001};
+  std::vector<uint64_t> Row(N);
+  for (uint64_t &V : Row)
     V = (Rng() & 1) ? Boundary[Rng() % std::size(Boundary)]
-                    : static_cast<uint32_t>(Rng());
+                    : packed::finite(static_cast<int64_t>(Rng() >> 1));
   return Row;
 }
 
@@ -82,243 +68,40 @@ const size_t Lengths[] = {0,  1,  2,  3,  4,  5,  7,  8,  9,
 const uint64_t Bounds[] = {2,    3,    5,    1000, (1ULL << 63) + 5,
                            packed::AllInstances};
 
-const uint32_t Bounds32[] = {2, 3, 5, 1000, (1u << 31) + 5,
-                             packed::AllInstances32};
-
-/// Restores the dispatch choice other tests may rely on.
-class IsaScope {
-public:
-  explicit IsaScope(Isa Tier) : Prev(simd::activeIsa()) {
-    Applied = simd::setActiveIsaForTesting(Tier);
-  }
-  ~IsaScope() { simd::setActiveIsaForTesting(Prev); }
-  bool applied() const { return Applied; }
-
-private:
-  Isa Prev;
-  bool Applied;
-};
-
 } // namespace
 
-TEST(VectorOpsTest, BackendsMatchScalarOnRandomRows) {
-  const simd::RowOps &Ref = simd::backendOps(Isa::Scalar);
-  for (Isa Tier : supportedTiers()) {
-    const simd::RowOps &Ops = simd::backendOps(Tier);
-    EXPECT_EQ(Ops.Tier, Tier);
-    std::mt19937_64 Rng(0xa11f1ed5 + static_cast<unsigned>(Tier));
-    for (size_t N : Lengths)
-      for (unsigned Rep = 0; Rep != 8; ++Rep) {
-        std::vector<uint64_t> A = randomRow(Rng, N);
-        std::vector<uint64_t> B = randomRow(Rng, N);
-
-        std::vector<uint64_t> Want = A, Got = A;
-        Ref.MinInto(Want.data(), B.data(), N);
-        Ops.MinInto(Got.data(), B.data(), N);
-        EXPECT_EQ(Got, Want) << "MinInto " << simd::isaName(Tier)
-                             << " N=" << N;
-
-        Want = A;
-        Got = A;
-        Ref.MaxInto(Want.data(), B.data(), N);
-        Ops.MaxInto(Got.data(), B.data(), N);
-        EXPECT_EQ(Got, Want) << "MaxInto " << simd::isaName(Tier)
-                             << " N=" << N;
-
-        Want.assign(N, 0);
-        Got.assign(N, 0);
-        Ref.MinRows(Want.data(), A.data(), B.data(), N);
-        Ops.MinRows(Got.data(), A.data(), B.data(), N);
-        EXPECT_EQ(Got, Want) << "MinRows " << simd::isaName(Tier)
-                             << " N=" << N;
-
-        EXPECT_EQ(Ops.XorAccum(A.data(), B.data(), N),
-                  Ref.XorAccum(A.data(), B.data(), N))
-            << "XorAccum " << simd::isaName(Tier) << " N=" << N;
-      }
-  }
-}
-
-TEST(VectorOpsTest, NarrowedBackendsMatchScalarOnRandomRows) {
-  const simd::RowOps32 &Ref = simd::backendOps32(Isa::Scalar);
-  for (Isa Tier : supportedTiers()) {
-    const simd::RowOps32 &Ops = simd::backendOps32(Tier);
-    EXPECT_EQ(Ops.Tier, Tier);
-    std::mt19937_64 Rng(0x32b17 + static_cast<unsigned>(Tier));
-    for (size_t N : Lengths)
-      for (unsigned Rep = 0; Rep != 8; ++Rep) {
-        std::vector<uint32_t> A = randomRow32(Rng, N);
-        std::vector<uint32_t> B = randomRow32(Rng, N);
-
-        std::vector<uint32_t> Want = A, Got = A;
-        Ref.MinInto(Want.data(), B.data(), N);
-        Ops.MinInto(Got.data(), B.data(), N);
-        EXPECT_EQ(Got, Want) << "MinInto32 " << simd::isaName(Tier)
-                             << " N=" << N;
-
-        Want = A;
-        Got = A;
-        Ref.MaxInto(Want.data(), B.data(), N);
-        Ops.MaxInto(Got.data(), B.data(), N);
-        EXPECT_EQ(Got, Want) << "MaxInto32 " << simd::isaName(Tier)
-                             << " N=" << N;
-
-        Want.assign(N, 0);
-        Got.assign(N, 0);
-        Ref.MinRows(Want.data(), A.data(), B.data(), N);
-        Ops.MinRows(Got.data(), A.data(), B.data(), N);
-        EXPECT_EQ(Got, Want) << "MinRows32 " << simd::isaName(Tier)
-                             << " N=" << N;
-
-        EXPECT_EQ(Ops.XorAccum(A.data(), B.data(), N),
-                  Ref.XorAccum(A.data(), B.data(), N))
-            << "XorAccum32 " << simd::isaName(Tier) << " N=" << N;
-      }
-  }
-}
-
-TEST(VectorOpsTest, NarrowedIncrementMatchesPackedSemanticsEveryTier) {
-  for (Isa Tier : supportedTiers()) {
-    const simd::RowOps32 &Ops = simd::backendOps32(Tier);
-    std::mt19937_64 Rng(0x32ead + static_cast<unsigned>(Tier));
-    for (uint32_t Bound : Bounds32)
-      for (size_t N : Lengths) {
-        std::vector<uint32_t> Src = randomRow32(Rng, N);
-        for (size_t I = 0; I + 4 < N; I += 5)
-          Src[I] = Bound - 1 + static_cast<uint32_t>(I % 3);
-        std::vector<uint32_t> Got(N, 0);
-        Ops.Increment(Got.data(), Src.data(), N, Bound);
-        for (size_t I = 0; I != N; ++I)
-          ASSERT_EQ(Got[I], packed::increment32(Src[I], Bound))
-              << simd::isaName(Tier) << " N=" << N << " I=" << I
-              << " X=" << Src[I] << " Bound=" << Bound;
-      }
-  }
-}
-
-TEST(VectorOpsTest, NarrowedUnpackMatchesLatticeSemanticsEveryTier) {
-  for (Isa Tier : supportedTiers()) {
-    const simd::RowOps32 &Ops = simd::backendOps32(Tier);
-    std::mt19937_64 Rng(0x32eca + static_cast<unsigned>(Tier));
-    for (size_t N : Lengths) {
-      std::vector<uint32_t> Src = randomRow32(Rng, N);
-      std::vector<DistanceValue> Got(N, DistanceValue::finite(-77));
-      Ops.Unpack(Got.data(), Src.data(), N);
-      for (size_t I = 0; I != N; ++I)
-        ASSERT_EQ(Got[I], packed::unpack32(Src[I]))
-            << simd::isaName(Tier) << " N=" << N << " I=" << I
-            << " X=" << Src[I];
-    }
-  }
-}
-
-TEST(VectorOpsTest, NarrowWidenRoundTripsAndCommutesWithIncrement) {
-  const uint64_t Samples[] = {packed::NoInstance, packed::Zero,     2,
-                              3,                  999,              1000,
-                              packed::NarrowLimit - 1,
-                              packed::AllInstances};
-  for (uint64_t X : Samples) {
-    ASSERT_TRUE(packed::narrowable(X)) << X;
-    EXPECT_EQ(packed::widen(packed::narrow(X)), X);
-    for (uint64_t Bound : {uint64_t(2), uint64_t(1000)})
-      EXPECT_EQ(packed::widen(packed::increment32(
-                    packed::narrow(X), packed::narrow(Bound))),
-                packed::increment(X, Bound))
-          << "X=" << X << " Bound=" << Bound;
-  }
-  EXPECT_FALSE(packed::narrowable(packed::NarrowLimit));
-  EXPECT_FALSE(packed::narrowable(packed::AllInstances - 1));
-}
-
 TEST(VectorOpsTest, UnpackMatchesLatticeSemanticsEveryTier) {
-  for (Isa Tier : supportedTiers()) {
-    const simd::RowOps &Ops = simd::backendOps(Tier);
-    std::mt19937_64 Rng(0xdeca1 + static_cast<unsigned>(Tier));
-    for (size_t N : Lengths) {
-      std::vector<uint64_t> Src = randomRow(Rng, N);
-      // Poisoned destination: stale bytes must not leak through.
-      std::vector<DistanceValue> Got(N, DistanceValue::finite(-77));
-      Ops.Unpack(Got.data(), Src.data(), N);
-      for (size_t I = 0; I != N; ++I)
-        ASSERT_EQ(Got[I], packed::unpack(Src[I]))
-            << simd::isaName(Tier) << " N=" << N << " I=" << I
-            << " X=" << Src[I];
-    }
+  // Poisoned destination: a legal lattice value that no source cell
+  // unpacks to, so a lane the row operation failed to write shows up
+  // as a mismatch instead of passing on stale bytes.
+  const DistanceValue Poison = DistanceValue::finite(77);
+  std::mt19937_64 Rng(0xdeca1);
+  for (size_t N : Lengths) {
+    std::vector<uint64_t> Src = packedValueRow(Rng, N);
+    for (uint64_t &X : Src)
+      if (X == packed::pack(Poison))
+        X = packed::Zero;
+    std::vector<DistanceValue> Got(N, Poison);
+    simd::unpack(Got.data(), Src.data(), N);
+    for (size_t I = 0; I != N; ++I)
+      ASSERT_EQ(Got[I], packed::unpack(Src[I]))
+          << "N=" << N << " I=" << I << " X=" << Src[I];
   }
 }
 
 TEST(VectorOpsTest, IncrementMatchesPackedSemanticsEveryTier) {
-  for (Isa Tier : supportedTiers()) {
-    const simd::RowOps &Ops = simd::backendOps(Tier);
-    std::mt19937_64 Rng(0xbead + static_cast<unsigned>(Tier));
-    for (uint64_t Bound : Bounds)
-      for (size_t N : Lengths) {
-        std::vector<uint64_t> Src = randomRow(Rng, N);
-        // Make sure the saturation seam itself shows up in the row.
-        for (size_t I = 0; I + 4 < N; I += 5)
-          Src[I] = Bound - 1 + (I % 3);
-        std::vector<uint64_t> Got(N, 0);
-        Ops.Increment(Got.data(), Src.data(), N, Bound);
-        for (size_t I = 0; I != N; ++I)
-          ASSERT_EQ(Got[I], packed::increment(Src[I], Bound))
-              << simd::isaName(Tier) << " N=" << N << " I=" << I
-              << " X=" << Src[I] << " Bound=" << Bound;
-      }
-  }
-}
-
-TEST(VectorOpsTest, ScalarAlwaysSupportedAndBestIsSupported) {
-  EXPECT_TRUE(simd::isaSupported(Isa::Scalar));
-  EXPECT_TRUE(simd::isaSupported(simd::bestSupportedIsa()));
-  // The active tier is always one the host can execute.
-  EXPECT_TRUE(simd::isaSupported(simd::activeIsa()));
-}
-
-TEST(VectorOpsTest, IsaNamesRoundTrip) {
-  for (Isa Tier : AllTiers) {
-    Isa Parsed;
-    ASSERT_TRUE(simd::parseIsaName(simd::isaName(Tier), Parsed))
-        << simd::isaName(Tier);
-    EXPECT_EQ(Parsed, Tier);
-  }
-  Isa Out;
-  EXPECT_FALSE(simd::parseIsaName("", Out));
-  EXPECT_FALSE(simd::parseIsaName("sse9", Out));
-  EXPECT_FALSE(simd::parseIsaName("AVX2", Out)); // names are lowercase
-}
-
-TEST(VectorOpsTest, SetActiveIsaRepointsDispatch) {
-  Isa Prev = simd::activeIsa();
-  {
-    IsaScope Scope(Isa::Scalar);
-    ASSERT_TRUE(Scope.applied());
-    EXPECT_EQ(simd::activeIsa(), Isa::Scalar);
-    EXPECT_EQ(simd::rowOps().Tier, Isa::Scalar);
-  }
-  EXPECT_EQ(simd::activeIsa(), Prev);
-  // An unexecutable tier is refused and leaves the choice untouched.
-  for (Isa Tier : AllTiers)
-    if (!simd::isaSupported(Tier)) {
-      EXPECT_FALSE(simd::setActiveIsaForTesting(Tier));
-      EXPECT_EQ(simd::activeIsa(), Prev);
+  std::mt19937_64 Rng(0xbead);
+  for (uint64_t Bound : Bounds)
+    for (size_t N : Lengths) {
+      std::vector<uint64_t> Src = randomRow(Rng, N);
+      // Make sure the saturation seam itself shows up in the row.
+      for (size_t I = 0; I + 4 < N; I += 5)
+        Src[I] = Bound - 1 + (I % 3);
+      std::vector<uint64_t> Got(N, 0);
+      simd::increment(Got.data(), Src.data(), N, Bound);
+      for (size_t I = 0; I != N; ++I)
+        ASSERT_EQ(Got[I], packed::increment(Src[I], Bound))
+            << "N=" << N << " I=" << I << " X=" << Src[I]
+            << " Bound=" << Bound;
     }
-}
-
-TEST(VectorOpsTest, ForceStatusMatchesEnvironment) {
-  // The env override is resolved once at first dispatch; reconstruct
-  // the expected verdict from the live environment so this test holds
-  // both in plain runs (unset -> None) and under the CI tier matrix.
-  const char *Env = std::getenv("ARDF_FORCE_ISA");
-  simd::ForceStatus St = simd::forceStatus();
-  if (!Env) {
-    EXPECT_EQ(St, simd::ForceStatus::None);
-    return;
-  }
-  Isa Forced;
-  if (!simd::parseIsaName(Env, Forced))
-    EXPECT_EQ(St, simd::ForceStatus::Invalid);
-  else if (!simd::isaSupported(Forced))
-    EXPECT_EQ(St, simd::ForceStatus::Unsupported);
-  else
-    EXPECT_EQ(St, simd::ForceStatus::Applied);
 }

@@ -1,10 +1,11 @@
 //===- tests/driver/DriverIncrementalTest.cpp - Warm rerun diffing -------===//
 //
 // ProgramAnalysisDriver::rerun: the structural diff must carry every
-// unchanged loop's record -- session, memoized summaries, solutions --
-// across an edit untouched (zero solver work, zero summary lowerings),
-// re-analyze exactly the edited/new loops, and end bit-identical to a
-// cold analysis of the new program, serial and threaded.
+// unchanged loop's record -- session, memoized compiled programs,
+// solutions -- across an edit untouched (zero solver work, zero
+// re-lowering), re-analyze exactly the edited/new loops, and end
+// bit-identical to a cold analysis of the new program, serial and
+// threaded.
 //
 //===----------------------------------------------------------------------===//
 
@@ -41,12 +42,12 @@ std::string multiLoopSource(unsigned Loops, int Edited = -1,
   return OS.str();
 }
 
-/// Driver options running the summary engine inline (counters land in
+/// Driver options running the packed kernel inline (counters land in
 /// the caller's telemetry scope).
-DriverOptions summaryOptions(unsigned Threads = 1) {
+DriverOptions packedOptions(unsigned Threads = 1) {
   DriverOptions Opts;
   Opts.Threads = Threads;
-  Opts.Solver.Eng = SolverOptions::Engine::Summary;
+  Opts.Solver.Eng = SolverOptions::Engine::PackedKernel;
   return Opts;
 }
 
@@ -74,7 +75,7 @@ void expectSameSolutions(ProgramAnalysisDriver &A,
 TEST(DriverIncrementalTest, UnchangedProgramReusesEveryLoop) {
   Program A = parseOrDie(multiLoopSource(5));
   Program B = parseOrDie(multiLoopSource(5));
-  ProgramAnalysisDriver Driver(A, summaryOptions());
+  ProgramAnalysisDriver Driver(A, packedOptions());
   Driver.run();
   std::vector<const LoopAnalysisSession *> Sessions;
   std::vector<const DoLoopStmt *> OldLoops;
@@ -88,9 +89,9 @@ TEST(DriverIncrementalTest, UnchangedProgramReusesEveryLoop) {
   DriverRerun Diff = Driver.rerun(B);
   EXPECT_EQ(Diff.Reused, 5u);
   EXPECT_EQ(Diff.Reanalyzed, 0u);
-  // No solver work at all: no lowerings, no applies, no driver loops.
-  EXPECT_EQ(Telem.get(telem::Counter::SummaryLowerings), 0u);
-  EXPECT_EQ(Telem.get(telem::Counter::SummaryApplies), 0u);
+  // No solver work at all: no lowerings, no solves, no driver loops.
+  EXPECT_EQ(Telem.get(telem::Counter::FlowCompiles), 0u);
+  EXPECT_EQ(Telem.get(telem::Counter::SolverRunsPacked), 0u);
   EXPECT_EQ(Telem.get(telem::Counter::DriverLoops), 0u);
   // The records now anchor to the new program's loops but keep their
   // old sessions (order is deterministic, so pairwise).
@@ -106,7 +107,7 @@ TEST(DriverIncrementalTest, UnchangedProgramReusesEveryLoop) {
 TEST(DriverIncrementalTest, OneEditReanalyzesExactlyThatLoop) {
   Program A = parseOrDie(multiLoopSource(5));
   Program B = parseOrDie(multiLoopSource(5, /*Edited=*/2));
-  ProgramAnalysisDriver Driver(A, summaryOptions());
+  ProgramAnalysisDriver Driver(A, packedOptions());
   Driver.run();
 
   telem::Telemetry Telem;
@@ -114,15 +115,15 @@ TEST(DriverIncrementalTest, OneEditReanalyzesExactlyThatLoop) {
   DriverRerun Diff = Driver.rerun(B);
   EXPECT_EQ(Diff.Reused, 4u);
   EXPECT_EQ(Diff.Reanalyzed, 1u);
-  // Exactly the edited loop's summaries were lowered: one per paper
+  // Exactly the edited loop's programs were lowered: one per paper
   // problem, nothing for the carried loops.
-  EXPECT_EQ(Telem.get(telem::Counter::SummaryLowerings),
+  EXPECT_EQ(Telem.get(telem::Counter::FlowCompiles),
             paperProblems().size());
   EXPECT_EQ(Telem.get(telem::Counter::DriverLoops), 1u);
 
   // The warm rerun must end exactly where a cold analysis of the new
   // program ends.
-  ProgramAnalysisDriver Cold(B, summaryOptions());
+  ProgramAnalysisDriver Cold(B, packedOptions());
   Cold.run();
   expectSameSolutions(Driver, Cold);
   EXPECT_EQ(Driver.report().Ok, Cold.report().Ok);
@@ -132,7 +133,7 @@ TEST(DriverIncrementalTest, AddedAndRemovedLoopsDiffCleanly) {
   Program A = parseOrDie(multiLoopSource(4));
   Program Grown = parseOrDie(multiLoopSource(5));
   Program Shrunk = parseOrDie(multiLoopSource(3));
-  ProgramAnalysisDriver Driver(A, summaryOptions());
+  ProgramAnalysisDriver Driver(A, packedOptions());
   Driver.run();
 
   // Appending a loop keeps all four old records and analyzes the new
@@ -156,12 +157,12 @@ TEST(DriverIncrementalTest, ArrayDeclEditInvalidatesEveryLoop) {
   Program A = parseOrDie(multiLoopSource(4));
   Program B = parseOrDie(multiLoopSource(
       4, -1, "array A[999]; array B[200]; array C[200];\n"));
-  ProgramAnalysisDriver Driver(A, summaryOptions());
+  ProgramAnalysisDriver Driver(A, packedOptions());
   Driver.run();
   DriverRerun Diff = Driver.rerun(B);
   EXPECT_EQ(Diff.Reused, 0u);
   EXPECT_EQ(Diff.Reanalyzed, 4u);
-  ProgramAnalysisDriver Cold(B, summaryOptions());
+  ProgramAnalysisDriver Cold(B, packedOptions());
   Cold.run();
   expectSameSolutions(Driver, Cold);
 }
@@ -169,7 +170,7 @@ TEST(DriverIncrementalTest, ArrayDeclEditInvalidatesEveryLoop) {
 TEST(DriverIncrementalTest, RerunBeforeRunRunsTheInitialBatch) {
   Program A = parseOrDie(multiLoopSource(3));
   Program B = parseOrDie(multiLoopSource(3, /*Edited=*/1));
-  ProgramAnalysisDriver Driver(A, summaryOptions());
+  ProgramAnalysisDriver Driver(A, packedOptions());
   // rerun without an explicit run(): the initial batch runs first, so
   // the diff sees fully analyzed records.
   DriverRerun Diff = Driver.rerun(B);
@@ -197,7 +198,7 @@ TEST(DriverIncrementalTest, WhileLoopsDiffStructurally) {
   Program Same = parseOrDie(WhileSource(1));
   Program Edited = parseOrDie(WhileSource(3));
 
-  ProgramAnalysisDriver Driver(A, summaryOptions());
+  ProgramAnalysisDriver Driver(A, packedOptions());
   Driver.run();
   ASSERT_EQ(Driver.loops().size(), 2u);
   const LoopAnalysisSession *WhileSession = Driver.loops()[0].Session.get();
@@ -218,7 +219,7 @@ TEST(DriverIncrementalTest, WhileLoopsDiffStructurally) {
   EXPECT_EQ(Diff.Reanalyzed, 1u);
   EXPECT_NE(Driver.loops()[0].Session.get(), WhileSession);
 
-  ProgramAnalysisDriver Cold(Edited, summaryOptions());
+  ProgramAnalysisDriver Cold(Edited, packedOptions());
   Cold.run();
   expectSameSolutions(Driver, Cold);
 }
@@ -231,7 +232,7 @@ TEST(DriverIncrementalTest, UnsupportedLoopsSurviveRerun) {
                        "do j = 1, 50 { A[j+1] = A[j]; }\n";
   Program A = parseOrDie(Source);
   Program B = parseOrDie(Source);
-  ProgramAnalysisDriver Driver(A, summaryOptions());
+  ProgramAnalysisDriver Driver(A, packedOptions());
   Driver.run();
   ASSERT_EQ(Driver.loops().size(), 2u);
   EXPECT_EQ(Driver.report().Unsupported, 1u);
@@ -254,12 +255,12 @@ TEST(DriverIncrementalTest, UnsupportedLoopsSurviveRerun) {
 TEST(DriverIncrementalTest, ThreadedRerunMatchesColdAnalysis) {
   Program A = parseOrDie(multiLoopSource(8));
   Program B = parseOrDie(multiLoopSource(8, /*Edited=*/5));
-  ProgramAnalysisDriver Driver(A, summaryOptions(/*Threads=*/4));
+  ProgramAnalysisDriver Driver(A, packedOptions(/*Threads=*/4));
   Driver.run();
   DriverRerun Diff = Driver.rerun(B);
   EXPECT_EQ(Diff.Reused, 7u);
   EXPECT_EQ(Diff.Reanalyzed, 1u);
-  ProgramAnalysisDriver Cold(B, summaryOptions(/*Threads=*/4));
+  ProgramAnalysisDriver Cold(B, packedOptions(/*Threads=*/4));
   Cold.run();
   expectSameSolutions(Driver, Cold);
 }

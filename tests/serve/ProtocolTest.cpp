@@ -101,11 +101,20 @@ TEST(ProtocolTest, FieldTypesAreValidated) {
       parseRequest("{\"method\":\"lint\",\"source\":\"\","
                    "\"budget\":{\"visits\":-5}}")
           .Ok);
-  ParsedRequest P = parseRequest(
-      "{\"method\":\"lint\",\"source\":\"\",\"engine\":\"smid\"}");
-  EXPECT_FALSE(P.Ok);
-  EXPECT_NE(P.Error.find("unknown engine 'smid'"), std::string::npos)
-      << P.Error;
+  // A typo and the retired engine names are all unknown engines, and
+  // the error names the valid spellings.
+  for (std::string Name : {"smid", "simd", "summary"}) {
+    ParsedRequest P = parseRequest(
+        "{\"method\":\"lint\",\"source\":\"\",\"engine\":\"" + Name +
+        "\"}");
+    EXPECT_FALSE(P.Ok) << Name;
+    EXPECT_NE(P.Error.find("unknown engine '" + Name + "'"),
+              std::string::npos)
+        << P.Error;
+    EXPECT_NE(P.Error.find("(expected one of: reference, packed)"),
+              std::string::npos)
+        << P.Error;
+  }
 }
 
 TEST(ProtocolTest, ResponseShapes) {

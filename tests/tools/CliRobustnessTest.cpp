@@ -87,18 +87,24 @@ TEST(CliRobustnessTest, UsageErrorsExitTwo) {
 
 TEST(CliRobustnessTest, EngineNamesAreValidated) {
   // Every spelled engine is accepted by both tools...
-  for (const char *Name : {"reference", "packed", "simd", "summary"}) {
+  for (const char *Name : {"reference", "packed"}) {
     EXPECT_EQ(run(Lint + " --quiet --engine=" + Name + " " + Example), 0)
         << Name;
     EXPECT_EQ(run(Stats + " --engine=" + Name + " " + Example), 0) << Name;
   }
-  // ...and a typo is a usage error naming the valid spellings, not a
-  // silent fallback to the default engine.
+  // ...and a typo or a retired engine name is a usage error naming the
+  // valid spellings, not a silent fallback to the default engine.
   std::string Out;
-  EXPECT_EQ(runCapture(Lint + " --engine=smid " + Example, Out), 2);
-  EXPECT_NE(Out.find("unknown engine 'smid'"), std::string::npos) << Out;
-  EXPECT_NE(Out.find("reference, packed, simd, summary"), std::string::npos)
-      << Out;
+  for (std::string Name : {"smid", "simd", "summary"}) {
+    EXPECT_EQ(runCapture(Lint + " --engine=" + Name + " " + Example, Out), 2)
+        << Name;
+    EXPECT_NE(Out.find("unknown engine '" + Name + "'"), std::string::npos)
+        << Out;
+    EXPECT_NE(Out.find("(expected one of: reference, packed)"),
+              std::string::npos)
+        << Out;
+    EXPECT_EQ(run(Stats + " --engine=" + Name + " " + Example), 2) << Name;
+  }
   EXPECT_EQ(runCapture(Stats + " --engine=Packed " + Example, Out), 2);
   EXPECT_NE(Out.find("unknown engine 'Packed'"), std::string::npos) << Out;
   EXPECT_EQ(run(Stats + " --engine= " + Example), 2);
@@ -299,7 +305,7 @@ TEST(CliRobustnessTest, LintExplainFlagWorksAndFiltersDegrade) {
   // degrades the explain pass without crashing.
   EXPECT_EQ(run(Lint + " --quiet --explain " + Fig4), 0);
   EXPECT_EQ(run(Lint + " --quiet --explain=loop-carried-reuse " + Fig4), 0);
-  EXPECT_EQ(run(Lint + " --quiet --explain --engine=simd " + Fig4), 0);
+  EXPECT_EQ(run(Lint + " --quiet --explain --engine=packed " + Fig4), 0);
   std::string Out;
   EXPECT_EQ(runCapture(Lint + " --explain " + Fig4, Out), 0);
   EXPECT_NE(Out.find("because:"), std::string::npos) << Out;

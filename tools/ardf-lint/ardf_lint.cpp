@@ -72,10 +72,9 @@ int usage(std::ostream &OS, int Code) {
         "options:\n"
         "  --format=text|json|sarif   output format (default: text)\n"
         "  --engine=NAME              primary solver engine (default:\n"
-        "                             reference; simd = packed kernel\n"
-        "                             with runtime-dispatched SIMD rows,\n"
-        "                             summary = memoized transfer\n"
-        "                             summaries). NAME is one of:\n"
+        "                             reference; packed = the packed\n"
+        "                             kernel, bit-identical results).\n"
+        "                             NAME is one of:\n"
         "                             "
      << engineNameList()
      << "\n"

@@ -80,7 +80,9 @@ int usage(std::ostream &OS, int Code) {
         "  --tenant-quota=N        cached documents per tenant, LRU\n"
         "                          evicted (default 8)\n"
         "  --engine=NAME           default solver engine (default:\n"
-        "                          reference). NAME is one of:\n"
+        "                          reference; packed = the packed\n"
+        "                          kernel, bit-identical results).\n"
+        "                          NAME is one of:\n"
         "                          "
      << engineNameList()
      << "\n"

@@ -76,10 +76,8 @@ int usage(std::ostream &OS, int Code) {
         "  --trace-out=FILE           write Chrome trace-event JSON\n"
         "                             (load in Perfetto / about:tracing)\n"
         "  --engine=NAME              solver engine (default: reference;\n"
-        "                             simd = packed kernel with runtime-\n"
-        "                             dispatched SIMD rows + interleaved\n"
-        "                             multi-problem solves, summary =\n"
-        "                             memoized transfer summaries).\n"
+        "                             packed = the packed kernel,\n"
+        "                             bit-identical results).\n"
         "                             NAME is one of:\n"
         "                             "
      << engineNameList()
