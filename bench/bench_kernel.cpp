@@ -5,12 +5,13 @@
 // The packed-lattice kernel experiment: the paper's practicality claim
 // (Section 3.2, bench rows C1/C4) prices the solver at a fixed 3N/2N
 // sweep, so the per-element cost of the sweep is the whole ballgame.
-// This bench compares the Reference engine (16-byte tagged
-// DistanceValue, branchy compares) against the PackedKernel engine
-// (branch-free min/max/saturating-add over flat uint64 rows) on the
-// bench_scaling loop shapes, solver-only with warm workspaces — the
-// steady state of a driver re-analyzing loops. Also prices the one-time
-// CompiledFlowProgram lowering and the end-to-end four-problem session.
+// This bench compares the Reference engine (per-cell transfer
+// dispatch) against the PackedKernel engine (branch-free
+// min/max/saturating-add over whole rows); both sweep the same 8-byte
+// DistanceValue cells. It runs on the bench_scaling loop shapes,
+// solver-only with warm workspaces — the steady state of a driver
+// re-analyzing loops. Also prices the one-time CompiledFlowProgram
+// lowering and the end-to-end four-problem session.
 //
 //===----------------------------------------------------------------------===//
 
@@ -76,7 +77,7 @@ void printKernelTable() {
                 TR / Reps * 1e6, TK / Reps * 1e6, TR / TK);
   }
   std::printf("(both engines produce bit-identical SolveResult matrices; "
-              "the kernel sweeps packed uint64 rows with portable loops, "
+              "the kernel sweeps whole rows with portable loops, "
               "compiled for isa=%s)\n\n",
               simd::isaName(simd::activeIsa()));
 }

@@ -25,7 +25,7 @@ CompiledFlowProgram CompiledFlowProgram::compile(const FrameworkInstance &FW) {
   assert(!CF.Order.empty() && "flow graph without nodes");
   CF.SourceNode = CF.Order.front();
   CF.ExitNode = FW.getGraph().getExit();
-  CF.IncBound = packed::incrementBound(FW.getTripCount());
+  CF.IncBound = simd::incrementBound(FW.getTripCount());
 
   // Working predecessor lists, CSR by node id.
   CF.PredOffsets.resize(CF.NumNodes + 1, 0);
@@ -34,29 +34,18 @@ CompiledFlowProgram CompiledFlowProgram::compile(const FrameworkInstance &FW) {
     TotalPreds += FW.workingPreds(Node).size();
   CF.Preds.reserve(TotalPreds);
   for (unsigned Node = 0; Node != CF.NumNodes; ++Node) {
-    CF.PredOffsets[Node] = static_cast<uint32_t>(CF.Preds.size());
+    CF.PredOffsets[Node] = CF.Preds.size();
     for (unsigned Pred : FW.workingPreds(Node))
       CF.Preds.push_back(Pred);
   }
-  CF.PredOffsets[CF.NumNodes] = static_cast<uint32_t>(CF.Preds.size());
+  CF.PredOffsets[CF.NumNodes] = CF.Preds.size();
 
-  // Dense packed preserve constants plus the sparse generate patch
-  // lists (a statement generates only for the classes it references, so
-  // the generate side of the transfer is a few cells per node).
-  CF.Preserve.resize(CF.cells());
-  CF.GenOffsets.resize(CF.NumNodes + 1, 0);
-  for (unsigned Node = 0; Node != CF.NumNodes; ++Node) {
-    CF.GenOffsets[Node] = static_cast<uint32_t>(CF.GenCols.size());
-    size_t Row = static_cast<size_t>(Node) * CF.NumTracked;
-    for (unsigned Idx = 0; Idx != CF.NumTracked; ++Idx) {
-      CF.Preserve[Row + Idx] = packed::pack(FW.preserveAt(Idx, Node));
-      if (FW.generatesAt(Idx, Node)) {
-        CF.GenCols.push_back(Idx);
-        CF.GenQ.push_back(packed::pack(FW.preserveAfterGen(Idx, Node)));
-      }
-    }
-  }
-  CF.GenOffsets[CF.NumNodes] = static_cast<uint32_t>(CF.GenCols.size());
+  // The instance's node-major preserve table and generating-cell CSR
+  // already have the kernel's layout.
+  CF.Preserve = FW.Preserve;
+  CF.GenOffsets = FW.GenBegin;
+  CF.GenCols = FW.GenCols;
+  CF.GenQ = FW.PreserveAfter;
 
   if (Telem) {
     Telem->add(telem::Counter::FlowCompiles);

@@ -8,31 +8,33 @@
 /// A CompiledFlowProgram lowers one FrameworkInstance into flat arrays
 /// the kernel solver can sweep without a single data-dependent branch:
 ///
-///   * the packed preserve constant per (node, tracked) cell in
-///     row-major NumNodes x NumTracked layout,
+///   * the preserve constant per (node, tracked) cell in row-major
+///     NumNodes x NumTracked layout,
 ///   * the generating cells as a sparse per-node patch list (CSR:
-///     column + packed post-generation preserve constant) — a
-///     statement generates for the handful of classes it references,
-///     so a dense generate matrix would be megabytes of identity
-///     values streamed through the cache every pass,
+///     column + post-generation preserve constant) -- a statement
+///     generates for the handful of classes it references, so a dense
+///     generate matrix would be megabytes of identity values streamed
+///     through the cache every pass,
 ///   * the working traversal order and the working predecessor lists in
 ///     CSR form (one flat id array plus per-node offsets),
 ///   * the scalar solve parameters (meet polarity, source/exit node,
-///     packed increment bound).
+///     encoded increment bound).
 ///
-/// applyNode collapses into the branch-free dense sweep
+/// The instance already keeps its preserve table node-major and its
+/// generating cells as node-major CSR, so lowering copies those tables
+/// as they are. applyNode collapses into the branch-free dense sweep
 ///
 ///   out = min(in, Preserve)
 ///
 /// per non-exit cell, followed by the sparse generate patch
 ///
-///   out[c] = min(max(out[c], pack(0)), GenQ[k])
+///   out[c] = min(max(out[c], finite(0)), GenQ[k])
 ///
-/// at each generating cell, and the exit node is the branch-free packed
-/// increment. The fixed point over the packed arrays is provably the
-/// image of the reference fixed point because pack is an order
-/// isomorphism that commutes with every operator (see DESIGN.md §8);
-/// the kernel solver unpacks bit-identical DistanceMatrix results.
+/// at each generating cell, and the exit node is the branch-free
+/// increment on the encoding. DistanceValue's unsigned encoding is order
+/// isomorphic to the chain (lattice/Distance.h), so these integer
+/// sweeps compute exactly the reference fixed point, written straight
+/// into the DistanceMatrix SolveResult (see DESIGN.md §8).
 ///
 /// Compile once per instance (LoopAnalysisSession memoizes), then solve
 /// any number of times through a SolveWorkspace with zero allocation.
@@ -43,7 +45,7 @@
 #define ARDF_DATAFLOW_COMPILEDFLOW_H
 
 #include "dataflow/Framework.h"
-#include "lattice/PackedDistance.h"
+#include "dataflow/VectorOps.h"
 
 #include <cstdint>
 #include <string>
@@ -51,7 +53,7 @@
 
 namespace ardf {
 
-/// One FrameworkInstance lowered to flat packed tables (see file
+/// One FrameworkInstance lowered to flat tables (see file
 /// comment). Plain data: cheap to move, trivially shareable read-only
 /// across threads once built.
 struct CompiledFlowProgram {
@@ -68,28 +70,28 @@ struct CompiledFlowProgram {
   /// The i := i + 1 node, whose flow function is the packed increment.
   unsigned ExitNode = 0;
 
-  /// Packed saturation bound of the exit increment
-  /// (packed::incrementBound of the instance's trip count).
-  uint64_t IncBound = packed::AllInstances;
+  /// Encoded saturation bound of the exit increment
+  /// (simd::incrementBound of the instance's trip count).
+  uint64_t IncBound = simd::incrementBound(UnknownTripCount);
 
   /// Working traversal order (forward: RPO; backward: reversed RPO).
   std::vector<unsigned> Order;
 
   /// Working predecessor lists in CSR layout, indexed by node id:
   /// preds of node n are Preds[PredOffsets[n] .. PredOffsets[n+1]).
-  std::vector<uint32_t> PredOffsets;
-  std::vector<uint32_t> Preds;
+  std::vector<unsigned> PredOffsets;
+  std::vector<unsigned> Preds;
 
-  /// Row-major NumNodes x NumTracked packed preserve constants
-  /// (pack(preserveAt), min-applied to every non-exit cell).
-  std::vector<uint64_t> Preserve;
+  /// Row-major NumNodes x NumTracked preserve constants (preserveAt,
+  /// min-applied to every non-exit cell).
+  std::vector<DistanceValue> Preserve;
 
   /// Generating cells of node n, sparse and CSR by node id: columns
-  /// GenCols[GenOffsets[n] .. GenOffsets[n+1]) with the matching packed
-  /// post-generation preserve constants in GenQ.
-  std::vector<uint32_t> GenOffsets;
-  std::vector<uint32_t> GenCols;
-  std::vector<uint64_t> GenQ;
+  /// GenCols[GenOffsets[n] .. GenOffsets[n+1]) with the matching
+  /// post-generation preserve constants (preserveAfterGen) in GenQ.
+  std::vector<unsigned> GenOffsets;
+  std::vector<unsigned> GenCols;
+  std::vector<DistanceValue> GenQ;
 
   /// Display name of the lowered problem (telemetry span labels).
   std::string ProblemName;
@@ -111,13 +113,13 @@ struct CompiledFlowProgram {
 };
 
 /// Solves \p CF's equation system with the packed kernel (same pass
-/// schedule and strategies as solveDataFlow) and unpacks into a fresh
-/// SolveResult, bit-identical to the reference solver's.
+/// schedule and strategies as solveDataFlow) into a fresh SolveResult,
+/// bit-identical to the reference solver's.
 SolveResult solveCompiled(const CompiledFlowProgram &CF,
                           const SolverOptions &Opts = SolverOptions());
 
-/// Workspace form: recycles both the unpacked result matrices and the
-/// packed uint64 buffers, so warm repeated solves are allocation-free.
+/// Workspace form: recycles the result matrices and the one-row
+/// scratch buffer, so warm repeated solves are allocation-free.
 const SolveResult &solveCompiled(const CompiledFlowProgram &CF,
                                  SolveWorkspace &WS,
                                  const SolverOptions &Opts = SolverOptions());

@@ -8,10 +8,11 @@
 /// Contiguous NumNodes x NumTracked storage for the IN/OUT sides of a
 /// data flow solution. The solver of Section 3.2 sweeps all nodes once
 /// per pass, so a single row-major allocation (one row per flow graph
-/// node, one column per tracked reference) keeps the whole working set
-/// in one cache-friendly buffer and lets a SolveWorkspace recycle the
-/// allocation across repeated solves. Rows are handed out as lightweight
-/// views so existing Result.In[Node][Idx] call sites keep working.
+/// node, one column per tracked reference, 8 bytes per cell) keeps the
+/// whole working set in one cache-friendly buffer and lets a
+/// SolveWorkspace recycle the allocation across repeated solves. Rows
+/// are handed out as lightweight views so existing Result.In[Node][Idx]
+/// call sites keep working; both solver engines sweep the same storage.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,10 +53,10 @@ public:
 
   /// Like reset, but leaves existing cell contents alone (only cells
   /// the vector grows into are value-initialized). For consumers that
-  /// overwrite every cell before reading — the packed kernel solver
-  /// unpacks the full fixed point into the matrix — the refill that
-  /// reset performs is pure memory traffic, which at large shapes is
-  /// megabytes per solve. Same reallocation signal as reset.
+  /// overwrite every cell before reading it -- the packed kernel solver
+  /// sweeps the matrix in place -- the refill that reset performs is
+  /// pure memory traffic, which at large shapes is megabytes per solve.
+  /// Same reallocation signal as reset.
   bool reshape(unsigned NumNodes, unsigned NumTracked) {
     size_t Needed = static_cast<size_t>(NumNodes) * NumTracked;
     size_t Before = Data.capacity();

@@ -127,7 +127,7 @@ struct SolverOptions {
   enum class Engine {
     /// The scalar DistanceValue solver (the executable specification).
     Reference,
-    /// The branch-free packed-uint64 kernel over a CompiledFlowProgram
+    /// The branch-free packed kernel over a CompiledFlowProgram
     /// (bit-identical results; see CompiledFlow.h). Through a
     /// LoopAnalysisSession the compiled program is memoized per
     /// instance; a direct solveDataFlow call compiles on the fly.
@@ -219,8 +219,9 @@ private:
 /// workspace overwrite the same IN/OUT matrices, so once the matrices
 /// have grown to the largest (nodes x tracked) shape seen, further
 /// solves perform no heap allocation at all (pass loop included).
-/// The packed kernel engine additionally recycles its two uint64
-/// matrices here (solveCompiled), under the same growth accounting.
+/// The packed kernel engine sweeps the same matrices and additionally
+/// recycles its one-row scratch buffer here (solveCompiled), under the
+/// same growth accounting.
 /// RecordHistory still allocates snapshots; leave it off on hot paths.
 class SolveWorkspace {
 public:
@@ -242,12 +243,10 @@ private:
                                           SolveWorkspace &WS,
                                           const SolverOptions &Opts);
   SolveResult Result;
-  /// Packed row-major IN/OUT buffers of the kernel engine, plus its
-  /// one-row scratch buffer (IN rows of non-final passes and old-OUT
-  /// snapshots of change-tracked passes never leave it).
-  std::vector<uint64_t> PackedIn;
-  std::vector<uint64_t> PackedOut;
-  std::vector<uint64_t> PackedScratch;
+  /// The kernel engine's one-row scratch buffer (IN rows of non-final
+  /// passes and old-OUT snapshots of change-tracked passes never leave
+  /// it).
+  std::vector<DistanceValue> Scratch;
   unsigned Growths = 0;
   unsigned Solves = 0;
 };
@@ -429,6 +428,9 @@ public:
   std::string tupleHeader() const;
 
 private:
+  /// Lowering copies the node-major cell tables below as they are.
+  friend struct CompiledFlowProgram;
+
   void selectTracked();
   void computePr();
   void computePreserves();

@@ -5,17 +5,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The row operations under the packed kernel engine. The packed
-/// lattice (lattice/PackedDistance.h) reduced every flow operator to
-/// exact unsigned 64-bit arithmetic -- min, max, a saturating add, an
-/// XOR diff -- so whole matrix rows are swept by six plain loops:
+/// The row operations under the packed kernel engine. DistanceValue is
+/// one uint64_t whose unsigned order is the chain order
+/// (lattice/Distance.h), so every flow operator is exact unsigned 64-bit
+/// arithmetic -- min, max, a saturating add, an XOR diff -- and whole
+/// matrix rows are swept by five plain loops:
 ///
 ///   minInto    Dst[i] = min(Dst[i], Src[i])        (must meet)
 ///   maxInto    Dst[i] = max(Dst[i], Src[i])        (may meet)
 ///   minRows    Dst[i] = min(A[i], B[i])            (preserve apply)
-///   increment  Dst[i] = packed::increment(Src[i])  (exit node)
+///   increment  Dst[i] = Src[i]++                   (exit node)
 ///   xorAccum   OR over i of A[i] ^ B[i]            (change tracking)
-///   unpack     Dst[i] = packed::unpack(Src[i])     (result export)
 ///
 /// They are portable element-wise loops of exact integer arithmetic,
 /// the shape the compiler auto-vectorizes for whatever ISA the build
@@ -28,7 +28,7 @@
 #ifndef ARDF_DATAFLOW_VECTOROPS_H
 #define ARDF_DATAFLOW_VECTOROPS_H
 
-#include "lattice/PackedDistance.h"
+#include "lattice/Distance.h"
 
 #include <algorithm>
 #include <cstddef>
@@ -50,38 +50,53 @@ Isa activeIsa();
 /// Display name of \p Tier: "scalar", "neon", "avx2", "avx512".
 const char *isaName(Isa Tier);
 
-inline void minInto(uint64_t *Dst, const uint64_t *Src, size_t N) {
-  for (size_t I = 0; I != N; ++I)
-    Dst[I] = std::min(Dst[I], Src[I]);
+/// The encoded saturation bound of the exit increment for \p TripCount:
+/// increment(Dst, Src, N, incrementBound(T)) stores Src[i].increment(T).
+/// The reference saturates finite d when d + 1 >= T - 1; the incremented
+/// encoding is d + 2, so the clamp threshold is T itself. Trip counts
+/// below 2 make every finite increment saturate (incremented encodings
+/// are >= 2). An unknown trip count clamps only the successor of the
+/// largest finite distance, INT64_MAX, whose encoding is 2^63.
+constexpr uint64_t incrementBound(int64_t TripCount) {
+  if (TripCount == UnknownTripCount)
+    return (uint64_t(1) << 63) + 1;
+  return static_cast<uint64_t>(std::max<int64_t>(TripCount, 2));
 }
 
-inline void maxInto(uint64_t *Dst, const uint64_t *Src, size_t N) {
+inline void minInto(DistanceValue *Dst, const DistanceValue *Src, size_t N) {
   for (size_t I = 0; I != N; ++I)
-    Dst[I] = std::max(Dst[I], Src[I]);
+    Dst[I] = DistanceValue::min(Dst[I], Src[I]);
 }
 
-inline void minRows(uint64_t *Dst, const uint64_t *A, const uint64_t *B,
-                    size_t N) {
+inline void maxInto(DistanceValue *Dst, const DistanceValue *Src, size_t N) {
   for (size_t I = 0; I != N; ++I)
-    Dst[I] = std::min(A[I], B[I]);
+    Dst[I] = DistanceValue::max(Dst[I], Src[I]);
 }
 
-inline void increment(uint64_t *Dst, const uint64_t *Src, size_t N,
+inline void minRows(DistanceValue *Dst, const DistanceValue *A,
+                    const DistanceValue *B, size_t N) {
+  for (size_t I = 0; I != N; ++I)
+    Dst[I] = DistanceValue::min(A[I], B[I]);
+}
+
+/// The exit increment of a whole row, branch-free on the encoding:
+/// NoInstance and AllInstances are fixed points, finite values advance
+/// by one and clamp to AllInstances at \p Bound (from incrementBound).
+inline void increment(DistanceValue *Dst, const DistanceValue *Src, size_t N,
                       uint64_t Bound) {
-  for (size_t I = 0; I != N; ++I)
-    Dst[I] = packed::increment(Src[I], Bound);
+  for (size_t I = 0; I != N; ++I) {
+    uint64_t X = Src[I].bits();
+    uint64_t Next = X + uint64_t(X != 0 && X != UINT64_MAX);
+    Dst[I] = DistanceValue::fromBits(Next >= Bound ? UINT64_MAX : Next);
+  }
 }
 
-inline uint64_t xorAccum(const uint64_t *A, const uint64_t *B, size_t N) {
+inline uint64_t xorAccum(const DistanceValue *A, const DistanceValue *B,
+                         size_t N) {
   uint64_t Acc = 0;
   for (size_t I = 0; I != N; ++I)
-    Acc |= A[I] ^ B[I];
+    Acc |= A[I].bits() ^ B[I].bits();
   return Acc;
-}
-
-inline void unpack(DistanceValue *Dst, const uint64_t *Src, size_t N) {
-  for (size_t I = 0; I != N; ++I)
-    Dst[I] = packed::unpack(Src[I]);
 }
 
 } // namespace simd

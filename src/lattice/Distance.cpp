@@ -11,7 +11,7 @@ std::string DistanceValue::toString() const {
     return "_";
   if (isAllInstances())
     return "T";
-  return std::to_string(Dist);
+  return std::to_string(getDistance());
 }
 
 std::ostream &ardf::operator<<(std::ostream &OS, const DistanceValue &V) {

@@ -23,6 +23,18 @@
 /// trip count UB is known, since UB - 1 already denotes the complete
 /// range of iteration instances).
 ///
+/// Representation: one uint64_t holding the order-isomorphic embedding
+/// of the chain into the unsigned integers,
+///
+///   NoInstance   -> 0
+///   finite d     -> d + 1            (d in [0, INT64_MAX])
+///   AllInstances -> UINT64_MAX
+///
+/// so chain order *is* unsigned order and min, max, == and < are single
+/// integer operations. Every other bit pattern is invalid. Rows of
+/// values are therefore flat 8-byte arrays that the packed kernel solver
+/// sweeps with plain integer loops (dataflow/VectorOps.h).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef ARDF_LATTICE_DISTANCE_H
@@ -32,6 +44,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <type_traits>
 
 namespace ardf {
 
@@ -42,25 +55,20 @@ constexpr int64_t UnknownTripCount = -1;
 class DistanceValue {
 public:
   /// Constructs NoInstance (the must-problem bottom).
-  DistanceValue() : TheTag(Tag::NoInstance), Dist(0) {}
+  constexpr DistanceValue() = default;
 
   /// Returns the lattice element denoting no instance.
-  static DistanceValue noInstance() { return DistanceValue(); }
+  static constexpr DistanceValue noInstance() { return DistanceValue(); }
 
   /// Returns the lattice element denoting all instances.
-  static DistanceValue allInstances() {
-    DistanceValue V;
-    V.TheTag = Tag::AllInstances;
-    return V;
+  static constexpr DistanceValue allInstances() {
+    return DistanceValue(AllBits);
   }
 
   /// Returns the finite distance \p D >= 0.
   static DistanceValue finite(int64_t D) {
     assert(D >= 0 && "negative iteration distance");
-    DistanceValue V;
-    V.TheTag = Tag::Finite;
-    V.Dist = D;
-    return V;
+    return DistanceValue(static_cast<uint64_t>(D) + 1);
   }
 
   /// Returns finite(D) for D >= 0, noInstance() for negative D. Convenient
@@ -70,25 +78,35 @@ public:
     return D < 0 ? noInstance() : finite(D);
   }
 
-  bool isNoInstance() const { return TheTag == Tag::NoInstance; }
-  bool isAllInstances() const { return TheTag == Tag::AllInstances; }
-  bool isFinite() const { return TheTag == Tag::Finite; }
+  /// True if \p Bits is the encoding of some lattice element (see the
+  /// file comment): 0, 1 .. 2^63, or UINT64_MAX.
+  static constexpr bool isEncoding(uint64_t Bits) {
+    return Bits <= MaxFiniteBits || Bits == AllBits;
+  }
+
+  /// The value whose encoding is \p Bits; asserts isEncoding(Bits).
+  static DistanceValue fromBits(uint64_t Bits) {
+    assert(isEncoding(Bits) && "not a DistanceValue encoding");
+    return DistanceValue(Bits);
+  }
+
+  /// The encoding of this value.
+  uint64_t bits() const { return Bits; }
+
+  bool isNoInstance() const { return Bits == 0; }
+  bool isAllInstances() const { return Bits == AllBits; }
+  bool isFinite() const { return !isNoInstance() && !isAllInstances(); }
 
   /// Returns the finite distance; asserts isFinite().
   int64_t getDistance() const {
     assert(isFinite() && "no finite distance");
-    return Dist;
+    return static_cast<int64_t>(Bits - 1);
   }
 
   /// Total order of the chain: NoInstance < finite ascending < AllInstances.
-  bool operator<(const DistanceValue &RHS) const {
-    if (TheTag != RHS.TheTag)
-      return rank() < RHS.rank();
-    return TheTag == Tag::Finite && Dist < RHS.Dist;
-  }
+  bool operator<(const DistanceValue &RHS) const { return Bits < RHS.Bits; }
   bool operator==(const DistanceValue &RHS) const {
-    return TheTag == RHS.TheTag &&
-           (TheTag != Tag::Finite || Dist == RHS.Dist);
+    return Bits == RHS.Bits;
   }
   bool operator!=(const DistanceValue &RHS) const { return !(*this == RHS); }
   bool operator<=(const DistanceValue &RHS) const { return !(RHS < *this); }
@@ -106,14 +124,17 @@ public:
   }
 
   /// The exit-node increment x++ (Section 3.1.3). When \p TripCount is
-  /// known, finite values saturate to AllInstances at TripCount - 1.
+  /// known, finite values saturate to AllInstances at TripCount - 1. The
+  /// largest finite distance has no successor and saturates too: no loop
+  /// runs more than INT64_MAX iterations.
   DistanceValue increment(int64_t TripCount = UnknownTripCount) const {
     if (!isFinite())
       return *this;
-    int64_t Next = Dist + 1;
-    if (TripCount != UnknownTripCount && Next >= TripCount - 1)
+    int64_t Dist = getDistance();
+    if (Dist == INT64_MAX ||
+        (TripCount != UnknownTripCount && Dist + 1 >= TripCount - 1))
       return allInstances();
-    return finite(Next);
+    return finite(Dist + 1);
   }
 
   /// True if an instance at iteration distance \p Delta is within the
@@ -123,7 +144,7 @@ public:
       return true;
     if (isNoInstance())
       return false;
-    return Delta <= Dist;
+    return Delta <= getDistance();
   }
 
   /// Renders "_" (NoInstance), "T" (AllInstances), or the decimal distance,
@@ -131,23 +152,20 @@ public:
   std::string toString() const;
 
 private:
-  enum class Tag : uint8_t { NoInstance, Finite, AllInstances };
+  static constexpr uint64_t AllBits = UINT64_MAX;
+  static constexpr uint64_t MaxFiniteBits = uint64_t(INT64_MAX) + 1;
 
-  int rank() const {
-    switch (TheTag) {
-    case Tag::NoInstance:
-      return 0;
-    case Tag::Finite:
-      return 1;
-    case Tag::AllInstances:
-      return 2;
-    }
-    return 0;
-  }
+  explicit constexpr DistanceValue(uint64_t Bits) : Bits(Bits) {}
 
-  Tag TheTag;
-  int64_t Dist;
+  uint64_t Bits = 0;
 };
+
+// Result matrices, preserve tables and the packed kernel's rows are flat
+// arrays of these cells.
+static_assert(sizeof(DistanceValue) == sizeof(uint64_t),
+              "DistanceValue must stay one 8-byte cell");
+static_assert(std::is_trivially_copyable_v<DistanceValue>,
+              "DistanceValue must stay trivially copyable");
 
 std::ostream &operator<<(std::ostream &OS, const DistanceValue &V);
 

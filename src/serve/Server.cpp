@@ -12,6 +12,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <deque>
+#include <initializer_list>
 #include <mutex>
 #include <sstream>
 #include <thread>
@@ -111,11 +112,17 @@ struct PendingRequest {
   std::mutex IdM;
   json::Value Id;
 
-  bool tryRespond(std::string Response) {
+  /// Claims the respond-once slot; the winner adds \p Counters to
+  /// \p Telem and only then hands \p Response to the client, so a
+  /// client that reads the counters after its reply always finds its
+  /// own request counted.
+  void tryRespond(std::string Response, telem::Telemetry &Telem,
+                  std::initializer_list<telem::Counter> Counters) {
     if (Responded.exchange(true))
-      return false;
+      return;
+    for (telem::Counter C : Counters)
+      Telem.add(C);
     Respond(std::move(Response));
-    return true;
   }
 
   void setId(const json::Value &V) {
@@ -194,9 +201,9 @@ struct AnalysisServer::Core : std::enable_shared_from_this<Core> {
         Self->StartNs = telem::wallNowNs();
       }
       HandlerResult HR = handleRequest(*Req);
-      if (Req->tryRespond(std::move(HR.Line)))
-        Telem.add(HR.Ok ? telem::Counter::ServeOk
-                        : telem::Counter::ServeErrors);
+      telem::Counter Outcome =
+          HR.Ok ? telem::Counter::ServeOk : telem::Counter::ServeErrors;
+      Req->tryRespond(std::move(HR.Line), Telem, {Outcome});
       {
         std::lock_guard<std::mutex> L(M);
         Self->Current = nullptr;
@@ -229,12 +236,12 @@ struct AnalysisServer::Core : std::enable_shared_from_this<Core> {
         W->T.detach();
         Workers[I] = spawnWorker();
         L.unlock();
-        if (Req->tryRespond(errorResponse(
-                Req->idSnapshot(), ErrorCode::Deadline,
-                "request exceeded its deadline; worker abandoned"))) {
-          Telem.add(telem::Counter::ServeErrors);
-          Telem.add(telem::Counter::ServeWatchdogKills);
-        }
+        std::string Line =
+            errorResponse(Req->idSnapshot(), ErrorCode::Deadline,
+                          "request exceeded its deadline; worker abandoned");
+        Req->tryRespond(std::move(Line), Telem,
+                        {telem::Counter::ServeErrors,
+                         telem::Counter::ServeWatchdogKills});
         IdleCV.notify_all();
         L.lock();
       }
@@ -252,10 +259,9 @@ struct AnalysisServer::Core : std::enable_shared_from_this<Core> {
     CV.notify_all();
     IdleCV.notify_all();
     for (const std::shared_ptr<PendingRequest> &R : Orphans)
-      if (R->tryRespond(errorResponse(R->idSnapshot(),
-                                      ErrorCode::ShuttingDown,
-                                      "daemon is shutting down")))
-        Telem.add(telem::Counter::ServeErrors);
+      R->tryRespond(errorResponse(R->idSnapshot(), ErrorCode::ShuttingDown,
+                                  "daemon is shutting down"),
+                    Telem, {telem::Counter::ServeErrors});
   }
 
   HandlerResult handleRequest(PendingRequest &Req) {
@@ -488,12 +494,12 @@ void AnalysisServer::submit(std::string Line, Respond R) {
   C->Telem.add(telem::Counter::ServeRequests);
   if (C->Opts.MaxRequestBytes != 0 &&
       Req->Line.size() > C->Opts.MaxRequestBytes) {
-    if (Req->tryRespond(errorResponse(
-            json::Value(), ErrorCode::PayloadTooLarge,
-            "request of " + std::to_string(Req->Line.size()) +
-                " bytes exceeds the " +
-                std::to_string(C->Opts.MaxRequestBytes) + " byte cap")))
-      C->Telem.add(telem::Counter::ServeErrors);
+    std::string Why = "request of " + std::to_string(Req->Line.size()) +
+                      " bytes exceeds the " +
+                      std::to_string(C->Opts.MaxRequestBytes) + " byte cap";
+    Req->tryRespond(errorResponse(json::Value(), ErrorCode::PayloadTooLarge,
+                                  Why),
+                    C->Telem, {telem::Counter::ServeErrors});
     return;
   }
   ErrorCode Shed = ErrorCode::BadRequest; // sentinel meaning "admitted"
@@ -507,17 +513,17 @@ void AnalysisServer::submit(std::string Line, Respond R) {
       C->Queue.push_back(Req);
   }
   if (Shed == ErrorCode::ShuttingDown) {
-    if (Req->tryRespond(errorResponse(json::Value(), Shed,
-                                      "daemon is shutting down")))
-      C->Telem.add(telem::Counter::ServeErrors);
+    Req->tryRespond(errorResponse(json::Value(), Shed,
+                                  "daemon is shutting down"),
+                    C->Telem, {telem::Counter::ServeErrors});
     return;
   }
   if (Shed == ErrorCode::Overloaded) {
     // Shedding is deliberately cheap: no parse, so the echoed id is
     // null. Clients treat overloaded as retry-later regardless of id.
-    if (Req->tryRespond(errorResponse(json::Value(), Shed,
-                                      "request queue is full; retry later")))
-      C->Telem.add(telem::Counter::ServeOverloads);
+    Req->tryRespond(errorResponse(json::Value(), Shed,
+                                  "request queue is full; retry later"),
+                    C->Telem, {telem::Counter::ServeOverloads});
     return;
   }
   C->CV.notify_one();

@@ -92,8 +92,8 @@ void expectAllocationFreeSolves(ProblemSpec Spec, SolverOptions Opts) {
 }
 
 /// Same invariant for the packed kernel engine: with the flow program
-/// compiled up front, warm repeated kernel solves (packed buffers and
-/// unpacked result matrices both recycled) must be allocation-free.
+/// compiled up front, warm repeated kernel solves (scratch row and
+/// result matrices both recycled) must be allocation-free.
 void expectAllocationFreeKernelSolves(ProblemSpec Spec, SolverOptions Opts) {
   Built B = build(Source, Spec);
   CompiledFlowProgram CF = CompiledFlowProgram::compile(*B.FW);

@@ -265,6 +265,35 @@ TEST(ServerTest, WatchdogFailsWedgedWorkerNotTheServer) {
   std::this_thread::sleep_for(std::chrono::milliseconds(1300));
 }
 
+TEST(ServerTest, RequestIsCountedBeforeItsReply) {
+  // A client that reads the counters as soon as its reply arrives must
+  // find its own request counted: the server counts, then replies.
+  ServeOptions Opts;
+  Opts.MaxRequestBytes = 64;
+  AnalysisServer S(Opts);
+  auto CountAtReply = [&S](const std::string &Line, telem::Counter C) {
+    auto P = std::make_shared<std::promise<uint64_t>>();
+    std::future<uint64_t> F = P->get_future();
+    S.submit(Line, [&S, P, C](std::string) {
+      P->set_value(S.telemetry().get(C));
+    });
+    EXPECT_EQ(F.wait_for(std::chrono::seconds(30)), std::future_status::ready)
+        << Line;
+    return F.get();
+  };
+  for (uint64_t Id = 1; Id <= 20; ++Id)
+    EXPECT_EQ(CountAtReply("{\"method\":\"stats\",\"id\":" +
+                               std::to_string(Id) + "}",
+                           telem::Counter::ServeOk),
+              Id);
+  // Refused on admission, on the submitting thread.
+  std::string Huge = lintLine(std::string(4096, 'x'), "big.arf", 1);
+  EXPECT_EQ(CountAtReply(Huge, telem::Counter::ServeErrors), 1u);
+  S.requestShutdown();
+  EXPECT_EQ(CountAtReply("{\"method\":\"stats\"}", telem::Counter::ServeErrors),
+            2u);
+}
+
 TEST(ServerTest, ShutdownMethodDrainsAndShedsFollowups) {
   AnalysisServer S;
   json::Value Resp = parsed(call(S, "{\"method\":\"shutdown\",\"id\":1}"));
