@@ -10,8 +10,7 @@
 // through one session is compared against four standalone LoopDataFlow
 // constructions. A second experiment measures whole-program throughput
 // of ProgramAnalysisDriver at 1/2/4/8 worker threads (loops/sec), and a
-// third isolates the flat-matrix workspace reuse (allocation-free
-// repeated solves).
+// third times repeated one-shot solves of one prebuilt instance.
 //
 //===----------------------------------------------------------------------===//
 
@@ -177,8 +176,8 @@ void BM_LoadStoreClientSession(benchmark::State &State) {
 }
 BENCHMARK(BM_LoadStoreClientSession);
 
-// Workspace reuse: repeated solves of a prebuilt instance, fresh
-// result allocation vs recycled matrices.
+// Repeated one-shot solves of a prebuilt instance, as a session runs
+// them: each solve allocates and fills a fresh result.
 void BM_RepeatedSolveFresh(benchmark::State &State) {
   Program P = parseOrDie(loopSourceFor(State.range(0)));
   LoopAnalysisSession Session(P, *P.getFirstLoop());
@@ -190,19 +189,6 @@ void BM_RepeatedSolveFresh(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_RepeatedSolveFresh)->Arg(32)->Arg(128);
-
-void BM_RepeatedSolveWorkspace(benchmark::State &State) {
-  Program P = parseOrDie(loopSourceFor(State.range(0)));
-  LoopAnalysisSession Session(P, *P.getFirstLoop());
-  const FrameworkInstance &FW =
-      Session.instance(ProblemSpec::mustReachingDefs());
-  SolveWorkspace WS;
-  for (auto _ : State) {
-    const SolveResult &R = solveDataFlow(FW, WS);
-    benchmark::DoNotOptimize(R.In.data());
-  }
-}
-BENCHMARK(BM_RepeatedSolveWorkspace)->Arg(32)->Arg(128);
 
 void BM_DriverThroughput(benchmark::State &State) {
   Program P = parseOrDie(programSource());

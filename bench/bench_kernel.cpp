@@ -9,9 +9,10 @@
 // dispatch) against the PackedKernel engine (branch-free
 // min/max/saturating-add over whole rows); both sweep the same 8-byte
 // DistanceValue cells. It runs on the bench_scaling loop shapes,
-// solver-only with warm workspaces — the steady state of a driver
-// re-analyzing loops. Also prices the one-time CompiledFlowProgram
-// lowering and the end-to-end four-problem session.
+// solver-only over a prebuilt instance and its compiled program, each
+// solve one-shot into a fresh result as a session runs it. Also prices
+// the one-time CompiledFlowProgram lowering and the end-to-end
+// four-problem session.
 //
 //===----------------------------------------------------------------------===//
 
@@ -50,7 +51,7 @@ double secondsOf(unsigned Reps, const std::function<void()> &Fn) {
 }
 
 void printKernelTable() {
-  std::printf("== packed kernel vs reference solver (warm workspace, "
+  std::printf("== packed kernel vs reference solver (one-shot solves, "
               "must-reaching-defs) ==\n");
   std::printf("%6s | %6s %6s %12s %12s %8s\n", "stmts", "nodes", "|G|",
               "reference", "packed", "speedup");
@@ -61,16 +62,12 @@ void printKernelTable() {
     const FrameworkInstance &FW = Session.instance(Spec);
     const CompiledFlowProgram &CF = Session.compiledFlow(Spec);
 
-    SolveWorkspace RefWS, KernWS;
-    solveDataFlow(FW, RefWS);   // warm-up
-    solveCompiled(CF, KernWS);
-
     unsigned Reps = Stmts <= 32 ? 2000 : Stmts <= 128 ? 300 : 30;
     double TR = secondsOf(Reps, [&] {
-      benchmark::DoNotOptimize(solveDataFlow(FW, RefWS).In.data());
+      benchmark::DoNotOptimize(solveDataFlow(FW).In.data());
     });
     double TK = secondsOf(Reps, [&] {
-      benchmark::DoNotOptimize(solveCompiled(CF, KernWS).In.data());
+      benchmark::DoNotOptimize(solveCompiled(CF).In.data());
     });
     std::printf("%6u | %6u %6u %10.2fus %10.2fus %7.2fx\n", Stmts,
                 FW.getGraph().getNumNodes(), FW.getNumTracked(),
@@ -88,21 +85,18 @@ void solverBench(benchmark::State &State, ProblemSpec Spec, SolveFn Solve) {
   LoopAnalysisSession Session(P, *P.getFirstLoop());
   const FrameworkInstance &FW = Session.instance(Spec);
   const CompiledFlowProgram &CF = Session.compiledFlow(Spec);
-  SolveWorkspace WS;
   for (auto _ : State)
-    benchmark::DoNotOptimize(Solve(FW, CF, WS).In.data());
+    benchmark::DoNotOptimize(Solve(FW, CF).In.data());
 }
 
-const SolveResult &refSolve(const FrameworkInstance &FW,
-                            const CompiledFlowProgram &,
-                            SolveWorkspace &WS) {
-  return solveDataFlow(FW, WS);
+SolveResult refSolve(const FrameworkInstance &FW,
+                     const CompiledFlowProgram &) {
+  return solveDataFlow(FW);
 }
 
-const SolveResult &kernSolve(const FrameworkInstance &,
-                             const CompiledFlowProgram &CF,
-                             SolveWorkspace &WS) {
-  return solveCompiled(CF, WS);
+SolveResult kernSolve(const FrameworkInstance &,
+                      const CompiledFlowProgram &CF) {
+  return solveCompiled(CF);
 }
 
 void BM_ReferenceSolve(benchmark::State &State) {
@@ -143,9 +137,8 @@ SolverOptions armedBudgetOptions() {
 void BM_ReferenceSolveBudgeted(benchmark::State &State) {
   SolverOptions Opts = armedBudgetOptions();
   solverBench(State, ProblemSpec::mustReachingDefs(),
-              [&](const FrameworkInstance &FW, const CompiledFlowProgram &,
-                  SolveWorkspace &WS) -> const SolveResult & {
-                return solveDataFlow(FW, WS, Opts);
+              [&](const FrameworkInstance &FW, const CompiledFlowProgram &) {
+                return solveDataFlow(FW, Opts);
               });
 }
 BENCHMARK(BM_ReferenceSolveBudgeted)->Arg(32)->Arg(512);
@@ -153,15 +146,14 @@ BENCHMARK(BM_ReferenceSolveBudgeted)->Arg(32)->Arg(512);
 void BM_PackedKernelSolveBudgeted(benchmark::State &State) {
   SolverOptions Opts = armedBudgetOptions();
   solverBench(State, ProblemSpec::mustReachingDefs(),
-              [&](const FrameworkInstance &, const CompiledFlowProgram &CF,
-                  SolveWorkspace &WS) -> const SolveResult & {
-                return solveCompiled(CF, WS, Opts);
+              [&](const FrameworkInstance &, const CompiledFlowProgram &CF) {
+                return solveCompiled(CF, Opts.Budget);
               });
 }
 BENCHMARK(BM_PackedKernelSolveBudgeted)->Arg(32)->Arg(512);
 
 // The three forward paper problems solved back-to-back over their
-// compiled programs, each through its own warm workspace.
+// compiled programs.
 void BM_IndependentForwardSolves(benchmark::State &State) {
   Program P = parseOrDie(sourceFor(State.range(0)));
   LoopAnalysisSession Session(P, *P.getFirstLoop());
@@ -170,11 +162,10 @@ void BM_IndependentForwardSolves(benchmark::State &State) {
        {ProblemSpec::mustReachingDefs(), ProblemSpec::availableValues(),
         ProblemSpec::reachingReferences()})
     Parts.push_back(&Session.compiledFlow(Spec));
-  std::vector<SolveWorkspace> WS(Parts.size());
   for (auto _ : State) {
     unsigned Visits = 0;
-    for (size_t I = 0; I != Parts.size(); ++I)
-      Visits += solveCompiled(*Parts[I], WS[I]).NodeVisits;
+    for (const CompiledFlowProgram *CF : Parts)
+      Visits += solveCompiled(*CF).NodeVisits;
     benchmark::DoNotOptimize(Visits);
   }
 }

@@ -12,8 +12,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Dependence.h"
-#include "analysis/HierarchicalAnalysis.h"
 #include "analysis/LoopDataFlow.h"
+#include "driver/ProgramAnalysisDriver.h"
 #include "frontend/Parser.h"
 #include "ir/PrettyPrinter.h"
 #include "passes/LoopNormalize.h"
@@ -40,24 +40,20 @@ ProblemSpec specFor(const std::string &Name) {
   return ProblemSpec::mustReachingDefs();
 }
 
-void dumpSolution(const Program &P, const DoLoopStmt &Loop,
-                  ProblemSpec Spec) {
-  SolverOptions Opts;
-  Opts.RecordHistory = true;
-  LoopDataFlow DF(P, Loop, Spec, Opts);
-  const LoopFlowGraph &Graph = DF.graph();
+void dumpSolution(LoopAnalysisSession &Session, const ProblemSpec &Spec) {
+  const SolveResult &Result = Session.solve(Spec);
+  const LoopFlowGraph &Graph = Session.graph();
 
   std::cout << "Problem: " << Spec.Name << "  tuple "
-            << DF.framework().tupleHeader() << '\n';
+            << Session.instance(Spec).tupleHeader() << '\n';
   for (unsigned Id : Graph.reversePostorder()) {
     unsigned Num = Graph.getNode(Id).StmtNumber;
     std::cout << "  " << (Num ? std::to_string(Num) : std::string("-"))
-              << ": IN " << tupleToString(DF.result().In[Id]) << "  OUT "
-              << tupleToString(DF.result().Out[Id]) << "   ("
+              << ": IN " << tupleToString(Result.In[Id]) << "  OUT "
+              << tupleToString(Result.Out[Id]) << "   ("
               << Graph.nodeLabel(Id) << ")\n";
   }
-  std::cout << "  solved in " << DF.result().NodeVisits
-            << " node visits\n\n";
+  std::cout << "  solved in " << Result.NodeVisits << " node visits\n\n";
 }
 
 } // namespace
@@ -113,18 +109,24 @@ int main(int Argc, char **Argv) {
   // from the nesting tree, so counted whiles are reduced to DO form and
   // rejected loops (early exits, uncounted whiles) are reported, not
   // silently skipped.
-  HierarchicalAnalysis HA(P, specFor(Problem));
-  HA.nest().forEach([](const NestLoop &N) {
+  const ProblemSpec Spec = specFor(Problem);
+  DriverOptions Opts;
+  Opts.Problems = {Spec};
+  ProgramAnalysisDriver Driver(P, Opts);
+  Driver.nest().forEach([](const NestLoop &N) {
     if (!N.isSupported())
       std::cout << "warning: loop at nest path '" << N.path()
                 << "' not analyzed: " << N.UnsupportedReason << '\n';
   });
-  for (const LoopResult &R : HA.loops()) {
+  Driver.run();
+  for (const AnalyzedLoop &R : Driver.loops()) {
+    if (!R.Session)
+      continue; // unsupported (reported above) or failed to build
     std::cout << "\n== loop over '" << R.Loop->getIndVar() << "' (depth "
               << R.Depth << ") ==\n";
     if (Dot)
-      R.DF->graph().printDot(std::cout);
-    dumpSolution(P, *R.Loop, specFor(Problem));
+      R.Session->graph().printDot(std::cout);
+    dumpSolution(*R.Session, Spec);
     if (Deps) {
       LoopDataFlow DF(P, *R.Loop, ProblemSpec::reachingReferences());
       printDependences(std::cout, extractDependences(DF), DF);

@@ -92,14 +92,9 @@ const SolveResult &LoopAnalysisSession::solve(const ProblemSpec &Spec,
   ++Stats.SolutionMisses;
   telem::count(telem::Counter::SessionSolutionMisses);
   const FrameworkInstance &FW = instance(Spec);
-  SolveResult Result;
-  if (Opts.usesPackedKernel() && !Opts.RecordProvenance) {
-    Result = solveCompiled(compiledFlow(Spec), Opts);
-  } else {
-    // Reference path; RecordProvenance lands here for every engine
-    // (solveDataFlow forces the scalar solver under that flag).
-    Result = solveDataFlow(FW, Opts);
-  }
+  SolveResult Result = Opts.usesPackedKernel()
+                           ? solveCompiled(compiledFlow(Spec), Opts.Budget)
+                           : solveDataFlow(FW, Opts);
   Solutions.push_back(std::make_unique<Solution>(
       Solution{Spec, Opts, std::move(Result)}));
   return Solutions.back()->Result;

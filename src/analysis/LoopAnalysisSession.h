@@ -106,15 +106,16 @@ public:
   const FrameworkInstance &instance(const ProblemSpec &Spec);
 
   /// The memoized solution for (\p Spec, \p Opts). The reference stays
-  /// valid for the lifetime of the session. With Engine::PackedKernel
+  /// valid for the lifetime of the session. When Opts.usesPackedKernel()
   /// the solve runs the packed kernel over the memoized compiled flow
   /// program (bit-identical results; distinct cache entry from the
-  /// reference engine's).
+  /// reference engine's); every other request runs on the Reference.
   const SolveResult &solve(const ProblemSpec &Spec,
                            const SolverOptions &Opts = SolverOptions());
 
   /// The memoized compiled flow program of \p Spec's instance (lowered
-  /// on first use; what the packed engine solves against).
+  /// on first use; what the packed engine solves against). It reads the
+  /// instance's cell tables in place; the session owns both.
   const CompiledFlowProgram &compiledFlow(const ProblemSpec &Spec);
 
   /// Reuse pairs of \p Spec's solution (solving first if needed).
@@ -150,7 +151,9 @@ private:
   struct Instance {
     ProblemSpec Spec;
     FrameworkInstance FW;
-    /// Lazily lowered packed flow program (Engine::PackedKernel).
+    /// Lazily lowered packed flow program (Engine::PackedKernel). It
+    /// borrows FW's tables, so it is declared after FW and destroyed
+    /// first.
     std::unique_ptr<CompiledFlowProgram> Compiled;
   };
 

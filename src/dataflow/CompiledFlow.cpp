@@ -41,7 +41,7 @@ CompiledFlowProgram CompiledFlowProgram::compile(const FrameworkInstance &FW) {
   CF.PredOffsets[CF.NumNodes] = CF.Preds.size();
 
   // The instance's node-major preserve table and generating-cell CSR
-  // already have the kernel's layout.
+  // already have the kernel's layout: read them in place.
   CF.Preserve = FW.Preserve;
   CF.GenOffsets = FW.GenBegin;
   CF.GenCols = FW.GenCols;

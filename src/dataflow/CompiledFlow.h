@@ -5,24 +5,23 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A CompiledFlowProgram lowers one FrameworkInstance into flat arrays
-/// the kernel solver can sweep without a single data-dependent branch:
+/// A CompiledFlowProgram lowers one FrameworkInstance into what the
+/// kernel solver needs to sweep it without a single data-dependent
+/// branch. It owns only the kernel-specific parts:
 ///
-///   * the preserve constant per (node, tracked) cell in row-major
-///     NumNodes x NumTracked layout,
-///   * the generating cells as a sparse per-node patch list (CSR:
-///     column + post-generation preserve constant) -- a statement
-///     generates for the handful of classes it references, so a dense
-///     generate matrix would be megabytes of identity values streamed
-///     through the cache every pass,
 ///   * the working traversal order and the working predecessor lists in
 ///     CSR form (one flat id array plus per-node offsets),
 ///   * the scalar solve parameters (meet polarity, source/exit node,
 ///     encoded increment bound).
 ///
-/// The instance already keeps its preserve table node-major and its
-/// generating cells as node-major CSR, so lowering copies those tables
-/// as they are. applyNode collapses into the branch-free dense sweep
+/// The cell tables are the instance's own, read in place: the preserve
+/// constant per (node, tracked) cell in row-major NumNodes x NumTracked
+/// layout, and the generating cells as a sparse node-major CSR patch
+/// list (column + post-generation preserve constant) -- a statement
+/// generates for the handful of classes it references, so a dense
+/// generate matrix would be megabytes of identity values streamed
+/// through the cache every pass. applyNode collapses into the
+/// branch-free dense sweep
 ///
 ///   out = min(in, Preserve)
 ///
@@ -36,8 +35,8 @@
 /// sweeps compute exactly the reference fixed point, written straight
 /// into the DistanceMatrix SolveResult (see DESIGN.md §8).
 ///
-/// Compile once per instance (LoopAnalysisSession memoizes), then solve
-/// any number of times through a SolveWorkspace with zero allocation.
+/// Compile once per instance (LoopAnalysisSession memoizes, and owns
+/// both the instance and its program), then solve any number of times.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,14 +47,15 @@
 #include "dataflow/VectorOps.h"
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 namespace ardf {
 
-/// One FrameworkInstance lowered to flat tables (see file
-/// comment). Plain data: cheap to move, trivially shareable read-only
-/// across threads once built.
+/// One FrameworkInstance lowered for the packed kernel (see file
+/// comment). Borrows the instance's cell tables, so the instance must
+/// outlive the program; read-only once built.
 struct CompiledFlowProgram {
   unsigned NumNodes = 0;
   unsigned NumTracked = 0;
@@ -82,16 +82,17 @@ struct CompiledFlowProgram {
   std::vector<unsigned> PredOffsets;
   std::vector<unsigned> Preds;
 
-  /// Row-major NumNodes x NumTracked preserve constants (preserveAt,
-  /// min-applied to every non-exit cell).
-  std::vector<DistanceValue> Preserve;
+  /// The instance's row-major NumNodes x NumTracked preserve constants
+  /// (preserveAt, min-applied to every non-exit cell).
+  std::span<const DistanceValue> Preserve;
 
-  /// Generating cells of node n, sparse and CSR by node id: columns
-  /// GenCols[GenOffsets[n] .. GenOffsets[n+1]) with the matching
-  /// post-generation preserve constants (preserveAfterGen) in GenQ.
-  std::vector<unsigned> GenOffsets;
-  std::vector<unsigned> GenCols;
-  std::vector<DistanceValue> GenQ;
+  /// The instance's generating cells of node n, sparse and CSR by node
+  /// id: columns GenCols[GenOffsets[n] .. GenOffsets[n+1]) with the
+  /// matching post-generation preserve constants (preserveAfterGen) in
+  /// GenQ.
+  std::span<const unsigned> GenOffsets;
+  std::span<const unsigned> GenCols;
+  std::span<const DistanceValue> GenQ;
 
   /// Display name of the lowered problem (telemetry span labels).
   std::string ProblemName;
@@ -107,22 +108,17 @@ struct CompiledFlowProgram {
     return static_cast<size_t>(NumNodes) * NumTracked;
   }
 
-  /// Lowers \p FW. The program captures everything the solver needs; it
-  /// does not alias FW and may outlive it.
+  /// Lowers \p FW, which must outlive the program: the kernel reads
+  /// its cell tables in place.
   static CompiledFlowProgram compile(const FrameworkInstance &FW);
 };
 
-/// Solves \p CF's equation system with the packed kernel (same pass
-/// schedule and strategies as solveDataFlow) into a fresh SolveResult,
-/// bit-identical to the reference solver's.
+/// Solves \p CF's equation system with the packed kernel under the
+/// paper schedule into a fresh SolveResult, bit-identical to the
+/// reference solver's, degrading at pass boundaries when \p Budget is
+/// breached.
 SolveResult solveCompiled(const CompiledFlowProgram &CF,
-                          const SolverOptions &Opts = SolverOptions());
-
-/// Workspace form: recycles the result matrices and the one-row
-/// scratch buffer, so warm repeated solves are allocation-free.
-const SolveResult &solveCompiled(const CompiledFlowProgram &CF,
-                                 SolveWorkspace &WS,
-                                 const SolverOptions &Opts = SolverOptions());
+                          const SolverBudget &Budget = SolverBudget());
 
 } // namespace ardf
 

@@ -9,10 +9,9 @@
 /// data flow solution. The solver of Section 3.2 sweeps all nodes once
 /// per pass, so a single row-major allocation (one row per flow graph
 /// node, one column per tracked reference, 8 bytes per cell) keeps the
-/// whole working set in one cache-friendly buffer and lets a
-/// SolveWorkspace recycle the allocation across repeated solves. Rows
-/// are handed out as lightweight views so existing Result.In[Node][Idx]
-/// call sites keep working; both solver engines sweep the same storage.
+/// whole working set in one cache-friendly buffer. Rows are handed out
+/// as lightweight views so Result.In[Node][Idx] call sites read like a
+/// nested tuple; both solver engines sweep the same storage.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,41 +34,17 @@ public:
     reset(NumNodes, NumTracked);
   }
 
-  /// Resizes to NumNodes x NumTracked and refills every cell with
-  /// NoInstance. The backing allocation is retained whenever it is
-  /// already large enough; returns true when the backing store actually
-  /// reallocated (the signal SolveWorkspace instruments to prove
-  /// allocation-free reuse). Measured by comparing capacity around the
-  /// assign rather than predicting it, so any reallocation assign
-  /// performs is reported.
-  bool reset(unsigned NumNodes, unsigned NumTracked) {
-    size_t Needed = static_cast<size_t>(NumNodes) * NumTracked;
-    size_t Before = Data.capacity();
+  /// Resizes to NumNodes x NumTracked and fills every cell with
+  /// NoInstance (the all-zero encoding).
+  void reset(unsigned NumNodes, unsigned NumTracked) {
     Nodes = NumNodes;
     Tracked = NumTracked;
-    Data.assign(Needed, DistanceValue());
-    return Data.capacity() != Before;
-  }
-
-  /// Like reset, but leaves existing cell contents alone (only cells
-  /// the vector grows into are value-initialized). For consumers that
-  /// overwrite every cell before reading it -- the packed kernel solver
-  /// sweeps the matrix in place -- the refill that reset performs is
-  /// pure memory traffic, which at large shapes is megabytes per solve.
-  /// Same reallocation signal as reset.
-  bool reshape(unsigned NumNodes, unsigned NumTracked) {
-    size_t Needed = static_cast<size_t>(NumNodes) * NumTracked;
-    size_t Before = Data.capacity();
-    Nodes = NumNodes;
-    Tracked = NumTracked;
-    Data.resize(Needed);
-    return Data.capacity() != Before;
+    Data.assign(static_cast<size_t>(NumNodes) * NumTracked, DistanceValue());
   }
 
   unsigned numNodes() const { return Nodes; }
   unsigned numTracked() const { return Tracked; }
   bool empty() const { return Data.empty(); }
-  size_t capacity() const { return Data.capacity(); }
 
   /// In-place view of one node's tuple (read-only).
   class ConstRow {

@@ -369,9 +369,8 @@ std::ostream &ardf::operator<<(std::ostream &OS, const DistanceMatrix &M) {
 
 namespace {
 
-/// Shared solver state and passes. Writes into a caller-owned
-/// SolveResult so a SolveWorkspace can recycle the matrices; the pass
-/// loop itself never allocates.
+/// Shared solver state and passes. Writes into a caller-shaped
+/// SolveResult; the pass loop itself never allocates.
 class Solver {
 public:
   Solver(const FrameworkInstance &FW, const SolverOptions &Opts,
@@ -571,57 +570,6 @@ private:
   unsigned CurLayer = 0;
 };
 
-/// Resets \p Result to the shape of \p FW, reusing matrix allocations.
-/// Returns true when a matrix had to grow.
-bool resetResult(SolveResult &Result, const FrameworkInstance &FW) {
-  unsigned NumNodes = FW.getGraph().getNumNodes();
-  unsigned NumTracked = FW.getNumTracked();
-  bool GrewIn = Result.In.reset(NumNodes, NumTracked);
-  bool GrewOut = Result.Out.reset(NumNodes, NumTracked);
-  Result.NodeVisits = 0;
-  Result.Passes = 0;
-  Result.MeetOps = 0;
-  Result.ApplyOps = 0;
-  Result.Converged = true;
-  Result.Outcome = SolveOutcome::Ok;
-  Result.Breach = BreachReason::None;
-  Result.History.clear();
-  Result.Provenance.reset();
-  return GrewIn || GrewOut;
-}
-
-/// Runs the Reference engine over \p FW into \p Result, with per-solve
-/// span and counter telemetry (inert when no context is installed).
-void runReference(const FrameworkInstance &FW, const SolverOptions &Opts,
-                  SolveResult &Result) {
-  telem::Span S("solve", "solver", FW.getSpec().Name);
-  telem::LatencyTimer LT(telem::Histo::SolveNs);
-  Solver Sol(FW, Opts, Result);
-  std::shared_ptr<SolveProvenance> Prov;
-  if (Opts.RecordProvenance) {
-    Prov = std::make_shared<SolveProvenance>(SolveProvenance::capture(FW));
-    Sol.setProvenance(Prov.get());
-  }
-  Sol.run();
-  if (Prov) {
-    Prov->Degraded = !Result.ok();
-    Result.Provenance = std::move(Prov);
-  }
-  detail::finishSolveCounts(Result, FW.getSpec().isMust(),
-                            FW.getGraph().getNumNodes(),
-                            FW.getNumTracked(), FW.meetEdges(false),
-                            FW.meetEdges(true));
-  detail::recordSolveTelemetry(Result, FW.getSpec().isMust(),
-                               FW.getGraph().getNumNodes(),
-                               /*PackedEngine=*/false);
-  if (S.active()) {
-    S.arg("nodes", FW.getGraph().getNumNodes());
-    S.arg("tracked", FW.getNumTracked());
-    S.arg("node_visits", Result.NodeVisits);
-    S.arg("passes", Result.Passes);
-  }
-}
-
 } // namespace
 
 const char *ardf::engineName(SolverOptions::Engine E) {
@@ -649,30 +597,37 @@ const char *ardf::engineNameList() { return "reference, packed"; }
 
 SolveResult ardf::solveDataFlow(const FrameworkInstance &FW,
                                 const SolverOptions &Opts) {
-  // Provenance recording exists only in the scalar solver: it overrides
-  // the engine choice so explain flows can re-derive any fast-engine
-  // result (bit-identical by the engines' oracle contract).
-  if (Opts.usesPackedKernel() && !Opts.RecordProvenance)
-    return solveCompiled(CompiledFlowProgram::compile(FW), Opts);
-  SolveResult Result;
-  resetResult(Result, FW);
-  runReference(FW, Opts, Result);
-  return Result;
-}
-
-const SolveResult &ardf::solveDataFlow(const FrameworkInstance &FW,
-                                       SolveWorkspace &WS,
-                                       const SolverOptions &Opts) {
-  if (Opts.usesPackedKernel() && !Opts.RecordProvenance) {
-    // One-shot compile; callers that solve repeatedly should compile
-    // once (or go through a LoopAnalysisSession, which memoizes the
-    // program) and use solveCompiled directly.
-    CompiledFlowProgram CF = CompiledFlowProgram::compile(FW);
-    return solveCompiled(CF, WS, Opts);
+  if (Opts.usesPackedKernel())
+    return solveCompiled(CompiledFlowProgram::compile(FW), Opts.Budget);
+  // The Reference engine, with per-solve span and counter telemetry
+  // (inert when no context is installed).
+  SolveResult Result =
+      detail::freshResult(FW.getGraph().getNumNodes(), FW.getNumTracked());
+  telem::Span S("solve", "solver", FW.getSpec().Name);
+  telem::LatencyTimer LT(telem::Histo::SolveNs);
+  Solver Sol(FW, Opts, Result);
+  std::shared_ptr<SolveProvenance> Prov;
+  if (Opts.RecordProvenance) {
+    Prov = std::make_shared<SolveProvenance>(SolveProvenance::capture(FW));
+    Sol.setProvenance(Prov.get());
   }
-  if (resetResult(WS.Result, FW))
-    ++WS.Growths;
-  ++WS.Solves;
-  runReference(FW, Opts, WS.Result);
-  return WS.Result;
+  Sol.run();
+  if (Prov) {
+    Prov->Degraded = !Result.ok();
+    Result.Provenance = std::move(Prov);
+  }
+  detail::finishSolveCounts(Result, FW.getSpec().isMust(),
+                            FW.getGraph().getNumNodes(),
+                            FW.getNumTracked(), FW.meetEdges(false),
+                            FW.meetEdges(true));
+  detail::recordSolveTelemetry(Result, FW.getSpec().isMust(),
+                               FW.getGraph().getNumNodes(),
+                               /*PackedEngine=*/false);
+  if (S.active()) {
+    S.arg("nodes", FW.getGraph().getNumNodes());
+    S.arg("tracked", FW.getNumTracked());
+    S.arg("node_visits", Result.NodeVisits);
+    S.arg("passes", Result.Passes);
+  }
+  return Result;
 }

@@ -20,16 +20,17 @@
 /// IN tuple of a backward solution describes node *exit* information
 /// (Section 3.4, footnote in Section 4.2.1).
 ///
-/// IN/OUT tuples are stored flat (DistanceMatrix); a SolveWorkspace lets
-/// repeated solves recycle the matrices so the hot pass loop performs no
-/// heap allocation. The problem-independent inputs (reference universe,
-/// traversal order, predecessor lists) can be borrowed from a
+/// IN/OUT tuples are stored flat (DistanceMatrix); the pass loops of
+/// both engines perform no heap allocation, so a solve's only blocks are
+/// its two result matrices. The problem-independent inputs (reference
+/// universe, traversal order, predecessor lists) can be borrowed from a
 /// LoopAnalysisSession instead of recomputed per instance.
 ///
 /// Two solver engines share this interface (SolverOptions::Engine): the
-/// scalar Reference solver below, and the branch-free PackedKernel
-/// solver over a lowered CompiledFlowProgram (CompiledFlow.h), which
-/// produces bit-identical results.
+/// scalar Reference solver below, which implements every mode, and the
+/// branch-free PackedKernel solver over a lowered CompiledFlowProgram
+/// (CompiledFlow.h), which runs the paper schedule only and produces
+/// bit-identical results.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -125,12 +126,16 @@ struct SolverOptions {
   };
 
   enum class Engine {
-    /// The scalar DistanceValue solver (the executable specification).
+    /// The scalar DistanceValue solver (the executable specification):
+    /// every strategy, history and provenance.
     Reference,
     /// The branch-free packed kernel over a CompiledFlowProgram
-    /// (bit-identical results; see CompiledFlow.h). Through a
-    /// LoopAnalysisSession the compiled program is memoized per
-    /// instance; a direct solveDataFlow call compiles on the fly.
+    /// (bit-identical results; see CompiledFlow.h). It runs only the
+    /// paper schedule with no history and no provenance; a request for
+    /// any verification mode runs on the Reference instead (see
+    /// usesPackedKernel). Through a LoopAnalysisSession the compiled
+    /// program is memoized per instance; a direct solveDataFlow call
+    /// compiles on the fly.
     PackedKernel
   };
 
@@ -140,10 +145,10 @@ struct SolverOptions {
   bool RecordHistory = false;
 
   /// Records a full derivation (dataflow/Provenance.h) into
-  /// SolveResult::Provenance. Forces the scalar reference path -- the
-  /// packed engine stays untouched and fast -- so explain flows
-  /// re-solve on demand and cross-check against the cached packed
-  /// result. Off on every hot path.
+  /// SolveResult::Provenance. Runs on the scalar reference path under
+  /// either engine -- the packed kernel stays untouched and fast -- so
+  /// explain flows re-solve on demand and cross-check against the
+  /// cached packed result. Off on every hot path.
   bool RecordProvenance = false;
 
   /// Resource ceilings for each solve (default: nothing enforced). Part
@@ -162,8 +167,16 @@ struct SolverOptions {
     return !(A == B);
   }
 
-  /// True when solves run the packed kernel over a compiled program.
-  bool usesPackedKernel() const { return Eng == Engine::PackedKernel; }
+  /// True when solves run the packed kernel over a compiled program:
+  /// the packed engine with the paper schedule, no history and no
+  /// provenance. Every other combination runs on the Reference, whose
+  /// result is bit-identical by the engines' oracle contract. The one
+  /// predicate solveDataFlow and LoopAnalysisSession::solve dispatch on.
+  bool usesPackedKernel() const {
+    return Eng == Engine::PackedKernel &&
+           Strat == Strategy::PaperSchedule && !RecordHistory &&
+           !RecordProvenance;
+  }
 };
 
 /// CLI name of \p E: "reference", "packed".
@@ -213,42 +226,6 @@ private:
   Table Tables[4];
   uint64_t Hits = 0;
   uint64_t Misses = 0;
-};
-
-/// Reusable solve buffers: repeated solveDataFlow calls through one
-/// workspace overwrite the same IN/OUT matrices, so once the matrices
-/// have grown to the largest (nodes x tracked) shape seen, further
-/// solves perform no heap allocation at all (pass loop included).
-/// The packed kernel engine sweeps the same matrices and additionally
-/// recycles its one-row scratch buffer here (solveCompiled), under the
-/// same growth accounting.
-/// RecordHistory still allocates snapshots; leave it off on hot paths.
-class SolveWorkspace {
-public:
-  /// The most recent solution (valid until the next solve).
-  const SolveResult &result() const { return Result; }
-
-  /// Number of solves that had to grow a matrix allocation. Stable
-  /// across warm repeats -- the invariant the allocation test asserts.
-  unsigned matrixGrowths() const { return Growths; }
-
-  /// Total solves run through this workspace.
-  unsigned solves() const { return Solves; }
-
-private:
-  friend const SolveResult &solveDataFlow(const FrameworkInstance &FW,
-                                          SolveWorkspace &WS,
-                                          const SolverOptions &Opts);
-  friend const SolveResult &solveCompiled(const CompiledFlowProgram &CF,
-                                          SolveWorkspace &WS,
-                                          const SolverOptions &Opts);
-  SolveResult Result;
-  /// The kernel engine's one-row scratch buffer (IN rows of non-final
-  /// passes and old-OUT snapshots of change-tracked passes never leave
-  /// it).
-  std::vector<DistanceValue> Scratch;
-  unsigned Growths = 0;
-  unsigned Solves = 0;
 };
 
 /// Problem-independent traversal tables of one loop graph in one working
@@ -428,7 +405,8 @@ public:
   std::string tupleHeader() const;
 
 private:
-  /// Lowering copies the node-major cell tables below as they are.
+  /// Lowering points the packed kernel at the node-major cell tables
+  /// below; it reads them in place.
   friend struct CompiledFlowProgram;
 
   void selectTracked();
@@ -473,16 +451,10 @@ private:
   mutable std::vector<std::optional<std::optional<int64_t>>> OverlapMemo;
 };
 
-/// Solves the equation system of \p FW (Section 3.2).
+/// Solves the equation system of \p FW (Section 3.2): on the packed
+/// kernel when Opts.usesPackedKernel(), otherwise on the Reference.
 SolveResult solveDataFlow(const FrameworkInstance &FW,
                           const SolverOptions &Opts = SolverOptions());
-
-/// Workspace form: solves into \p WS's matrices, reusing their
-/// allocations. The returned reference stays valid until the next solve
-/// through the same workspace.
-const SolveResult &solveDataFlow(const FrameworkInstance &FW,
-                                 SolveWorkspace &WS,
-                                 const SolverOptions &Opts = SolverOptions());
 
 /// Formats one tuple like the paper's Table 1 rows: "(2, 1, _, T)".
 std::string tupleToString(const DistanceTuple &T);

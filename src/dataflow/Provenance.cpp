@@ -6,6 +6,7 @@
 #include "dataflow/Framework.h"
 #include "dataflow/References.h"
 #include "ir/PrettyPrinter.h"
+#include "support/JsonEscape.h"
 
 #include <cassert>
 #include <functional>
@@ -390,17 +391,8 @@ ardf::derivationTrail(const SolveProvenance &P, const DerivationGraph &G) {
 std::string ardf::derivationToJson(const SolveProvenance &P,
                                    const DerivationGraph &G) {
   std::ostringstream OS;
-  auto esc = [](const std::string &S) {
-    std::string Out;
-    for (char C : S) {
-      if (C == '"' || C == '\\')
-        Out += '\\';
-      Out += C;
-    }
-    return Out;
-  };
-  OS << "{\"problem\":\"" << esc(P.ProblemName) << "\",\"cell\":\""
-     << esc(P.Tracked[G.QueryIdx].RefText) << "\",\"node\":"
+  OS << "{\"problem\":\"" << jsonEscape(P.ProblemName) << "\",\"cell\":\""
+     << jsonEscape(P.Tracked[G.QueryIdx].RefText) << "\",\"node\":"
      << G.QueryNode << ",\"side\":\"" << (G.QueryIsIn ? "in" : "out")
      << "\",\"value\":\"" << G.root().Value.toString()
      << "\",\"settled_pass\":" << G.SettledLayer << ",\"root\":" << G.Root
@@ -414,7 +406,7 @@ std::string ardf::derivationToJson(const SolveProvenance &P,
                                                            : "transfer";
     OS << "{\"id\":" << I << ",\"kind\":\"" << Kind << "\",\"pass\":"
        << D.Layer << ",\"node\":" << D.Node << ",\"label\":\""
-       << esc(P.Nodes[D.Node].Label) << "\",\"value\":\""
+       << jsonEscape(P.Nodes[D.Node].Label) << "\",\"value\":\""
        << D.Value.toString() << "\",\"inputs\":[";
     for (unsigned K = 0; K != D.Inputs.size(); ++K)
       OS << (K ? "," : "") << D.Inputs[K];

@@ -21,9 +21,10 @@
 ///
 /// A default-constructed budget (all fields 0) disables every check;
 /// the pass-boundary guard then costs two integer compares plus one
-/// relaxed atomic load (the failpoint fast path) per pass -- the
-/// alloc-counting suite holds the solver hot paths to zero new
-/// allocations with the budget off.
+/// relaxed atomic load (the failpoint fast path) per pass. Armed or
+/// not, the guard lives on the stack: the alloc-counting suite holds a
+/// budgeted solve, breached or not, to exactly the heap blocks of an
+/// unbudgeted one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -76,9 +77,8 @@ struct SolverBudget {
   uint64_t DeadlineNs = 0;
 
   /// Ceiling on nodes * tracked cells. A breach is detected before any
-  /// pass runs: the solve skips all solving (and the packed engine's
-  /// working buffers) and returns the conservative fill immediately.
-  /// 0 disables.
+  /// pass runs: the solve skips all solving and returns the
+  /// conservative fill immediately. 0 disables.
   uint64_t MaxMatrixCells = 0;
 
   bool enabled() const {

@@ -2,11 +2,12 @@
 //
 // Part of ardf, a reproduction of Duesterwald, Gupta & Soffa, PLDI 1993.
 //
-// Internal helper shared by the Reference solver (Framework.cpp) and the
-// packed kernel (KernelSolver.cpp): fills the operation-count fields of
-// a SolveResult from the precomputed per-pass meet-edge totals (O(1),
-// always on, so the two engines stay bit-identical including counters)
-// and flushes one solve's telemetry to the current context, if any.
+// Internal helpers shared by the Reference solver (Framework.cpp) and
+// the packed kernel (KernelSolver.cpp): shapes the fresh result both
+// engines solve into, fills the operation-count fields of a SolveResult
+// from the precomputed per-pass meet-edge totals (O(1), always on, so
+// the two engines stay bit-identical including counters) and flushes
+// one solve's telemetry to the current context, if any.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +19,15 @@
 
 namespace ardf {
 namespace detail {
+
+/// A fresh NumNodes x NumTracked result: both matrices filled with
+/// NoInstance, every count zero, outcome Ok.
+inline SolveResult freshResult(unsigned NumNodes, unsigned NumTracked) {
+  SolveResult Result;
+  Result.In.reset(NumNodes, NumTracked);
+  Result.Out.reset(NumNodes, NumTracked);
+  return Result;
+}
 
 /// Derives MeetOps/ApplyOps for a finished solve. Both engines evaluate
 /// the meet at every node of every iteration pass plus (must problems)

@@ -8,14 +8,13 @@
 /// The row operations under the packed kernel engine. DistanceValue is
 /// one uint64_t whose unsigned order is the chain order
 /// (lattice/Distance.h), so every flow operator is exact unsigned 64-bit
-/// arithmetic -- min, max, a saturating add, an XOR diff -- and whole
-/// matrix rows are swept by five plain loops:
+/// arithmetic -- min, max, a saturating add -- and whole matrix rows
+/// are swept by four plain loops:
 ///
 ///   minInto    Dst[i] = min(Dst[i], Src[i])        (must meet)
 ///   maxInto    Dst[i] = max(Dst[i], Src[i])        (may meet)
 ///   minRows    Dst[i] = min(A[i], B[i])            (preserve apply)
 ///   increment  Dst[i] = Src[i]++                   (exit node)
-///   xorAccum   OR over i of A[i] ^ B[i]            (change tracking)
 ///
 /// They are portable element-wise loops of exact integer arithmetic,
 /// the shape the compiler auto-vectorizes for whatever ISA the build
@@ -89,14 +88,6 @@ inline void increment(DistanceValue *Dst, const DistanceValue *Src, size_t N,
     uint64_t Next = X + uint64_t(X != 0 && X != UINT64_MAX);
     Dst[I] = DistanceValue::fromBits(Next >= Bound ? UINT64_MAX : Next);
   }
-}
-
-inline uint64_t xorAccum(const DistanceValue *A, const DistanceValue *B,
-                         size_t N) {
-  uint64_t Acc = 0;
-  for (size_t I = 0; I != N; ++I)
-    Acc |= A[I].bits() ^ B[I].bits();
-  return Acc;
 }
 
 } // namespace simd

@@ -3,6 +3,7 @@
 #include "lint/Render.h"
 
 #include "lint/Checks.h"
+#include "support/JsonEscape.h"
 
 #include <algorithm>
 #include <ostream>
@@ -116,40 +117,6 @@ void ardf::renderText(std::ostream &OS, const std::vector<Diagnostic> &Diags,
 //===----------------------------------------------------------------------===//
 // JSON helpers
 //===----------------------------------------------------------------------===//
-
-std::string ardf::jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size() + 8);
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        static const char Hex[] = "0123456789abcdef";
-        Out += "\\u00";
-        Out += Hex[(C >> 4) & 0xF];
-        Out += Hex[C & 0xF];
-      } else {
-        Out += C;
-      }
-    }
-  }
-  return Out;
-}
 
 //===----------------------------------------------------------------------===//
 // JSON lines

@@ -71,9 +71,6 @@ void renderJsonLines(std::ostream &OS, const std::vector<Diagnostic> &Diags);
 /// format) with one run.
 void renderSarif(std::ostream &OS, const std::vector<Diagnostic> &Diags);
 
-/// Escapes \p S for embedding in a JSON string literal.
-std::string jsonEscape(const std::string &S);
-
 /// Static metadata of one lint check (rule), shared by the SARIF rule
 /// table and `ardf-lint --list-checks`.
 struct CheckInfo {

@@ -2,6 +2,8 @@
 
 #include "serve/Json.h"
 
+#include "support/JsonEscape.h"
+
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -45,33 +47,7 @@ const Value *Value::find(const std::string &Key) const {
 
 void json::appendQuoted(std::string &Out, std::string_view S) {
   Out.push_back('"');
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out.push_back(C);
-      }
-    }
-  }
+  appendJsonEscaped(Out, S);
   Out.push_back('"');
 }
 

@@ -26,7 +26,9 @@
 /// The zero-overhead-off contract matches the telemetry layer: when no
 /// failpoint is armed anywhere in the process, evaluate() is a single
 /// relaxed atomic load and a predictable branch -- no lock, no lookup,
-/// no allocation (the alloc-counting suite covers the solver paths).
+/// no allocation (the alloc-counting suite holds a solve, which
+/// evaluates solver.pass at every pass boundary, to its two result
+/// matrices).
 /// The slow path takes a global mutex; armed runs are for tests and
 /// drills, not production hot loops.
 ///

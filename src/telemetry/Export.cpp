@@ -2,8 +2,9 @@
 
 #include "telemetry/Export.h"
 
+#include "support/JsonEscape.h"
+
 #include <algorithm>
-#include <cstdio>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
@@ -13,37 +14,9 @@ using namespace ardf::telem;
 
 namespace {
 
-/// JSON string escaping (control characters, quotes, backslashes).
+/// \p S as a quoted JSON string literal.
 void writeJsonString(std::ostream &OS, const std::string &S) {
-  OS << '"';
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      OS << "\\\"";
-      break;
-    case '\\':
-      OS << "\\\\";
-      break;
-    case '\n':
-      OS << "\\n";
-      break;
-    case '\t':
-      OS << "\\t";
-      break;
-    case '\r':
-      OS << "\\r";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        OS << Buf;
-      } else {
-        OS << C;
-      }
-    }
-  }
-  OS << '"';
+  OS << '"' << jsonEscape(S) << '"';
 }
 
 /// Microseconds with nanosecond precision, as trace-event "ts" wants.

@@ -6,13 +6,14 @@
 // iteration passes over the N-node flow graph) and a may-problem solve
 // exactly 2N (its initialization writes constants without visiting
 // nodes). Both engines are measured over a randomized corpus plus the
-// bundled shapes, and IterateToFixpoint is checked against the schedule:
-// it can save at most the counted initialization pass, never more.
+// bundled shapes, and the Reference engine's IterateToFixpoint is
+// checked against the schedule: it can save at most the counted
+// initialization pass, never more.
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtils.h"
-#include "dataflow/CompiledFlow.h"
+#include "dataflow/Framework.h"
 #include "frontend/Parser.h"
 
 #include <gtest/gtest.h>
@@ -47,12 +48,7 @@ Solved solveFirstLoop(const std::string &Source, const ProblemSpec &Spec,
   FrameworkInstance FW(Graph, P, Spec);
   Solved S;
   S.NumNodes = Graph.getNumNodes();
-  if (Opts.Eng == SolverOptions::Engine::PackedKernel) {
-    CompiledFlowProgram CF = CompiledFlowProgram::compile(FW);
-    S.Result = solveCompiled(CF, Opts);
-  } else {
-    S.Result = solveDataFlow(FW, Opts);
-  }
+  S.Result = solveDataFlow(FW, Opts);
   return S;
 }
 
@@ -79,12 +75,11 @@ void expectExactBound(const std::string &Source, SolverOptions Opts) {
 /// undercut the schedule by at most the init pass's N visits (a must
 /// problem converging after one iteration pass), and must always
 /// converge on these single-loop graphs.
-void expectFixpointWithinInitOfSchedule(const std::string &Source,
-                                        SolverOptions Base) {
-  SolverOptions Fixp = Base;
+void expectFixpointWithinInitOfSchedule(const std::string &Source) {
+  SolverOptions Fixp;
   Fixp.Strat = SolverOptions::Strategy::IterateToFixpoint;
   auto CheckOne = [&](const ProblemSpec &Spec) {
-    Solved Paper = solveFirstLoop(Source, Spec, Base);
+    Solved Paper = solveFirstLoop(Source, Spec, SolverOptions());
     Solved Fix = solveFirstLoop(Source, Spec, Fixp);
     EXPECT_TRUE(Fix.Result.Converged) << Spec.Name << " on: " << Source;
     EXPECT_GE(Fix.Result.NodeVisits + Fix.NumNodes, Paper.Result.NodeVisits)
@@ -123,14 +118,5 @@ TEST(CostBoundTest, FixpointNeverBeatsScheduleByMoreThanInit) {
   for (unsigned Stmts : {4u, 17u})
     for (int Cond : {0, 60})
       for (uint64_t Seed : {1u, 2u})
-        expectFixpointWithinInitOfSchedule(corpusLoop(Stmts, Cond, Seed),
-                                           SolverOptions());
-}
-
-TEST(CostBoundTest, FixpointBoundHoldsOnPackedEngine) {
-  SolverOptions Opts;
-  Opts.Eng = SolverOptions::Engine::PackedKernel;
-  for (unsigned Stmts : {4u, 17u})
-    for (uint64_t Seed : {5u, 6u})
-      expectFixpointWithinInitOfSchedule(corpusLoop(Stmts, 30, Seed), Opts);
+        expectFixpointWithinInitOfSchedule(corpusLoop(Stmts, Cond, Seed));
 }

@@ -4,9 +4,11 @@
 // loop corpus (the bench generator) and hand-picked boundary shapes,
 // the PackedKernel engine must produce bit-identical SolveResult
 // matrices to the Reference engine for all four paper problems (plus
-// the per-occurrence variants), must and may, forward and backward,
-// both pass strategies. The algebraic half (operator agreement of the
-// packed encoding) lives in tests/lattice/PackedDistanceTest.cpp.
+// the per-occurrence variants), must and may, forward and backward.
+// The kernel runs only the paper schedule; packed requests for the
+// verification modes (iterate-to-fixpoint, history, provenance) run on
+// the Reference. The algebraic half (operator agreement of the packed
+// encoding) lives in tests/lattice/PackedDistanceTest.cpp.
 //
 //===----------------------------------------------------------------------===//
 
@@ -14,6 +16,7 @@
 #include "analysis/LoopAnalysisSession.h"
 #include "dataflow/CompiledFlow.h"
 #include "frontend/Parser.h"
+#include "telemetry/Telemetry.h"
 
 #include <gtest/gtest.h>
 
@@ -127,31 +130,6 @@ TEST(KernelSolverTest, HistoryMatchesReference) {
   }
 }
 
-TEST(KernelSolverTest, WorkspaceAndFreshSolvesAgree) {
-  Program P = parseOrDie(HandCorpus[3]);
-  LoopFlowGraph Graph(*P.getFirstLoop());
-  for (const ProblemSpec &Spec : allSpecs) {
-    FrameworkInstance FW(Graph, P, Spec);
-    CompiledFlowProgram CF = CompiledFlowProgram::compile(FW);
-
-    SolveResult Fresh = solveCompiled(CF);
-    SolveWorkspace WS;
-    // Twice through the workspace: the second run exercises warm reuse.
-    solveCompiled(CF, WS);
-    const SolveResult &Warm = solveCompiled(CF, WS);
-    EXPECT_EQ(Warm.In, Fresh.In) << Spec.Name;
-    EXPECT_EQ(Warm.Out, Fresh.Out) << Spec.Name;
-    EXPECT_EQ(WS.matrixGrowths(), 1u) << Spec.Name;
-    EXPECT_EQ(WS.solves(), 2u) << Spec.Name;
-
-    // The generic workspace entry point dispatches to the same kernel.
-    SolveWorkspace WS2;
-    const SolveResult &Via = solveDataFlow(FW, WS2, packedOpts());
-    EXPECT_EQ(Via.In, Fresh.In) << Spec.Name;
-    EXPECT_EQ(Via.Out, Fresh.Out) << Spec.Name;
-  }
-}
-
 TEST(KernelSolverTest, SessionMemoizesCompiledProgramsPerInstance) {
   Program P = parseOrDie(HandCorpus[3]);
   LoopAnalysisSession Session(P, *P.getFirstLoop());
@@ -176,18 +154,40 @@ TEST(KernelSolverTest, SessionMemoizesCompiledProgramsPerInstance) {
   EXPECT_EQ(Session.solvesPerformed(), 2u);
 }
 
-TEST(KernelSolverTest, CompiledProgramOutlivesInstance) {
-  // compile() copies everything it needs out of the instance.
-  Program P = parseOrDie(HandCorpus[0]);
-  LoopFlowGraph Graph(*P.getFirstLoop());
-  SolveResult Ref;
-  CompiledFlowProgram CF;
-  {
-    FrameworkInstance FW(Graph, P, ProblemSpec::mustReachingDefs());
-    Ref = solveDataFlow(FW);
-    CF = CompiledFlowProgram::compile(FW);
+TEST(KernelSolverTest, VerificationModesRunOnReference) {
+  // The kernel runs only the paper schedule: a packed request for
+  // IterateToFixpoint, RecordHistory or RecordProvenance is served by
+  // the Reference, through solveDataFlow and through a session alike,
+  // and nothing is lowered or solved by the kernel.
+  Program P = parseOrDie(HandCorpus[3]);
+  LoopAnalysisSession Session(P, *P.getFirstLoop());
+  const ProblemSpec Spec = ProblemSpec::availableValues();
+  const FrameworkInstance &FW = Session.instance(Spec);
+  SolverOptions Fixpoint = packedOpts(), History = packedOpts(),
+                Prov = packedOpts();
+  Fixpoint.Strat = SolverOptions::Strategy::IterateToFixpoint;
+  History.RecordHistory = true;
+  Prov.RecordProvenance = true;
+
+  telem::Telemetry T;
+  telem::TelemetryScope Scope(T);
+  for (const SolverOptions &Opts : {Fixpoint, History, Prov}) {
+    EXPECT_FALSE(Opts.usesPackedKernel());
+    SolverOptions RefOpts = Opts;
+    RefOpts.Eng = SolverOptions::Engine::Reference;
+    SolveResult Ref = solveDataFlow(FW, RefOpts);
+    const SolveResult Direct = solveDataFlow(FW, Opts);
+    const SolveResult &Cached = Session.solve(Spec, Opts);
+    for (const SolveResult *R : {&Direct, &Cached}) {
+      EXPECT_EQ(R->In, Ref.In);
+      EXPECT_EQ(R->Out, Ref.Out);
+      EXPECT_EQ(R->Passes, Ref.Passes);
+      EXPECT_EQ(R->History.size(), Ref.History.size());
+      EXPECT_EQ(R->Provenance != nullptr, Ref.Provenance != nullptr);
+    }
   }
-  SolveResult Kern = solveCompiled(CF);
-  EXPECT_EQ(Kern.In, Ref.In);
-  EXPECT_EQ(Kern.Out, Ref.Out);
+  EXPECT_TRUE(packedOpts().usesPackedKernel());
+  EXPECT_EQ(T.get(telem::Counter::SolverRunsReference), 9u);
+  EXPECT_EQ(T.get(telem::Counter::SolverRunsPacked), 0u);
+  EXPECT_EQ(T.get(telem::Counter::FlowCompiles), 0u);
 }

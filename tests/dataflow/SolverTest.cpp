@@ -1,4 +1,4 @@
-//===- tests/dataflow/SolverTest.cpp - Solver strategies and workspace ---===//
+//===- tests/dataflow/SolverTest.cpp - Solver strategies ------------------===//
 
 #include "dataflow/Framework.h"
 #include "frontend/Parser.h"
@@ -55,20 +55,6 @@ TEST(SolverTest, NonConvergenceIsReported) {
   EXPECT_EQ(R.Passes, 1u);
 }
 
-TEST(SolverTest, NonConvergenceThroughWorkspace) {
-  Built B = build(Corpus[1], ProblemSpec::availableValues());
-  SolverOptions Opts;
-  Opts.Strat = SolverOptions::Strategy::IterateToFixpoint;
-  Opts.MaxPasses = 1;
-  SolveWorkspace WS;
-  const SolveResult &R = solveDataFlow(*B.FW, WS, Opts);
-  EXPECT_FALSE(R.Converged);
-  // A converged follow-up through the same workspace must clear the
-  // stale flag.
-  Opts.MaxPasses = 64;
-  EXPECT_TRUE(solveDataFlow(*B.FW, WS, Opts).Converged);
-}
-
 TEST(SolverTest, FixpointWithBudgetMatchesPaperSchedule) {
   for (const char *Source : Corpus)
     for (const ProblemSpec &Spec : Specs) {
@@ -81,41 +67,4 @@ TEST(SolverTest, FixpointWithBudgetMatchesPaperSchedule) {
       EXPECT_EQ(Fix.In, Paper.In) << Source << " / " << Spec.Name;
       EXPECT_EQ(Fix.Out, Paper.Out) << Source << " / " << Spec.Name;
     }
-}
-
-TEST(SolverTest, WorkspaceSolveMatchesFreshSolve) {
-  SolveWorkspace WS;
-  unsigned Expected = 0;
-  for (const char *Source : Corpus)
-    for (const ProblemSpec &Spec : Specs) {
-      Built B = build(Source, Spec);
-      SolveResult Fresh = solveDataFlow(*B.FW);
-      const SolveResult &Reused = solveDataFlow(*B.FW, WS);
-      ++Expected;
-      EXPECT_EQ(Reused.In, Fresh.In) << Source << " / " << Spec.Name;
-      EXPECT_EQ(Reused.Out, Fresh.Out) << Source << " / " << Spec.Name;
-      EXPECT_EQ(Reused.NodeVisits, Fresh.NodeVisits);
-      EXPECT_EQ(Reused.Passes, Fresh.Passes);
-      EXPECT_EQ(Reused.Converged, Fresh.Converged);
-    }
-  EXPECT_EQ(WS.solves(), Expected);
-}
-
-TEST(SolverTest, WorkspaceStopsGrowingOnceWarm) {
-  Built Big = build(Corpus[3], ProblemSpec::reachingReferences());
-  Built Small = build(Corpus[0], ProblemSpec::mustReachingDefs());
-
-  SolveWorkspace WS;
-  solveDataFlow(*Big.FW, WS);
-  unsigned AfterFirst = WS.matrixGrowths();
-  EXPECT_GE(AfterFirst, 1u);
-
-  // Warm repeats and shrinks reuse capacity; only a shape larger than
-  // anything seen before may grow again.
-  for (int I = 0; I != 5; ++I) {
-    solveDataFlow(*Big.FW, WS);
-    solveDataFlow(*Small.FW, WS);
-  }
-  EXPECT_EQ(WS.matrixGrowths(), AfterFirst);
-  EXPECT_EQ(WS.solves(), 11u);
 }

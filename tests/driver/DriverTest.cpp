@@ -277,3 +277,131 @@ TEST(DriverTest, EmptyProgram) {
   EXPECT_TRUE(Driver.loops().empty());
   EXPECT_EQ(Driver.totalNodeVisits(), 0u);
 }
+
+// One problem over the whole program: the hierarchical analysis process
+// of Section 3.2 (innermost loops first, each loop solved once).
+
+TEST(DriverTest, SingleProblemOrdersInnermostFirst) {
+  Program P = parseOrDie(R"(
+    do k = 1, 10 {
+      do j = 1, 10 {
+        do i = 1, 10 { A[i] = A[i-1]; }
+      }
+      do m = 1, 10 { B[m] = 0; }
+    }
+    do z = 1, 10 { C[z] = C[z-1]; }
+  )");
+  DriverOptions Opts;
+  Opts.Problems = {ProblemSpec::mustReachingDefs()};
+  ProgramAnalysisDriver Driver(P, Opts);
+  Driver.run();
+  ASSERT_EQ(Driver.loops().size(), 5u);
+  // Depths descend monotonically in analysis order.
+  unsigned Last = 1000;
+  for (const AnalyzedLoop &R : Driver.loops()) {
+    EXPECT_LE(R.Depth, Last);
+    Last = R.Depth;
+  }
+  EXPECT_EQ(Driver.loops().front().Loop->getIndVar(), "i");
+  EXPECT_EQ(Driver.loops().front().Depth, 2u);
+}
+
+TEST(DriverTest, SingleProblemResultPerLoop) {
+  Program P = parseOrDie(R"(
+    do j = 1, 10 {
+      do i = 1, 10 { A[i+1] = A[i]; }
+      B[j+2] = B[j];
+    }
+  )");
+  const ProblemSpec Spec = ProblemSpec::mustReachingDefs();
+  DriverOptions Opts;
+  Opts.Problems = {Spec};
+  ProgramAnalysisDriver Driver(P, Opts);
+  Driver.run();
+  const DoLoopStmt *Outer = P.getFirstLoop();
+  const auto *Inner = cast<DoLoopStmt>(Outer->getBody()[0].get());
+
+  LoopAnalysisSession *InnerS = Driver.sessionFor(*Inner);
+  LoopAnalysisSession *OuterS = Driver.sessionFor(*Outer);
+  ASSERT_NE(InnerS, nullptr);
+  ASSERT_NE(OuterS, nullptr);
+  // The inner result tracks A, the outer tracks B (and sees the inner
+  // loop only as a summary node).
+  EXPECT_EQ(InnerS->instance(Spec).getTracked(0).arrayName(), "A");
+  const FrameworkInstance &OuterFW = OuterS->instance(Spec);
+  bool OuterTracksB = false;
+  for (unsigned I = 0; I != OuterFW.getNumTracked(); ++I)
+    OuterTracksB |= OuterFW.getTracked(I).arrayName() == "B";
+  EXPECT_TRUE(OuterTracksB);
+}
+
+TEST(DriverTest, SingleProblemReusePairsTagged) {
+  Program P = parseOrDie(R"(
+    do j = 1, 10 {
+      do i = 1, 10 { A[i+1] = A[i]; }
+      B[j+2] = B[j];
+    }
+  )");
+  const ProblemSpec Spec = ProblemSpec::mustReachingDefs();
+  DriverOptions Opts;
+  Opts.Problems = {Spec};
+  ProgramAnalysisDriver Driver(P, Opts);
+  Driver.run();
+  // A-reuse in the inner loop, B-reuse in the outer loop.
+  bool InnerReuse = false, OuterReuse = false;
+  for (const AnalyzedLoop &R : Driver.loops()) {
+    if (R.Session->reusePairs(Spec, RefSelector::Uses).empty())
+      continue;
+    if (R.Loop->getIndVar() == "i")
+      InnerReuse = true;
+    if (R.Loop->getIndVar() == "j")
+      OuterReuse = true;
+  }
+  EXPECT_TRUE(InnerReuse);
+  EXPECT_TRUE(OuterReuse);
+}
+
+TEST(DriverTest, SingleProblemTotalCostIsSumOfLoops) {
+  Program P = parseOrDie(R"(
+    do a = 1, 10 { A[a] = 0; }
+    do b = 1, 10 { B[b] = 0; C[b] = 1; }
+  )");
+  const ProblemSpec Spec = ProblemSpec::mustReachingDefs();
+  DriverOptions Opts;
+  Opts.Problems = {Spec};
+  ProgramAnalysisDriver Driver(P, Opts);
+  Driver.run();
+  unsigned Sum = 0;
+  for (const AnalyzedLoop &R : Driver.loops())
+    Sum += R.Session->solve(Spec).NodeVisits;
+  EXPECT_EQ(Driver.totalNodeVisits(), Sum);
+  // 3N per loop.
+  LoopAnalysisSession &First = *Driver.loops()[0].Session;
+  EXPECT_EQ(First.solve(Spec).NodeVisits, 3 * First.graph().getNumNodes());
+}
+
+TEST(DriverTest, SingleProblemLoopsInsideConditionals) {
+  Program P = parseOrDie(R"(
+    x = 1;
+    if (x > 0) {
+      do i = 1, 10 { A[i] = A[i-1]; }
+    } else {
+      do k = 1, 10 { B[k] = 0; }
+    }
+  )");
+  DriverOptions Opts;
+  Opts.Problems = {ProblemSpec::mustReachingDefs()};
+  ProgramAnalysisDriver Driver(P, Opts);
+  Driver.run();
+  EXPECT_EQ(Driver.loops().size(), 2u);
+}
+
+TEST(DriverTest, SingleProblemEmptyProgram) {
+  Program P = parseOrDie("x = 1; y = 2;");
+  DriverOptions Opts;
+  Opts.Problems = {ProblemSpec::mustReachingDefs()};
+  ProgramAnalysisDriver Driver(P, Opts);
+  Driver.run();
+  EXPECT_TRUE(Driver.loops().empty());
+  EXPECT_EQ(Driver.totalNodeVisits(), 0u);
+}

@@ -3,6 +3,7 @@
 #include "lint/Checks.h"
 #include "lint/LintEngine.h"
 #include "lint/Render.h"
+#include "support/JsonEscape.h"
 
 #include <gtest/gtest.h>
 

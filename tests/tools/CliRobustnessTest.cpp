@@ -248,6 +248,13 @@ TEST(CliRobustnessTest, ServeUsageErrorsExitTwo) {
   EXPECT_EQ(run(Serve + " --no-such-flag"), 2);
   EXPECT_EQ(run(Serve + " --workers=0"), 2);
   EXPECT_EQ(run(Serve + " --socket=/tmp/a.sock --connect=/tmp/a.sock"), 2);
+  // Malformed numbers are usage errors, not a silent 0 (or a negative
+  // slack) that turns a server limit off; stdin is empty, so a server
+  // that accepted the flag would exit 0 at EOF.
+  for (const char *Flag :
+       {"--max-request-bytes=abc", "--budget-slack=-1", "--deadline-ms=abc",
+        "--budget-visits=abc", "--workers=3abc"})
+    EXPECT_EQ(run(Serve + " " + Flag + " </dev/null"), 2) << Flag;
 }
 
 TEST(CliRobustnessTest, ServeStdioRenderMatchesLintJson) {

@@ -25,13 +25,13 @@
 
 #include "analysis/LoopAnalysisSession.h"
 #include "analysis/LoopNest.h"
+#include "common/CliFlags.h"
 #include "dataflow/Provenance.h"
 #include "frontend/Parser.h"
 #include "support/BuildInfo.h"
 #include "support/FileIO.h"
 
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -147,14 +147,10 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts, std::string &Err) {
       Opts.OutSide = true;
     } else if (Arg == "--json") {
       Opts.Json = true;
-    } else if (Value(Arg, "--engine", V)) {
-      if (!parseEngineName(V, Opts.Engine)) {
-        Err = "unknown engine '" + V + "' (expected one of: " +
-              engineNameList() + ")";
+    } else if (cli::engineFlag(Arg, Opts.Engine, Err) ||
+               cli::maxInputBytesFlag(Arg, Opts.MaxInputBytes, Err)) {
+      if (!Err.empty())
         return false;
-      }
-    } else if (Value(Arg, "--max-input-bytes", V)) {
-      Opts.MaxInputBytes = std::strtoull(V.c_str(), nullptr, 10);
     } else if ((Arg == "--problem" || Arg == "--cell" || Arg == "--loop" ||
                 Arg == "--node" || Arg == "--engine") &&
                I + 1 < Argc) {

@@ -18,6 +18,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "common/CliFlags.h"
 #include "lint/LintEngine.h"
 #include "lint/Render.h"
 #include "support/BuildInfo.h"
@@ -25,7 +26,6 @@
 #include "telemetry/Export.h"
 #include "telemetry/Telemetry.h"
 
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -124,13 +124,11 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts, std::string &Err) {
       Opts.Fmt = Format::JsonLines;
     } else if (Arg == "--format=sarif") {
       Opts.Fmt = Format::Sarif;
-    } else if (Arg.rfind("--engine=", 0) == 0) {
-      std::string Name = Arg.substr(strlen("--engine="));
-      if (!parseEngineName(Name, Opts.Lint.Engine)) {
-        Err = "unknown engine '" + Name + "' (expected one of: " +
-              engineNameList() + ")";
+    } else if (cli::engineFlag(Arg, Opts.Lint.Engine, Err) ||
+               cli::budgetFlag(Arg, Opts.Lint.Budget, Err) ||
+               cli::maxInputBytesFlag(Arg, Opts.MaxInputBytes, Err)) {
+      if (!Err.empty())
         return false;
-      }
     } else if (Arg == "--no-cross-check") {
       Opts.Lint.CrossCheck = false;
     } else if (Arg == "--no-nested") {
@@ -146,38 +144,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts, std::string &Err) {
         Err = "--explain= needs a check id";
         return false;
       }
-    } else if (Arg.rfind("--budget-visits=", 0) == 0) {
-      Opts.Lint.Budget.MaxNodeVisits =
-          std::strtoull(Arg.c_str() + strlen("--budget-visits="), nullptr, 10);
-      if (Opts.Lint.Budget.MaxNodeVisits == 0) {
-        Err = "--budget-visits needs a positive integer";
-        return false;
-      }
-    } else if (Arg.rfind("--budget-slack=", 0) == 0) {
-      Opts.Lint.Budget.VisitSlack =
-          std::strtod(Arg.c_str() + strlen("--budget-slack="), nullptr);
-      if (Opts.Lint.Budget.VisitSlack <= 0.0) {
-        Err = "--budget-slack needs a positive factor";
-        return false;
-      }
-    } else if (Arg.rfind("--budget-deadline-ms=", 0) == 0) {
-      uint64_t Ms = std::strtoull(
-          Arg.c_str() + strlen("--budget-deadline-ms="), nullptr, 10);
-      if (Ms == 0) {
-        Err = "--budget-deadline-ms needs a positive integer";
-        return false;
-      }
-      Opts.Lint.Budget.DeadlineNs = Ms * 1000000ull;
-    } else if (Arg.rfind("--budget-cells=", 0) == 0) {
-      Opts.Lint.Budget.MaxMatrixCells =
-          std::strtoull(Arg.c_str() + strlen("--budget-cells="), nullptr, 10);
-      if (Opts.Lint.Budget.MaxMatrixCells == 0) {
-        Err = "--budget-cells needs a positive integer";
-        return false;
-      }
-    } else if (Arg.rfind("--max-input-bytes=", 0) == 0) {
-      Opts.MaxInputBytes = std::strtoull(
-          Arg.c_str() + strlen("--max-input-bytes="), nullptr, 10);
     } else if (Arg == "--quiet") {
       Opts.Quiet = true;
     } else if (Arg.rfind("--trace-out=", 0) == 0) {

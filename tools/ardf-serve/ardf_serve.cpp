@@ -22,13 +22,13 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "common/CliFlags.h"
 #include "serve/Server.h"
 #include "support/BuildInfo.h"
 #include "support/Socket.h"
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <memory>
@@ -118,52 +118,23 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts, std::string &Err) {
         Err = "--connect= needs a path";
         return false;
       }
-    } else if (Arg.rfind("--workers=", 0) == 0) {
-      int N = std::atoi(Arg.c_str() + strlen("--workers="));
-      if (N < 1) {
-        Err = "--workers needs a positive integer";
+    } else if (cli::countFlag(Arg, "--workers", Opts.Serve.Workers, Err,
+                              /*Positive=*/true) ||
+               cli::countFlag(Arg, "--queue-depth", Opts.Serve.QueueDepth,
+                              Err, /*Positive=*/true) ||
+               cli::countFlag(Arg, "--max-request-bytes",
+                              Opts.Serve.MaxRequestBytes, Err) ||
+               cli::countFlag(Arg, "--deadline-ms",
+                              Opts.Serve.RequestDeadlineMs, Err) ||
+               cli::countFlag(Arg, "--grace-ms", Opts.Serve.WatchdogGraceMs,
+                              Err) ||
+               cli::countFlag(Arg, "--tenant-quota", Opts.Serve.TenantQuota,
+                              Err, /*Positive=*/true) ||
+               cli::engineFlag(Arg, Opts.Serve.Engine, Err) ||
+               cli::budgetFlag(Arg, Opts.Serve.Budget, Err,
+                               /*WithDeadline=*/false)) {
+      if (!Err.empty())
         return false;
-      }
-      Opts.Serve.Workers = static_cast<unsigned>(N);
-    } else if (Arg.rfind("--queue-depth=", 0) == 0) {
-      int N = std::atoi(Arg.c_str() + strlen("--queue-depth="));
-      if (N < 1) {
-        Err = "--queue-depth needs a positive integer";
-        return false;
-      }
-      Opts.Serve.QueueDepth = static_cast<unsigned>(N);
-    } else if (Arg.rfind("--max-request-bytes=", 0) == 0) {
-      Opts.Serve.MaxRequestBytes = std::strtoull(
-          Arg.c_str() + strlen("--max-request-bytes="), nullptr, 10);
-    } else if (Arg.rfind("--deadline-ms=", 0) == 0) {
-      Opts.Serve.RequestDeadlineMs =
-          std::strtoull(Arg.c_str() + strlen("--deadline-ms="), nullptr, 10);
-    } else if (Arg.rfind("--grace-ms=", 0) == 0) {
-      Opts.Serve.WatchdogGraceMs =
-          std::strtoull(Arg.c_str() + strlen("--grace-ms="), nullptr, 10);
-    } else if (Arg.rfind("--tenant-quota=", 0) == 0) {
-      int N = std::atoi(Arg.c_str() + strlen("--tenant-quota="));
-      if (N < 1) {
-        Err = "--tenant-quota needs a positive integer";
-        return false;
-      }
-      Opts.Serve.TenantQuota = static_cast<unsigned>(N);
-    } else if (Arg.rfind("--engine=", 0) == 0) {
-      std::string Name = Arg.substr(strlen("--engine="));
-      if (!parseEngineName(Name, Opts.Serve.Engine)) {
-        Err = "unknown engine '" + Name + "' (expected one of: " +
-              engineNameList() + ")";
-        return false;
-      }
-    } else if (Arg.rfind("--budget-visits=", 0) == 0) {
-      Opts.Serve.Budget.MaxNodeVisits =
-          std::strtoull(Arg.c_str() + strlen("--budget-visits="), nullptr, 10);
-    } else if (Arg.rfind("--budget-slack=", 0) == 0) {
-      Opts.Serve.Budget.VisitSlack =
-          std::strtod(Arg.c_str() + strlen("--budget-slack="), nullptr);
-    } else if (Arg.rfind("--budget-cells=", 0) == 0) {
-      Opts.Serve.Budget.MaxMatrixCells =
-          std::strtoull(Arg.c_str() + strlen("--budget-cells="), nullptr, 10);
     } else {
       Err = "unknown option '" + Arg + "'";
       return false;

@@ -21,6 +21,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "common/CliFlags.h"
 #include "driver/ProgramAnalysisDriver.h"
 #include "frontend/Parser.h"
 #include "support/BuildInfo.h"
@@ -28,7 +29,6 @@
 #include "telemetry/Export.h"
 #include "telemetry/Telemetry.h"
 
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -132,56 +132,17 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts, std::string &Err) {
         Err = "--trace-out needs a file name";
         return false;
       }
-    } else if (Arg.rfind("--engine=", 0) == 0) {
-      std::string Name = Arg.substr(strlen("--engine="));
-      if (!parseEngineName(Name, Opts.Driver.Solver.Eng)) {
-        Err = "unknown engine '" + Name + "' (expected one of: " +
-              engineNameList() + ")";
+    } else if (cli::engineFlag(Arg, Opts.Driver.Solver.Eng, Err) ||
+               cli::budgetFlag(Arg, Opts.Driver.Solver.Budget, Err) ||
+               cli::maxInputBytesFlag(Arg, Opts.MaxInputBytes, Err) ||
+               cli::countFlag(Arg, "--threads", Opts.Driver.Threads, Err,
+                              /*Positive=*/true)) {
+      if (!Err.empty())
         return false;
-      }
-    } else if (Arg.rfind("--threads=", 0) == 0) {
-      int N = std::atoi(Arg.c_str() + strlen("--threads="));
-      if (N < 1) {
-        Err = "--threads needs a positive integer";
-        return false;
-      }
-      Opts.Driver.Threads = static_cast<unsigned>(N);
     } else if (Arg == "--no-nested") {
       Opts.Driver.IncludeNested = false;
     } else if (Arg == "--fixpoint") {
       Opts.Driver.Solver.Strat = SolverOptions::Strategy::IterateToFixpoint;
-    } else if (Arg.rfind("--budget-visits=", 0) == 0) {
-      Opts.Driver.Solver.Budget.MaxNodeVisits =
-          std::strtoull(Arg.c_str() + strlen("--budget-visits="), nullptr, 10);
-      if (Opts.Driver.Solver.Budget.MaxNodeVisits == 0) {
-        Err = "--budget-visits needs a positive integer";
-        return false;
-      }
-    } else if (Arg.rfind("--budget-slack=", 0) == 0) {
-      Opts.Driver.Solver.Budget.VisitSlack =
-          std::strtod(Arg.c_str() + strlen("--budget-slack="), nullptr);
-      if (Opts.Driver.Solver.Budget.VisitSlack <= 0.0) {
-        Err = "--budget-slack needs a positive factor";
-        return false;
-      }
-    } else if (Arg.rfind("--budget-deadline-ms=", 0) == 0) {
-      uint64_t Ms = std::strtoull(
-          Arg.c_str() + strlen("--budget-deadline-ms="), nullptr, 10);
-      if (Ms == 0) {
-        Err = "--budget-deadline-ms needs a positive integer";
-        return false;
-      }
-      Opts.Driver.Solver.Budget.DeadlineNs = Ms * 1000000ull;
-    } else if (Arg.rfind("--budget-cells=", 0) == 0) {
-      Opts.Driver.Solver.Budget.MaxMatrixCells = std::strtoull(
-          Arg.c_str() + strlen("--budget-cells="), nullptr, 10);
-      if (Opts.Driver.Solver.Budget.MaxMatrixCells == 0) {
-        Err = "--budget-cells needs a positive integer";
-        return false;
-      }
-    } else if (Arg.rfind("--max-input-bytes=", 0) == 0) {
-      Opts.MaxInputBytes = std::strtoull(
-          Arg.c_str() + strlen("--max-input-bytes="), nullptr, 10);
     } else if (!Arg.empty() && Arg[0] == '-') {
       Err = "unknown option '" + Arg + "'";
       return false;
