@@ -3,13 +3,13 @@
 // Part of ardf, a reproduction of Duesterwald, Gupta & Soffa, PLDI 1993.
 //
 // Measures the nest pipeline added on top of the single-loop framework:
-// CFG construction + dominators + natural loops + bottom-up reduction
-// (LoopNestTree) as a function of nest depth and program width, and the
-// cost of the per-level solves — one LoopAnalysisSession per ancestor
-// induction variable (the Section 3.6 WithRespectTo seam) — that turn a
-// flat iteration distance into a distance vector. The CFG/nest counters
-// ride along in the JSON snapshot so regressions in block or loop
-// counts show up next to the timings.
+// the syntax-tree walk that discovers the natural loops + bottom-up
+// reduction (LoopNestTree) as a function of nest depth and program
+// width, and the cost of the per-level solves — one LoopAnalysisSession
+// per ancestor induction variable (the Section 3.6 WithRespectTo seam) —
+// that turn a flat iteration distance into a distance vector. The nest's
+// loop counts ride along in the JSON snapshot so regressions in them
+// show up next to the timings.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,7 +19,6 @@
 #include "driver/ProgramAnalysisDriver.h"
 #include "frontend/Parser.h"
 #include "support/BuildInfo.h"
-#include "telemetry/Telemetry.h"
 
 #include <benchmark/benchmark.h>
 
@@ -65,7 +64,7 @@ std::string nestSourceFor(unsigned Depth, unsigned Stmts) {
 }
 
 /// \p Loops independent two-level nests side by side: width scaling for
-/// the single CFG + dominator computation the whole program shares.
+/// the one walk over the whole program.
 std::string wideSourceFor(unsigned Loops) {
   std::ostringstream OS;
   for (unsigned L = 0; L != Loops; ++L)
@@ -121,49 +120,34 @@ double secondsOf(unsigned Reps, const std::function<void()> &Fn) {
 
 void printNestTable() {
   std::printf("== nest pipeline: discovery + per-level solves vs depth ==\n");
-  std::printf("%5s | %8s %8s | %12s %12s | %8s\n", "depth", "blocks",
-              "loops", "discovery", "solves", "sessions");
+  std::printf("%5s | %8s %8s | %12s %12s | %8s\n", "depth", "loops",
+              "reduced", "discovery", "solves", "sessions");
   for (unsigned Depth : {1u, 2u, 3u, 4u}) {
     Program P = parseOrDie(nestSourceFor(Depth, 8));
-    telem::Telemetry Telem;
+    constexpr unsigned Reps = 20;
+    double DiscoverS =
+        secondsOf(Reps, [&] { benchmark::DoNotOptimize(LoopNestTree(P)); }) /
+        Reps;
+    LoopNestTree T(P);
     unsigned Sessions = 0;
-    double DiscoverS, SolveS;
-    {
-      telem::TelemetryScope Scope(Telem);
-      constexpr unsigned Reps = 20;
-      DiscoverS =
-          secondsOf(Reps, [&] { benchmark::DoNotOptimize(LoopNestTree(P)); }) /
-          Reps;
-      LoopNestTree T(P);
-      SolveS = secondsOf(Reps, [&] { Sessions = solveAllLevels(P, T); }) / Reps;
-    }
-    unsigned Runs = 21; // 20 timed discoveries + the one kept
-    std::printf("%5u | %8llu %8llu | %10.2fus %10.2fus | %8u\n", Depth,
-                static_cast<unsigned long long>(
-                    Telem.get(telem::Counter::CfgBlocks) / Runs),
-                static_cast<unsigned long long>(
-                    Telem.get(telem::Counter::CfgLoops) / Runs),
-                DiscoverS * 1e6, SolveS * 1e6, Sessions);
+    double SolveS =
+        secondsOf(Reps, [&] { Sessions = solveAllLevels(P, T); }) / Reps;
+    std::printf("%5u | %8u %8u | %10.2fus %10.2fus | %8u\n", Depth, T.size(),
+                T.supportedCount(), DiscoverS * 1e6, SolveS * 1e6, Sessions);
   }
-  std::printf("(discovery = CFG + dominators + natural loops + reduction; "
+  std::printf("(discovery = nest walk + reduction; "
               "solves = all paper problems once per nest level)\n\n");
 }
 
 void BM_NestDiscovery(benchmark::State &State) {
   Program P = parseOrDie(nestSourceFor(State.range(0), 8));
-  telem::Telemetry Telem;
-  telem::TelemetryScope Scope(Telem);
   for (auto _ : State) {
     LoopNestTree T(P);
     benchmark::DoNotOptimize(T.supportedCount());
   }
-  double Iters = static_cast<double>(State.iterations());
-  State.counters["cfg_blocks"] =
-      benchmark::Counter(Telem.get(telem::Counter::CfgBlocks) / Iters);
-  State.counters["cfg_loops"] =
-      benchmark::Counter(Telem.get(telem::Counter::CfgLoops) / Iters);
-  State.counters["nest_reduced"] =
-      benchmark::Counter(Telem.get(telem::Counter::NestReduced) / Iters);
+  LoopNestTree T(P);
+  State.counters["nest_loops"] = benchmark::Counter(T.size());
+  State.counters["nest_reduced"] = benchmark::Counter(T.supportedCount());
 }
 BENCHMARK(BM_NestDiscovery)->Arg(1)->Arg(2)->Arg(3)->Arg(4);
 

@@ -6,6 +6,7 @@
 #include "support/FailPoint.h"
 #include "telemetry/Telemetry.h"
 
+#include <algorithm>
 #include <cassert>
 #include <new>
 #include <stdexcept>
@@ -68,37 +69,22 @@ bool mentionsScalar(const Expr &E, const std::string &Name) {
   return Found;
 }
 
-/// The statement immediately preceding \p Target in whatever statement
-/// list contains it, or null (not found / first in its list).
-const Stmt *findPreceding(const StmtList &Stmts, const Stmt *Target) {
-  for (size_t I = 0; I != Stmts.size(); ++I) {
-    if (Stmts[I].get() == Target)
-      return I == 0 ? nullptr : Stmts[I - 1].get();
-    const Stmt *Found = nullptr;
-    switch (Stmts[I]->getKind()) {
-    case Stmt::Kind::If: {
-      const auto *IS = cast<IfStmt>(Stmts[I].get());
-      Found = findPreceding(IS->getThen(), Target);
-      if (!Found)
-        Found = findPreceding(IS->getElse(), Target);
-      break;
-    }
-    case Stmt::Kind::DoLoop:
-      Found = findPreceding(cast<DoLoopStmt>(Stmts[I].get())->getBody(),
-                            Target);
-      break;
-    case Stmt::Kind::While:
-      Found = findPreceding(cast<WhileStmt>(Stmts[I].get())->getBody(),
-                            Target);
-      break;
-    case Stmt::Kind::Assign:
-    case Stmt::Kind::Break:
-      break;
-    }
-    if (Found)
-      return Found;
-  }
-  return nullptr;
+bool canComplete(const StmtList &Stmts);
+
+/// True when control can fall off the end of \p S: anything but a
+/// `break`, or an `if` neither of whose branches can. A loop always can,
+/// because its test exits.
+bool canComplete(const Stmt &S) {
+  if (isa<BreakStmt>(&S))
+    return false;
+  if (const auto *IS = dyn_cast<IfStmt>(&S))
+    return canComplete(IS->getThen()) || canComplete(IS->getElse());
+  return true;
+}
+
+bool canComplete(const StmtList &Stmts) {
+  return std::all_of(Stmts.begin(), Stmts.end(),
+                     [](const StmtPtr &S) { return canComplete(*S); });
 }
 
 /// Collects the DO loops of \p Stmts that are not nested inside another
@@ -158,32 +144,7 @@ std::string NestLoop::path() const {
 LoopNestTree::LoopNestTree(const Program &P) : Prog(&P) {
   telem::Span NestSpan("loop-nest", "nest");
 
-  Graph = std::make_unique<Cfg>(P);
-
-  // One nest node per natural loop. Headers come out of loop discovery
-  // in reverse postorder, which for structured programs is exactly
-  // pre-order over the nesting forest (outer before inner, source order
-  // within a level).
-  const std::vector<NaturalLoop> &NLoops = Graph->loops();
-  Nodes.reserve(NLoops.size());
-  for (unsigned I = 0; I != NLoops.size(); ++I) {
-    auto Node = std::make_unique<NestLoop>();
-    Node->Source = NLoops[I].Source;
-    Node->CfgLoopIndex = I;
-    assert(Node->Source && "natural loop without a source statement");
-    int ParentIdx = Graph->parentLoopOf(I);
-    if (ParentIdx >= 0) {
-      Node->Parent = Nodes[ParentIdx].get();
-      Node->Depth = Node->Parent->Depth + 1;
-      Node->Parent->Children.push_back(Node.get());
-    } else {
-      Roots.push_back(Node.get());
-    }
-    Nodes.push_back(std::move(Node));
-  }
-
-  for (NestLoop *Root : Roots)
-    reduce(*Root);
+  discover(P.getStmts(), /*End=*/nullptr, /*Break=*/nullptr);
 
   // Analysis roots: reduced loops with no reduced parent. A supported
   // loop under an unsupported parent is analyzed standalone (its
@@ -217,10 +178,54 @@ const NestLoop *LoopNestTree::nodeFor(const Stmt &SourceLoop) const {
   return nullptr;
 }
 
-void LoopNestTree::reduce(NestLoop &L) {
-  for (NestLoop *Child : L.Children)
-    reduce(*Child);
+void LoopNestTree::discover(const StmtList &Stmts, NestLoop *End,
+                            NestLoop *Break) {
+  // Statements after the first one that cannot complete normally are
+  // unreachable. Every reachable statement before it continues to the
+  // same place: the list's end if the whole list completes, a break
+  // otherwise.
+  size_t Stop = 0;
+  while (Stop != Stmts.size() && canComplete(*Stmts[Stop]))
+    ++Stop;
+  NestLoop *After = Stop == Stmts.size() ? End : Break;
 
+  for (size_t I = 0; I != Stmts.size() && I <= Stop; ++I) {
+    const Stmt &S = *Stmts[I];
+    if (const auto *IS = dyn_cast<IfStmt>(&S)) {
+      discover(IS->getThen(), After, Break);
+      discover(IS->getElse(), After, Break);
+      continue;
+    }
+    const auto *DL = dyn_cast<DoLoopStmt>(&S);
+    const auto *WS = dyn_cast<WhileStmt>(&S);
+    if (!DL && !WS)
+      continue;
+    const StmtList &Body = DL ? DL->getBody() : WS->getBody();
+    // A body that always breaks never reaches the latch: no back edge,
+    // so no nest loop, though the loops inside it may still be one.
+    if (!canComplete(Body)) {
+      discover(Body, /*End=*/nullptr, /*Break=*/After);
+      continue;
+    }
+    // The parent is the nest loop whose latch control reaches after
+    // this loop.
+    auto Node = std::make_unique<NestLoop>();
+    NestLoop &L = *Node;
+    L.Source = &S;
+    L.Parent = After;
+    if (After) {
+      L.Depth = After->Depth + 1;
+      After->Children.push_back(&L);
+    } else {
+      Roots.push_back(&L);
+    }
+    Nodes.push_back(std::move(Node));
+    discover(Body, /*End=*/&L, /*Break=*/After);
+    reduce(L, I == 0 ? nullptr : Stmts[I - 1].get());
+  }
+}
+
+void LoopNestTree::reduce(NestLoop &L, const Stmt *Prev) {
   // Per-loop fault boundary: one loop failing to reduce (including an
   // armed nest.reduce failpoint) degrades to an unsupported record; the
   // rest of the tree still builds. Allocation failure propagates.
@@ -229,7 +234,7 @@ void LoopNestTree::reduce(NestLoop &L) {
     if (const auto *DL = dyn_cast<DoLoopStmt>(L.Source))
       reduceDoLoop(L, *DL);
     else
-      reduceWhile(L, *cast<WhileStmt>(L.Source));
+      reduceWhile(L, *cast<WhileStmt>(L.Source), Prev);
   } catch (const std::bad_alloc &) {
     throw;
   } catch (const std::exception &E) {
@@ -271,7 +276,8 @@ void LoopNestTree::reduceDoLoop(NestLoop &L, const DoLoopStmt &DL) {
   L.Reduced = normalizeLoop(*Raw);
 }
 
-void LoopNestTree::reduceWhile(NestLoop &L, const WhileStmt &WS) {
+void LoopNestTree::reduceWhile(NestLoop &L, const WhileStmt &WS,
+                               const Stmt *Prev) {
   std::string Reason = commonRejection(L, WS.getBody());
   if (!Reason.empty()) {
     L.UnsupportedReason = std::move(Reason);
@@ -295,7 +301,6 @@ void LoopNestTree::reduceWhile(NestLoop &L, const WhileStmt &WS) {
   const Expr *Bound = Cond->getRHS();
 
   // Initialization: `iv = lo` immediately before the while.
-  const Stmt *Prev = findPreceding(Prog->getStmts(), &WS);
   const auto *Init = Prev ? dyn_cast<AssignStmt>(Prev) : nullptr;
   const VarRef *InitLHS = Init ? dyn_cast<VarRef>(Init->getLHS()) : nullptr;
   if (!InitLHS || InitLHS->getName() != IV) {

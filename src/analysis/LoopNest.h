@@ -5,12 +5,29 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The loop-nesting tree: natural loops discovered over the basic-block
-/// CFG (cfg/Cfg.h), arranged by containment and reduced — bottom-up —
-/// to the paper's analyzable form. Each supported nest level yields a
-/// normalized DoLoopStmt whose body has inner loops replaced by their
-/// own reduced forms, so the existing LoopFlowGraph / LoopAnalysisSession
-/// machinery (and both solver engines) apply unchanged per level.
+/// The loop-nesting tree: the program's natural loops, found by one walk
+/// over the statement tree and reduced — bottom-up — to the paper's
+/// analyzable form. The language is structured (`do`, `while`, `if`, and
+/// a `break` that exits forward), so every natural loop is a syntactic
+/// loop and its CFG is never built. The walk applies the natural-loop
+/// rules directly:
+///
+///   - A statement can complete normally unless it is a `break`, or an
+///     `if` whose two branches both cannot. A loop always can.
+///   - Statements after one that cannot complete normally are
+///     unreachable; loops there are not in the nest.
+///   - A reachable loop is in the nest only if its body can complete
+///     normally; otherwise its latch (the back edge) is unreachable.
+///   - A loop's parent is the nest loop whose latch control reaches
+///     after the loop. Usually that is the enclosing loop; a loop
+///     followed by a `break` belongs to the loop the break leads to.
+///
+/// Loops come out in source pre-order.
+///
+/// Each supported nest level yields a normalized DoLoopStmt whose body
+/// has inner loops replaced by their own reduced forms, so the existing
+/// LoopFlowGraph / LoopAnalysisSession machinery (and both solver
+/// engines) apply unchanged per level.
 ///
 /// Induction-variable recognition turns the counted while pattern
 ///
@@ -34,7 +51,7 @@
 #ifndef ARDF_ANALYSIS_LOOPNEST_H
 #define ARDF_ANALYSIS_LOOPNEST_H
 
-#include "cfg/Cfg.h"
+#include "ir/Program.h"
 
 #include <functional>
 #include <memory>
@@ -53,9 +70,6 @@ struct NestLoop {
 
   /// Nesting depth: 0 for outermost loops.
   unsigned Depth = 0;
-
-  /// Index of this loop's natural loop in cfg().loops().
-  unsigned CfgLoopIndex = 0;
 
   /// The standalone reduced form: a normalized DO loop whose body has
   /// every inner loop replaced by its reduced form. Null when the
@@ -109,34 +123,39 @@ public:
   explicit LoopNestTree(const Program &P);
 
   const Program &program() const { return *Prog; }
-  const Cfg &cfg() const { return *Graph; }
 
   /// Top-level loops in source order.
   const std::vector<NestLoop *> &roots() const { return Roots; }
 
-  /// All loops, pre-order (each loop before its children, outermost
-  /// first, source order within a level).
+  /// All loops in source pre-order (each loop before its children and
+  /// the loops inside it).
   const std::vector<std::unique_ptr<NestLoop>> &all() const { return Nodes; }
 
   unsigned size() const { return Nodes.size(); }
   unsigned supportedCount() const { return Supported; }
   unsigned unsupportedCount() const { return Nodes.size() - Supported; }
 
-  /// Pre-order walk.
+  /// Walks all() in order.
   void forEach(const std::function<void(const NestLoop &)> &Fn) const;
 
   /// The nest node for a source loop statement, or null.
   const NestLoop *nodeFor(const Stmt &SourceLoop) const;
 
 private:
-  void reduce(NestLoop &L);
+  /// Walks \p Stmts, a reachable statement list: adds its nest loops in
+  /// source order and reduces each after its body. \p End is the nest
+  /// loop whose latch the list's end leads to, \p Break the one a
+  /// `break` in the list leads to (null: none).
+  void discover(const StmtList &Stmts, NestLoop *End, NestLoop *Break);
+  /// \p Prev is the statement before \p L in its list, a while loop's
+  /// only candidate for the `iv = lo` initialization.
+  void reduce(NestLoop &L, const Stmt *Prev);
   void reduceDoLoop(NestLoop &L, const DoLoopStmt &DL);
-  void reduceWhile(NestLoop &L, const WhileStmt &WS);
+  void reduceWhile(NestLoop &L, const WhileStmt &WS, const Stmt *Prev);
   StmtList reduceBody(const NestLoop &L, const StmtList &Body);
   void assignAnalyzedForms(NestLoop &Root);
 
   const Program *Prog;
-  std::unique_ptr<Cfg> Graph;
   std::vector<std::unique_ptr<NestLoop>> Nodes;
   std::vector<NestLoop *> Roots;
   unsigned Supported = 0;

@@ -28,7 +28,7 @@ ProgramAnalysisDriver::ProgramAnalysisDriver(const Program &P,
 }
 
 void ProgramAnalysisDriver::collectFromNest() {
-  // One record per nest node (pre-order from the tree), analyzed
+  // One record per nest node (source pre-order from the tree), analyzed
   // innermost first like the hierarchical process of Section 3.6.
   // Supported loops carry their reduced form; rejected loops carry the
   // recognizer's reason and are never handed to a session.

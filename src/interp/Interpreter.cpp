@@ -118,8 +118,6 @@ int64_t Interpreter::evalExpr(const Expr &E) {
 
 void Interpreter::execStmt(const Stmt &S) {
   ++Stats.StatementsExecuted;
-  if (Trace)
-    Trace(S);
   switch (S.getKind()) {
   case Stmt::Kind::Assign: {
     const auto *AS = cast<AssignStmt>(&S);

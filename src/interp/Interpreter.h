@@ -86,14 +86,6 @@ public:
   /// Reads back one scalar (0 when never written).
   int64_t scalar(const std::string &Name) const;
 
-  /// Observes every statement right before it executes, in execution
-  /// order. A loop statement fires once when control first reaches it;
-  /// its body statements fire once per iteration. Used by the CFG
-  /// execution-order oracle tests.
-  void setTraceHook(std::function<void(const Stmt &)> Hook) {
-    Trace = std::move(Hook);
-  }
-
 private:
   int64_t evalExpr(const Expr &E);
   int64_t flattenIndex(const ArrayRefExpr &Ref);
@@ -103,7 +95,6 @@ private:
   const Program *Prog;
   MachineState State;
   ExecStats Stats;
-  std::function<void(const Stmt &)> Trace;
   /// Set by a break statement; unwinds execStmts up to the nearest
   /// enclosing loop, which clears it.
   bool BreakPending = false;

@@ -2,6 +2,8 @@
 
 #include "serve/Protocol.h"
 
+#include <limits>
+
 using namespace ardf;
 using namespace ardf::serve;
 
@@ -100,7 +102,8 @@ bool readUint(const json::Value &O, const char *Key, uint64_t &Out,
 
 } // namespace
 
-ParsedRequest serve::parseRequest(const std::string &Line) {
+ParsedRequest serve::parseRequest(const std::string &Line,
+                                  SolverOptions::Engine DefaultEngine) {
   ParsedRequest P;
   json::ParseOutcome J = json::parse(Line);
   if (!J.Ok) {
@@ -122,6 +125,7 @@ ParsedRequest serve::parseRequest(const std::string &Line) {
   }
   Request &R = P.R;
   R.Id = P.Id;
+  R.Engine = DefaultEngine;
   if (!parseMethod(MethodV->stringValue(), R.M)) {
     P.Error = "unknown method '" + MethodV->stringValue() +
               "' (expected analyze, lint, explain, stats, or shutdown)";
@@ -167,6 +171,10 @@ ParsedRequest serve::parseRequest(const std::string &Line) {
         return P;
       }
       R.Budget.VisitSlack = Slack->doubleValue();
+    }
+    if (DeadlineMs > std::numeric_limits<uint64_t>::max() / 1000000ull) {
+      P.Error = "'deadline_ms' is out of range";
+      return P;
     }
     R.Budget.MaxNodeVisits = Visits;
     R.Budget.DeadlineNs = DeadlineMs * 1000000ull;

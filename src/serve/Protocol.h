@@ -17,7 +17,7 @@
 ///                 "tenant"?: string,     // cache partition ("default")
 ///                 "file"?: string,       // artifact name for diagnostics
 ///                 "source"?: string,     // .arf program text
-///                 "engine"?: string,     // reference|packed
+///                 "engine"?: string,     // reference|packed (server's)
 ///                 "cross_check"?: bool, "nested"?: bool,
 ///                 "explain_check"?: string,
 ///                 "budget"?: { "visits"?: int, "slack"?: number,
@@ -79,6 +79,8 @@ struct Request {
   /// Program text (analyze/lint/explain).
   std::string Source;
 
+  /// The request's "engine", or parseRequest's default when it names
+  /// none.
   SolverOptions::Engine Engine = SolverOptions::Engine::Reference;
   bool CrossCheck = true;
   bool IncludeNested = true;
@@ -99,8 +101,11 @@ struct ParsedRequest {
   json::Value Id;
 };
 
-/// Parses and validates one request line. Total: never throws.
-ParsedRequest parseRequest(const std::string &Line);
+/// Parses and validates one request line. Total: never throws. A
+/// request that names no engine gets \p DefaultEngine (the server's).
+ParsedRequest parseRequest(
+    const std::string &Line,
+    SolverOptions::Engine DefaultEngine = SolverOptions::Engine::Reference);
 
 /// Builds the ok-response line (no trailing newline).
 std::string okResponse(const json::Value &Id, json::Value Result);

@@ -275,7 +275,7 @@ struct AnalysisServer::Core : std::enable_shared_from_this<Core> {
         return {errorResponse(Id, ErrorCode::Overloaded,
                               "serve.request failpoint forced shedding"),
                 false};
-      ParsedRequest P = parseRequest(Req.Line);
+      ParsedRequest P = parseRequest(Req.Line, Opts.Engine);
       Id = P.Id;
       Req.setId(P.Id);
       if (!P.Ok)

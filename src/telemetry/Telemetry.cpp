@@ -90,10 +90,6 @@ const char *telem::counterName(Counter C) {
     return "driver.loop_failures";
   case Counter::FailpointHits:
     return "failpoint.hits";
-  case Counter::CfgBlocks:
-    return "cfg.blocks";
-  case Counter::CfgLoops:
-    return "cfg.loops";
   case Counter::NestTrees:
     return "nest.trees";
   case Counter::NestReduced:

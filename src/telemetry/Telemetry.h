@@ -127,10 +127,6 @@ enum class Counter : unsigned {
   LoopFailures,
   /// Armed failpoints that fired (support/FailPoint.h).
   FailpointHits,
-  /// Basic blocks created by CFG construction (cfg/Cfg.h).
-  CfgBlocks,
-  /// Natural loops discovered by back-edge detection.
-  CfgLoops,
   /// Loop-nesting trees built (analysis/LoopNest.h).
   NestTrees,
   /// Nest loops reduced to the paper's normalized DO form.

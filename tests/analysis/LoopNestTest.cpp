@@ -91,6 +91,199 @@ TEST(LoopNestTest, ForestMatchesSyntax) {
   EXPECT_EQ(T.nodeFor(*P.getStmts()[0]->clone()), nullptr);
 }
 
+TEST(LoopNestTest, NestedLoopsFormAForest) {
+  Program P = parseOrDie("do i = 1, 4 {\n"
+                         "  do j = 1, 4 {\n"
+                         "    do k = 1, 4 { x = x + 1; }\n"
+                         "  }\n"
+                         "  do m = 1, 4 { y = y + 1; }\n"
+                         "}\n"
+                         "do n = 1, 4 { z = z + 1; }\n");
+  LoopNestTree T(P);
+  ASSERT_EQ(T.size(), 5u);
+  const NestLoop *I = nodeWithIv(T, "i"), *J = nodeWithIv(T, "j");
+  const NestLoop *K = nodeWithIv(T, "k"), *M = nodeWithIv(T, "m");
+  const NestLoop *N = nodeWithIv(T, "n");
+  ASSERT_TRUE(I && J && K && M && N);
+
+  // Source pre-order, so a loop never precedes its parent.
+  ASSERT_EQ(T.all().size(), 5u);
+  EXPECT_EQ(T.all()[0].get(), I);
+  EXPECT_EQ(T.all()[1].get(), J);
+  EXPECT_EQ(T.all()[2].get(), K);
+  EXPECT_EQ(T.all()[3].get(), M);
+  EXPECT_EQ(T.all()[4].get(), N);
+
+  // Containment follows nesting: a loop's source statement lies inside
+  // every ancestor's body, and sibling bodies share no statement.
+  auto Inside = [](const NestLoop &Outer, const Stmt &S) {
+    bool Found = false;
+    forEachStmt(cast<DoLoopStmt>(Outer.Source)->getBody(),
+                [&](const Stmt &Inner) { Found |= &Inner == &S; });
+    return Found;
+  };
+  EXPECT_TRUE(Inside(*J, *K->Source));
+  EXPECT_TRUE(Inside(*I, *J->Source));
+  EXPECT_TRUE(Inside(*I, *K->Source));
+  EXPECT_TRUE(Inside(*I, *M->Source));
+  EXPECT_FALSE(Inside(*J, *M->Source));
+  EXPECT_FALSE(Inside(*M, *K->Source));
+  EXPECT_FALSE(Inside(*I, *N->Source));
+
+  // nodeFor reports each loop's own node, never an enclosing one.
+  T.forEach([&](const NestLoop &L) { EXPECT_EQ(T.nodeFor(*L.Source), &L); });
+}
+
+TEST(LoopNestTest, SiblingNestsComeOutInSourceOrder) {
+  Program P = parseOrDie("do a = 1, 4 {\n"
+                         "  do b = 1, 4 { B[b] = B[b - 1]; }\n"
+                         "}\n"
+                         "do c = 1, 4 {\n"
+                         "  do d = 1, 4 { D[d] = D[d - 1]; }\n"
+                         "}\n");
+  LoopNestTree T(P);
+  ASSERT_EQ(T.size(), 4u);
+  std::vector<std::string> Order;
+  for (const std::unique_ptr<NestLoop> &N : T.all())
+    Order.push_back(N->iv());
+  EXPECT_EQ(Order, (std::vector<std::string>{"a", "b", "c", "d"}));
+  EXPECT_EQ(T.all()[1]->Parent, T.all()[0].get());
+  EXPECT_EQ(T.all()[3]->Parent, T.all()[2].get());
+}
+
+TEST(LoopNestTest, BranchLoopsKeepSourceOrderAndTheirOwnForms) {
+  // Loops in both branches of an if: the then-branch loop comes first,
+  // and each child's analyzed form is its own embedded copy. In the
+  // second program the children's embedded copies differ in shape, so
+  // pairing them out of source order would read past an embedded list.
+  for (const char *Source : {"do i = 1, 6 {\n"
+                             "  if (x > 0) {\n"
+                             "    do j = 1, 4 { A[j] = 1; }\n"
+                             "  } else {\n"
+                             "    do k = 1, 9 { A[k] = 2; }\n"
+                             "  }\n"
+                             "}\n",
+                             "do i = 1, 6 {\n"
+                             "  if (x > 0) {\n"
+                             "    if (x > 0) { do j = 1, 4 { y = B[j]; } }\n"
+                             "    do m = 1, 5 {\n"
+                             "      do n = 1, 4 { y = B[n]; }\n"
+                             "    }\n"
+                             "  } else {\n"
+                             "    if (y > 0) { do k = 1, 9 { y = B[k]; } }\n"
+                             "  }\n"
+                             "}\n"}) {
+    Program P = parseOrDie(Source);
+    LoopNestTree T(P);
+    ASSERT_EQ(T.supportedCount(), T.size()) << Source;
+    const NestLoop &I = *T.roots()[0];
+    std::vector<std::string> Kids;
+    for (const NestLoop *C : I.Children)
+      Kids.push_back(C->iv());
+    EXPECT_EQ(Kids.front(), "j") << Source;
+    EXPECT_EQ(Kids.back(), "k") << Source;
+    // Every loop's analyzed form is its own: same induction variable
+    // as its source loop, structurally equal to its standalone form.
+    T.forEach([&](const NestLoop &N) {
+      EXPECT_EQ(N.iv(), cast<DoLoopStmt>(N.Source)->getIndVar()) << Source;
+      EXPECT_TRUE(N.Analyzed->equals(*N.Reduced)) << N.path();
+    });
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Discovery: which loops are natural loops, and who encloses them
+//===----------------------------------------------------------------------===//
+
+TEST(LoopNestTest, WhileLoopIsDiscoveredWithSource) {
+  Program P = parseOrDie("i = 1; while (i <= 5) { x = x + i; i = i + 1; }");
+  LoopNestTree T(P);
+  ASSERT_EQ(T.size(), 1u);
+  EXPECT_EQ(T.roots()[0]->Source, P.getStmts()[1].get());
+  EXPECT_TRUE(T.roots()[0]->isWhile());
+  EXPECT_EQ(T.roots()[0]->ConsumedInit, P.getStmts()[0].get());
+}
+
+TEST(LoopNestTest, BreakInInnerLoopExitsOnlyTheInnerLoop) {
+  // The break leaves j but stays inside i: i keeps j as its child and
+  // is rejected for the unsupported child, not for an early exit.
+  Program P = parseOrDie("do i = 1, 10 {\n"
+                         "  do j = 1, 10 {\n"
+                         "    if (A[j] > 0) { break; }\n"
+                         "    A[j] = 1;\n"
+                         "  }\n"
+                         "  x = x + 1;\n"
+                         "}\n");
+  LoopNestTree T(P);
+  ASSERT_EQ(T.size(), 2u);
+  const NestLoop &I = *T.all()[0], &J = *T.all()[1];
+  EXPECT_EQ(J.Parent, &I);
+  EXPECT_NE(J.UnsupportedReason.find("early exit"), std::string::npos);
+  EXPECT_NE(I.UnsupportedReason.find("unsupported inner loop"),
+            std::string::npos)
+      << I.UnsupportedReason;
+}
+
+TEST(LoopNestTest, LoopAfterUnconditionalBreakIsAbsent) {
+  // j follows a break in its branch, so it never runs; i's body still
+  // completes through the branch-less path.
+  Program P = parseOrDie("do i = 1, 10 {\n"
+                         "  if (A[i] > 0) {\n"
+                         "    break;\n"
+                         "    do j = 1, 10 { A[j] = 1; }\n"
+                         "  }\n"
+                         "  A[i] = 2;\n"
+                         "}\n");
+  LoopNestTree T(P);
+  ASSERT_EQ(T.size(), 1u);
+  EXPECT_EQ(T.roots()[0]->Source, P.getStmts()[0].get());
+  EXPECT_TRUE(T.roots()[0]->Children.empty());
+}
+
+TEST(LoopNestTest, LoopWhoseBodyAlwaysBreaksIsAbsent) {
+  // o's latch is unreachable (both branches of the if break), so o is
+  // no natural loop; the loops inside it still are, as roots.
+  Program P = parseOrDie("do o = 1, 10 {\n"
+                         "  do p = 1, 4 { A[p] = 1; }\n"
+                         "  if (x > 0) {\n"
+                         "    do q = 1, 4 { B[q] = 1; }\n"
+                         "    break;\n"
+                         "  } else {\n"
+                         "    break;\n"
+                         "  }\n"
+                         "}\n");
+  LoopNestTree T(P);
+  ASSERT_EQ(T.size(), 2u);
+  ASSERT_EQ(T.roots().size(), 2u);
+  EXPECT_EQ(T.roots()[0]->iv(), "p");
+  EXPECT_EQ(T.roots()[1]->iv(), "q");
+  EXPECT_EQ(T.supportedCount(), 2u);
+}
+
+TEST(LoopNestTest, LoopBeforeABreakBelongsToTheLoopTheBreakLeadsTo) {
+  // After q, control breaks out of p straight to o's latch: q's parent
+  // is o, the loop p's continuation leads to, not p.
+  Program P = parseOrDie("do o = 1, 10 {\n"
+                         "  do p = 1, 10 {\n"
+                         "    if (x > 0) {\n"
+                         "      do q = 1, 4 { B[q] = 1; }\n"
+                         "      break;\n"
+                         "    }\n"
+                         "    A[p] = 1;\n"
+                         "  }\n"
+                         "}\n");
+  LoopNestTree T(P);
+  ASSERT_EQ(T.size(), 3u);
+  const NestLoop &O = *T.all()[0], &Pl = *T.all()[1], &Q = *T.all()[2];
+  EXPECT_EQ(Pl.Parent, &O);
+  EXPECT_EQ(Q.Parent, &O);
+  EXPECT_EQ(Q.Depth, 1u);
+  ASSERT_EQ(O.Children.size(), 2u);
+  EXPECT_EQ(O.Children[0], &Pl);
+  EXPECT_EQ(O.Children[1], &Q);
+  EXPECT_TRUE(Pl.Children.empty());
+}
+
 //===----------------------------------------------------------------------===//
 // While recognition
 //===----------------------------------------------------------------------===//

@@ -46,6 +46,11 @@ TEST(ProtocolTest, DefaultsApply) {
   EXPECT_TRUE(P.R.IncludeNested);
   EXPECT_TRUE(P.R.Id.isNull());
   EXPECT_EQ(P.R.Engine, SolverOptions::Engine::Reference);
+  // The server passes its own engine for requests that name none.
+  EXPECT_EQ(parseRequest("{\"method\":\"lint\",\"source\":\"\"}",
+                         SolverOptions::Engine::PackedKernel)
+                .R.Engine,
+            SolverOptions::Engine::PackedKernel);
 }
 
 TEST(ProtocolTest, StatsAndShutdownNeedNoSource) {
@@ -101,6 +106,20 @@ TEST(ProtocolTest, FieldTypesAreValidated) {
       parseRequest("{\"method\":\"lint\",\"source\":\"\","
                    "\"budget\":{\"visits\":-5}}")
           .Ok);
+  // A deadline whose nanosecond count overflows uint64_t would wrap to
+  // a tiny one; the largest representable deadline still parses.
+  ParsedRequest Huge =
+      parseRequest("{\"method\":\"lint\",\"source\":\"\","
+                   "\"budget\":{\"deadline_ms\":18446744073710}}");
+  EXPECT_FALSE(Huge.Ok);
+  EXPECT_NE(Huge.Error.find("'deadline_ms' is out of range"),
+            std::string::npos)
+      << Huge.Error;
+  ParsedRequest Max =
+      parseRequest("{\"method\":\"lint\",\"source\":\"\","
+                   "\"budget\":{\"deadline_ms\":18446744073709}}");
+  ASSERT_TRUE(Max.Ok) << Max.Error;
+  EXPECT_EQ(Max.R.Budget.DeadlineNs, 18446744073709000000ull);
   // A typo and the retired engine names are all unknown engines, and
   // the error names the valid spellings.
   for (std::string Name : {"smid", "simd", "summary"}) {

@@ -174,6 +174,22 @@ TEST(ServerTest, RequestBudgetTightensButNeverLoosens) {
       << Resp.toString();
 }
 
+TEST(ServerTest, ServerEngineServesRequestsThatNameNone) {
+  // ardf-serve --engine=packed: a request without "engine" runs on the
+  // server's engine; an explicit "engine" still wins.
+  ServeOptions Opts;
+  Opts.Engine = SolverOptions::Engine::PackedKernel;
+  AnalysisServer S(Opts);
+  json::Value Default = parsed(call(S, analyzeLine(GoodSource, "e.arf", 1)));
+  ASSERT_TRUE(isOk(Default)) << Default.toString();
+  EXPECT_EQ(Default.find("result")->find("engine")->stringValue(), "packed");
+  json::Value Named = parsed(call(
+      S, analyzeLine(GoodSource, "e.arf", 2, ",\"engine\":\"reference\"")));
+  ASSERT_TRUE(isOk(Named)) << Named.toString();
+  EXPECT_EQ(Named.find("result")->find("engine")->stringValue(),
+            "reference");
+}
+
 TEST(ServerTest, OversizedPayloadRefusedBeforeParsing) {
   ServeOptions Opts;
   Opts.MaxRequestBytes = 64;

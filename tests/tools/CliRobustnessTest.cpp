@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <string>
 
 #include <sys/wait.h>
@@ -186,6 +187,45 @@ TEST(CliRobustnessTest, ExplainUsageAndIoErrorsExitTwo) {
   EXPECT_EQ(run(Explain + " " + Fig4 +
                 " --max-input-bytes=4 --problem may-reach"),
             2);
+  // Malformed --loop/--node numbers are usage errors, in both the = and
+  // the space-separated form, never a silent loop or node 0 (or a
+  // wrapped -1).
+  const std::string Cell = " --problem may-reach --cell 'B[i]'";
+  for (const char *Flag : {"--loop=abc", "--loop=0abc", "--loop=-1",
+                           "--loop 1x", "--node=abc", "--node=",
+                           "--node=1x", "--node 2x"}) {
+    std::string Out;
+    EXPECT_EQ(runCapture(Explain + " " + Example + Cell + " " + Flag, Out),
+              2)
+        << Flag;
+    EXPECT_NE(Out.find("needs a non-negative integer"), std::string::npos)
+        << Flag << ": " << Out;
+  }
+  EXPECT_EQ(run(Explain + " " + Example + Cell + " --loop 0 --node 2"), 0);
+}
+
+TEST(CliRobustnessTest, ExplainCountsLoopsInSourceOrder) {
+  // Two sibling nests: --loop=1 is the inner loop of the first nest
+  // (b), not the second nest (c). Only b tracks B[b].
+  std::string File = testing::TempDir() + "sibling_nests.arf";
+  std::ofstream(File) << "do a = 1, 4 {\n"
+                         "  do b = 1, 4 { B[b] = B[b - 1] + 1; }\n"
+                         "}\n"
+                         "do c = 1, 4 {\n"
+                         "  do d = 1, 4 { D[d] = D[d - 1] + 1; }\n"
+                         "}\n";
+  std::string Out;
+  EXPECT_EQ(runCapture(Explain + " " + File +
+                           " --problem may-reach --loop=1 --cell 'B[b]'",
+                       Out),
+            0)
+      << Out;
+  EXPECT_EQ(runCapture(Explain + " " + File +
+                           " --problem may-reach --loop=3 --cell 'D[d]'",
+                       Out),
+            0)
+      << Out;
+  std::remove(File.c_str());
 }
 
 TEST(CliRobustnessTest, ExplainUnknownCellListsCandidates) {
@@ -255,6 +295,15 @@ TEST(CliRobustnessTest, ServeUsageErrorsExitTwo) {
        {"--max-request-bytes=abc", "--budget-slack=-1", "--deadline-ms=abc",
         "--budget-visits=abc", "--workers=3abc"})
     EXPECT_EQ(run(Serve + " " + Flag + " </dev/null"), 2) << Flag;
+  // Millisecond limits whose nanosecond watchdog threshold (deadline +
+  // grace) overflows uint64_t would wrap to a tiny deadline.
+  for (const char *Flags :
+       {"--deadline-ms=18446744073710",
+        "--deadline-ms=1000 --grace-ms=18446744072710"})
+    EXPECT_EQ(run(Serve + " " + Flags + " </dev/null"), 2) << Flags;
+  EXPECT_EQ(run(Serve + " --deadline-ms=1000 --grace-ms=18446744072709"
+                        " </dev/null"),
+            0);
 }
 
 TEST(CliRobustnessTest, ServeStdioRenderMatchesLintJson) {

@@ -31,8 +31,8 @@
 #include "support/BuildInfo.h"
 #include "support/FileIO.h"
 
-#include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -42,12 +42,12 @@ namespace {
 
 struct CliOptions {
   std::string File;
-  /// Index into the program's supported loops, in nest pre-order.
+  /// Index into the program's supported loops, in source order.
   unsigned LoopIndex = 0;
   std::string Problem;
   std::string Cell;
-  /// Flow node to query; -1 = the problem's exit-node default.
-  int Node = -1;
+  /// Flow node to query; unset = the problem's exit-node default.
+  std::optional<unsigned> Node;
   /// Query the OUT side instead of IN.
   bool OutSide = false;
   /// Also emit the derivation DAG as compact JSON after the tree.
@@ -76,8 +76,8 @@ int usage(std::ostream &OS, int Code) {
         "  --cell=REF       the tracked reference, as rendered in\n"
         "                   diagnostics (e.g. 'A[i-1]'); when ambiguous\n"
         "                   or omitted the candidates are listed\n"
-        "  --loop=N         Nth analyzable loop in nest pre-order\n"
-        "                   (default 0)\n"
+        "  --loop=N         Nth analyzable loop, counted in source\n"
+        "                   order (default 0)\n"
         "  --node=K         flow node to query (default: the loop exit)\n"
         "  --out            query the OUT side of the node (default IN)\n"
         "  --json           also print the derivation DAG as JSON\n"
@@ -122,9 +122,14 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts, std::string &Err) {
     Out = Arg.substr(Prefix.size());
     return true;
   };
-  std::string V;
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
+    // Space-separated form: --cell 'A[i-1]' reads as --cell='A[i-1]'.
+    if ((Arg == "--problem" || Arg == "--cell" || Arg == "--loop" ||
+         Arg == "--node" || Arg == "--engine") &&
+        I + 1 < Argc)
+      Arg += "=" + std::string(Argv[++I]);
+    unsigned Node = 0;
     if (Arg == "--help" || Arg == "-h") {
       Err = "help";
       return false;
@@ -134,41 +139,19 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts, std::string &Err) {
     } else if (Value(Arg, "--problem", Opts.Problem) ||
                Value(Arg, "--cell", Opts.Cell)) {
       // stored by Value
-    } else if (Value(Arg, "--loop", V)) {
-      Opts.LoopIndex = static_cast<unsigned>(std::strtoul(V.c_str(),
-                                                          nullptr, 10));
-    } else if (Value(Arg, "--node", V)) {
-      Opts.Node = std::atoi(V.c_str());
-      if (Opts.Node < 0) {
-        Err = "--node needs a non-negative integer";
+    } else if (cli::countFlag(Arg, "--node", Node, Err)) {
+      if (!Err.empty())
         return false;
-      }
+      Opts.Node = Node;
     } else if (Arg == "--out") {
       Opts.OutSide = true;
     } else if (Arg == "--json") {
       Opts.Json = true;
-    } else if (cli::engineFlag(Arg, Opts.Engine, Err) ||
+    } else if (cli::countFlag(Arg, "--loop", Opts.LoopIndex, Err) ||
+               cli::engineFlag(Arg, Opts.Engine, Err) ||
                cli::maxInputBytesFlag(Arg, Opts.MaxInputBytes, Err)) {
       if (!Err.empty())
         return false;
-    } else if ((Arg == "--problem" || Arg == "--cell" || Arg == "--loop" ||
-                Arg == "--node" || Arg == "--engine") &&
-               I + 1 < Argc) {
-      // Space-separated form: --cell 'A[i-1]'.
-      std::string Next = Argv[++I];
-      if (Arg == "--problem")
-        Opts.Problem = Next;
-      else if (Arg == "--cell")
-        Opts.Cell = Next;
-      else if (Arg == "--loop")
-        Opts.LoopIndex =
-            static_cast<unsigned>(std::strtoul(Next.c_str(), nullptr, 10));
-      else if (Arg == "--node")
-        Opts.Node = std::atoi(Next.c_str());
-      else if (!parseEngineName(Next, Opts.Engine)) {
-        Err = "unknown engine '" + Next + "'";
-        return false;
-      }
     } else if (!Arg.empty() && Arg[0] == '-') {
       Err = "unknown option '" + Arg + "'";
       return false;
@@ -297,8 +280,7 @@ int main(int Argc, char **Argv) {
       return 2;
     }
 
-    unsigned Node = Opts.Node >= 0 ? static_cast<unsigned>(Opts.Node)
-                                   : Prov.ExitNode;
+    unsigned Node = Opts.Node.value_or(Prov.ExitNode);
     if (Node >= Prov.NumNodes) {
       std::cerr << "ardf-explain: error: --node " << Node
                 << " out of range; the flow graph has " << Prov.NumNodes

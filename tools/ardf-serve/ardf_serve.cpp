@@ -31,6 +31,7 @@
 #include <chrono>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -142,6 +143,13 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts, std::string &Err) {
   }
   if (!Opts.SocketPath.empty() && !Opts.ConnectPath.empty()) {
     Err = "--socket and --connect are mutually exclusive";
+    return false;
+  }
+  // The watchdog waits deadline + grace, counted in nanoseconds.
+  const uint64_t MaxMs = std::numeric_limits<uint64_t>::max() / 1000000ull;
+  if (Opts.Serve.RequestDeadlineMs > MaxMs ||
+      Opts.Serve.WatchdogGraceMs > MaxMs - Opts.Serve.RequestDeadlineMs) {
+    Err = "--deadline-ms plus --grace-ms is out of range";
     return false;
   }
   return true;
