@@ -93,6 +93,13 @@ struct NestLoop {
   bool isSupported() const { return Analyzed != nullptr; }
   bool isWhile() const { return isa<WhileStmt>(Source); }
 
+  /// Supported, with the source as analyzed form: a normalized `do` loop
+  /// whose nested loops needed no reduction. The Section 4 transforms
+  /// rewrite only such loops, analyzing the program's own statements.
+  bool analyzedAsWritten() const {
+    return Analyzed && Analyzed->equals(*Source);
+  }
+
   /// The induction variable of the reduced form ("" when unsupported).
   const std::string &iv() const;
 
@@ -124,7 +131,7 @@ public:
 
   const Program &program() const { return *Prog; }
 
-  /// Top-level loops in source order.
+  /// Depth-0 loops in source order, loops inside a top-level `if` included.
   const std::vector<NestLoop *> &roots() const { return Roots; }
 
   /// All loops in source pre-order (each loop before its children and

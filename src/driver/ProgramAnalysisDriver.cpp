@@ -68,8 +68,7 @@ void ProgramAnalysisDriver::analyzeLoop(AnalyzedLoop &R) const {
   };
   try {
     failpoint::evaluate("driver.loop");
-    if (!R.Session)
-      R.Session = std::make_unique<LoopAnalysisSession>(*Prog, *R.Loop);
+    R.Session = std::make_unique<LoopAnalysisSession>(*Prog, *R.Loop);
   } catch (const std::exception &E) {
     Fail("session", E.what());
     return;
@@ -234,18 +233,6 @@ DriverRerun ProgramAnalysisDriver::rerun(const Program &NewProgram) {
   }
   analyzeAll(Pending);
   return Out;
-}
-
-LoopAnalysisSession *ProgramAnalysisDriver::sessionFor(const DoLoopStmt &Loop) {
-  for (AnalyzedLoop &R : Loops)
-    if (R.Loop == &Loop || R.Source == &Loop) {
-      if (!R.Loop)
-        return nullptr; // unsupported loop: no session exists
-      if (!R.Session)
-        R.Session = std::make_unique<LoopAnalysisSession>(*Prog, *R.Loop);
-      return R.Session.get();
-    }
-  return nullptr;
 }
 
 unsigned ProgramAnalysisDriver::totalNodeVisits() const {

@@ -105,7 +105,7 @@ struct AnalyzedLoop {
   /// Why the loop was not analyzable; empty for supported loops.
   std::string UnsupportedReason;
 
-  /// The loop's session; null until run() (or sessionFor) reaches it.
+  /// The loop's session; null until run() reaches it.
   std::unique_ptr<LoopAnalysisSession> Session;
 
   /// Node visits summed over this loop's solves.
@@ -187,12 +187,6 @@ public:
 
   /// Per-loop records in analysis order (innermost before parents).
   const std::vector<AnalyzedLoop> &loops() const { return Loops; }
-
-  /// The session of \p Loop -- matched against either the source
-  /// statement or its reduced form -- built on demand if run() has not
-  /// reached it yet; null if \p Loop is not a (supported) loop of the
-  /// program.
-  LoopAnalysisSession *sessionFor(const DoLoopStmt &Loop);
 
   /// Node visits summed over all analyzed loops (the whole-program cost
   /// metric of the paper).

@@ -193,17 +193,21 @@ const std::vector<CheckInfo> &ardf::allChecks() {
       {checkid::RedundantLoad, "warning",
        "A use re-reads a value the loop already produced; the "
        "delta-available-values framework instance proves the reuse at a "
-       "constant iteration distance."},
+       "constant iteration distance.",
+       true},
       {checkid::DeadStore, "warning",
        "A store is overwritten before any read; the delta-busy-stores "
        "framework instance proves the overwrite at a constant iteration "
-       "distance."},
+       "distance.",
+       true},
       {checkid::LoopCarriedReuse, "note",
        "A must-reaching definition feeds a use a constant number of "
-       "iterations later; a register pipelining candidate."},
+       "iterations later; a register pipelining candidate.",
+       true},
       {checkid::CrossIterationConflict, "note",
        "A may-reaching reference pair carries a dependence across "
-       "iterations, constraining parallel execution."},
+       "iterations, constraining parallel execution.",
+       true},
       {checkid::Precondition, "warning",
        "The program violates or weakens an analysis precondition of the "
        "array reference data flow framework."},
@@ -221,6 +225,24 @@ const std::vector<CheckInfo> &ardf::allChecks() {
        "solution; internal consistency failure in ardf itself."},
   };
   return Checks;
+}
+
+bool ardf::isExplainableCheck(std::string_view Id) {
+  for (const CheckInfo &C : allChecks())
+    if (C.Explainable && Id == C.Id)
+      return true;
+  return false;
+}
+
+const std::string &ardf::explainableCheckList() {
+  static const std::string List = [] {
+    std::string L;
+    for (const CheckInfo &C : allChecks())
+      if (C.Explainable)
+        L.append(L.empty() ? "" : ", ").append(C.Id);
+    return L;
+  }();
+  return List;
 }
 
 void ardf::renderSarif(std::ostream &OS,

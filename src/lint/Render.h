@@ -28,6 +28,7 @@
 #include <iosfwd>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ardf {
@@ -81,10 +82,21 @@ struct CheckInfo {
   const char *Severity;
 
   const char *Description;
+
+  /// Findings carry the evidence --explain derives.
+  bool Explainable = false;
 };
 
 /// Every check id ardf-lint can emit, in presentation order.
 const std::vector<CheckInfo> &allChecks();
+
+/// True when \p Id names an explainable check: the one authority for
+/// --explain=CHECK-ID and serve's "explain_check" (any other id is an
+/// error, not a run that explains nothing).
+bool isExplainableCheck(std::string_view Id);
+
+/// The ids isExplainableCheck accepts, comma-separated.
+const std::string &explainableCheckList();
 
 } // namespace ardf
 

@@ -2,6 +2,8 @@
 
 #include "serve/Protocol.h"
 
+#include "lint/Render.h"
+
 #include <limits>
 
 using namespace ardf;
@@ -151,6 +153,11 @@ ParsedRequest serve::parseRequest(const std::string &Line,
   if (!EngineName.empty() && !parseEngineName(EngineName, R.Engine)) {
     P.Error = "unknown engine '" + EngineName + "' (expected one of: " +
               engineNameList() + ")";
+    return P;
+  }
+  if (!R.ExplainCheck.empty() && !isExplainableCheck(R.ExplainCheck)) {
+    P.Error = "unknown explain_check '" + R.ExplainCheck +
+              "' (expected one of: " + explainableCheckList() + ")";
     return P;
   }
   if (const json::Value *B = J.V.find("budget")) {

@@ -19,7 +19,7 @@
 ///                 "source"?: string,     // .arf program text
 ///                 "engine"?: string,     // reference|packed (server's)
 ///                 "cross_check"?: bool, "nested"?: bool,
-///                 "explain_check"?: string,
+///                 "explain_check"?: string, // an explainable check id
 ///                 "budget"?: { "visits"?: int, "slack"?: number,
 ///                              "deadline_ms"?: int, "cells"?: int } }
 ///   response := { "id": any, "ok": true,  "result": object }

@@ -3,7 +3,7 @@
 #include "transform/LoadElimination.h"
 
 #include "analysis/LoopAnalysisSession.h"
-#include "driver/ProgramAnalysisDriver.h"
+#include "analysis/LoopNest.h"
 #include "ir/IRBuilder.h"
 #include "ir/PrettyPrinter.h"
 #include "transform/Rewrite.h"
@@ -26,9 +26,8 @@ void appendTo(std::map<const Stmt *, StmtList> &Map, const Stmt *Key,
   Map[Key].push_back(std::move(S));
 }
 
-/// Plans scalar replacement for one (normalized) loop. The session may
-/// be shared with other clients; the per-occurrence available-values
-/// solution is memoized in it.
+/// Plans scalar replacement for one loop the nest analyzes as written,
+/// so the session's occurrences are the program's own expressions.
 void planLoop(LoopAnalysisSession &Session, const LoadElimOptions &Opts,
               RewritePlan &Plan, LoadElimResult &Result) {
   const DoLoopStmt &Loop = Session.loop();
@@ -168,26 +167,12 @@ LoadElimResult ardf::eliminateRedundantLoads(const Program &P,
                                              const LoadElimOptions &Opts) {
   LoadElimResult Result;
   RewritePlan Plan;
-  for (const StmtPtr &S : P.getStmts())
-    if (const auto *Loop = dyn_cast<DoLoopStmt>(S.get()))
-      if (Loop->isNormalized()) {
-        LoopAnalysisSession Session(P, *Loop);
-        planLoop(Session, Opts, Plan, Result);
-      }
-  Result.Transformed = rewriteProgram(P, Plan);
-  return Result;
-}
-
-LoadElimResult ardf::eliminateRedundantLoads(ProgramAnalysisDriver &Driver,
-                                             const LoadElimOptions &Opts) {
-  const Program &P = Driver.program();
-  LoadElimResult Result;
-  RewritePlan Plan;
-  for (const StmtPtr &S : P.getStmts())
-    if (const auto *Loop = dyn_cast<DoLoopStmt>(S.get()))
-      if (Loop->isNormalized())
-        if (LoopAnalysisSession *Session = Driver.sessionFor(*Loop))
-          planLoop(*Session, Opts, Plan, Result);
+  LoopNestTree Nest(P);
+  for (const NestLoop *Root : Nest.roots())
+    if (Root->analyzedAsWritten()) {
+      LoopAnalysisSession Session(P, *cast<DoLoopStmt>(Root->Source));
+      planLoop(Session, Opts, Plan, Result);
+    }
   Result.Transformed = rewriteProgram(P, Plan);
   return Result;
 }

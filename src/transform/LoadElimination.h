@@ -33,8 +33,6 @@
 
 namespace ardf {
 
-class ProgramAnalysisDriver;
-
 /// Configuration for redundant load elimination.
 struct LoadElimOptions {
   /// Largest reuse distance converted into temporaries (pipeline depth
@@ -56,14 +54,9 @@ struct LoadElimResult {
   std::vector<std::string> Notes;
 };
 
-/// Applies scalar replacement to every top-level loop of \p P.
+/// Applies scalar replacement to every outermost loop that \p P's
+/// loop-nesting tree analyzes as written (LoopNest.h); others are kept.
 LoadElimResult eliminateRedundantLoads(const Program &P,
-                                       const LoadElimOptions &Opts = {});
-
-/// Batched form: analyses run through \p Driver's per-loop sessions, so
-/// the flow graphs and reference universes are shared with every other
-/// client of the driver (and with its own run(), if already performed).
-LoadElimResult eliminateRedundantLoads(ProgramAnalysisDriver &Driver,
                                        const LoadElimOptions &Opts = {});
 
 } // namespace ardf

@@ -2,6 +2,7 @@
 
 #include "transform/LoopUnroll.h"
 
+#include "analysis/LoopNest.h"
 #include "ir/IRBuilder.h"
 #include "lattice/Distance.h"
 #include "transform/Rewrite.h"
@@ -39,9 +40,10 @@ std::optional<StmtList> ardf::unrollLoop(const DoLoopStmt &Loop,
 
 Program ardf::unrollProgram(const Program &P, unsigned Factor) {
   RewritePlan Plan;
-  for (const StmtPtr &S : P.getStmts()) {
-    const auto *Loop = dyn_cast<DoLoopStmt>(S.get());
-    if (!Loop)
+  LoopNestTree Nest(P);
+  for (const NestLoop *Root : Nest.roots()) {
+    const auto *Loop = dyn_cast<DoLoopStmt>(Root->Source);
+    if (!Loop || !Root->isSupported())
       continue;
     std::optional<StmtList> Unrolled = unrollLoop(*Loop, Factor);
     if (!Unrolled)

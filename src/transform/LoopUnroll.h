@@ -28,8 +28,8 @@ namespace ardf {
 /// the trip count is not divisible by Factor.
 std::optional<StmtList> unrollLoop(const DoLoopStmt &Loop, unsigned Factor);
 
-/// Unrolls every top-level loop of \p P by \p Factor (loops that cannot
-/// be unrolled are kept). Returns the transformed program.
+/// Unrolls by \p Factor every outermost `do` loop that \p P's
+/// loop-nesting tree supports and unrollLoop accepts; others are kept.
 Program unrollProgram(const Program &P, unsigned Factor);
 
 } // namespace ardf

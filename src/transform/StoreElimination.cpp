@@ -3,7 +3,7 @@
 #include "transform/StoreElimination.h"
 
 #include "analysis/LoopAnalysisSession.h"
-#include "driver/ProgramAnalysisDriver.h"
+#include "analysis/LoopNest.h"
 #include "ir/IRBuilder.h"
 #include "ir/PrettyPrinter.h"
 #include "transform/Rewrite.h"
@@ -110,25 +110,12 @@ int64_t planLoop(LoopAnalysisSession &Session, RewritePlan &Plan,
 StoreElimResult ardf::eliminateRedundantStores(const Program &P) {
   StoreElimResult Result;
   RewritePlan Plan;
-  for (const StmtPtr &S : P.getStmts())
-    if (const auto *Loop = dyn_cast<DoLoopStmt>(S.get()))
-      if (Loop->isNormalized()) {
-        LoopAnalysisSession Session(P, *Loop);
-        planLoop(Session, Plan, Result);
-      }
-  Result.Transformed = rewriteProgram(P, Plan);
-  return Result;
-}
-
-StoreElimResult ardf::eliminateRedundantStores(ProgramAnalysisDriver &Driver) {
-  const Program &P = Driver.program();
-  StoreElimResult Result;
-  RewritePlan Plan;
-  for (const StmtPtr &S : P.getStmts())
-    if (const auto *Loop = dyn_cast<DoLoopStmt>(S.get()))
-      if (Loop->isNormalized())
-        if (LoopAnalysisSession *Session = Driver.sessionFor(*Loop))
-          planLoop(*Session, Plan, Result);
+  LoopNestTree Nest(P);
+  for (const NestLoop *Root : Nest.roots())
+    if (Root->analyzedAsWritten()) {
+      LoopAnalysisSession Session(P, *cast<DoLoopStmt>(Root->Source));
+      planLoop(Session, Plan, Result);
+    }
   Result.Transformed = rewriteProgram(P, Plan);
   return Result;
 }

@@ -23,8 +23,6 @@
 
 namespace ardf {
 
-class ProgramAnalysisDriver;
-
 /// Result of redundant store elimination.
 struct StoreElimResult {
   Program Transformed;
@@ -40,15 +38,10 @@ struct StoreElimResult {
   std::vector<std::string> Notes;
 };
 
-/// Applies redundant store elimination to every top-level loop of \p P.
-/// Loops must be normalized; loops whose trip count is too small to
-/// unpeel are left unchanged.
+/// Applies redundant store elimination to every outermost loop that
+/// \p P's loop-nesting tree analyzes as written (LoopNest.h); others, and
+/// loops whose trip count is too small to unpeel, are left unchanged.
 StoreElimResult eliminateRedundantStores(const Program &P);
-
-/// Batched form: analyses run through \p Driver's per-loop sessions, so
-/// the flow graphs and reference universes are shared with every other
-/// client of the driver (and with its own run(), if already performed).
-StoreElimResult eliminateRedundantStores(ProgramAnalysisDriver &Driver);
 
 } // namespace ardf
 

@@ -3,6 +3,7 @@
 #include "unroll/StmtDepGraph.h"
 
 #include "analysis/LoopDataFlow.h"
+#include "analysis/LoopNest.h"
 
 #include <algorithm>
 #include <map>
@@ -48,13 +49,10 @@ void scalarDefsUses(const Stmt &S, const std::string &IV,
 
 std::optional<StmtDepGraph> ardf::buildStmtDepGraph(const Program &P,
                                                     const DoLoopStmt &Loop) {
-  // Innermost loops only.
-  bool HasInner = false;
-  forEachStmt(Loop.getBody(), [&](const Stmt &S) {
-    if (isa<DoLoopStmt>(&S))
-      HasInner = true;
-  });
-  if (HasInner)
+  // Innermost loops the nest analyzes as written only.
+  LoopNestTree Nest(P);
+  const NestLoop *Node = Nest.nodeFor(Loop);
+  if (!Node || !Node->analyzedAsWritten() || !Node->Children.empty())
     return std::nullopt;
 
   StmtDepGraph G;

@@ -26,7 +26,7 @@ namespace ardf {
 /// Dependence DAG over the assignment statements of one loop body.
 struct StmtDepGraph {
   /// The assignment statements, in body order (conditional assignments
-  /// included; nested loops disqualify the body).
+  /// included).
   std::vector<const Stmt *> Stmts;
 
   /// A dependence edge From -> To carried over Distance iterations
@@ -42,9 +42,9 @@ struct StmtDepGraph {
   bool hasCarriedDistance(int64_t Distance) const;
 };
 
-/// Builds the dependence graph for \p Loop. Returns nullopt when the
-/// body contains nested loops (the unrolling strategy targets innermost
-/// loops).
+/// Builds the dependence graph for \p Loop, a loop of \p P. Returns
+/// nullopt unless \p P's loop-nesting tree analyzes \p Loop as written
+/// and it is innermost (the unrolling strategy's targets).
 std::optional<StmtDepGraph> buildStmtDepGraph(const Program &P,
                                               const DoLoopStmt &Loop);
 

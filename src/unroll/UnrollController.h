@@ -71,8 +71,8 @@ struct UnrollControlOptions {
 };
 
 /// Runs the controlled unrolling policy for \p Loop. Returns a plan
-/// with ChosenFactor == 1 when the body has nested loops or no
-/// statements.
+/// with ChosenFactor == 1 when buildStmtDepGraph rejects the loop or the
+/// body has no statements.
 UnrollPlan controlUnrolling(const Program &P, const DoLoopStmt &Loop,
                             const UnrollControlOptions &Opts = {});
 

@@ -229,32 +229,6 @@ TEST(DriverTest, MoreThreadsThanLoops) {
   EXPECT_GT(Driver.totalNodeVisits(), 0u);
 }
 
-TEST(DriverTest, SessionForBuildsLazilyBeforeRun) {
-  Program P = parseOrDie(NestedSource);
-  ProgramAnalysisDriver Driver(P);
-  const DoLoopStmt *TopLevel = Driver.loops()[1].Loop;
-
-  LoopAnalysisSession *Session = Driver.sessionFor(*TopLevel);
-  ASSERT_NE(Session, nullptr);
-  EXPECT_EQ(Session->solvesPerformed(), 0u);
-  EXPECT_EQ(&Session->loop(), TopLevel);
-
-  // The driver hands back the same session afterwards, and run() reuses
-  // it rather than rebuilding.
-  Session->solve(ProblemSpec::availableValues());
-  EXPECT_EQ(Driver.sessionFor(*TopLevel), Session);
-  Driver.run();
-  EXPECT_EQ(Driver.sessionFor(*TopLevel), Session);
-  EXPECT_EQ(Session->solvesPerformed(), paperProblems().size());
-}
-
-TEST(DriverTest, SessionForUnknownLoopIsNull) {
-  Program P = parseOrDie(NestedSource);
-  Program Other = parseOrDie("do m = 1, 10 { A[m] = m; }");
-  ProgramAnalysisDriver Driver(P);
-  EXPECT_EQ(Driver.sessionFor(*Other.getFirstLoop()), nullptr);
-}
-
 TEST(DriverTest, CustomProblemListAndOptions) {
   Program P = parseOrDie(multiLoopSource(3));
   DriverOptions Opts;
@@ -320,9 +294,15 @@ TEST(DriverTest, SingleProblemResultPerLoop) {
   Driver.run();
   const DoLoopStmt *Outer = P.getFirstLoop();
   const auto *Inner = cast<DoLoopStmt>(Outer->getBody()[0].get());
+  auto SessionOf = [&](const Stmt *Source) -> LoopAnalysisSession * {
+    for (const AnalyzedLoop &R : Driver.loops())
+      if (R.Source == Source)
+        return R.Session.get();
+    return nullptr;
+  };
 
-  LoopAnalysisSession *InnerS = Driver.sessionFor(*Inner);
-  LoopAnalysisSession *OuterS = Driver.sessionFor(*Outer);
+  LoopAnalysisSession *InnerS = SessionOf(Inner);
+  LoopAnalysisSession *OuterS = SessionOf(Outer);
   ASSERT_NE(InnerS, nullptr);
   ASSERT_NE(OuterS, nullptr);
   // The inner result tracks A, the outer tracks B (and sees the inner

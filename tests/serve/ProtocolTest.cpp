@@ -163,4 +163,20 @@ TEST(ProtocolTest, NamesAreClosedSets) {
   EXPECT_STREQ(errorCodeName(ErrorCode::Deadline), "deadline");
   EXPECT_STREQ(errorCodeName(ErrorCode::Internal), "internal");
   EXPECT_STREQ(errorCodeName(ErrorCode::ShuttingDown), "shutting-down");
+
+  // explain_check names an explainable lint check or nothing at all.
+  auto Explain = [](const std::string &Check) {
+    return parseRequest("{\"method\":\"explain\",\"source\":\"\","
+                        "\"explain_check\":\"" +
+                        Check + "\"}");
+  };
+  ParsedRequest Bogus = Explain("bogus");
+  EXPECT_FALSE(Bogus.Ok);
+  EXPECT_NE(Bogus.Error.find("unknown explain_check 'bogus'"),
+            std::string::npos)
+      << Bogus.Error;
+  EXPECT_FALSE(Explain("precondition").Ok);
+  for (const char *Check : {"redundant-load", "dead-store",
+                            "loop-carried-reuse", "cross-iteration-conflict"})
+    EXPECT_TRUE(Explain(Check).Ok) << Check;
 }

@@ -84,6 +84,18 @@ TEST(CliRobustnessTest, UsageErrorsExitTwo) {
   EXPECT_EQ(run(Lint), 2);                       // no inputs
   EXPECT_EQ(run(Lint + " --no-such-option x"), 2);
   EXPECT_EQ(run(Stats + " --budget-visits=0 " + Example), 2);
+  // --explain=CHECK-ID takes only a check whose findings carry evidence;
+  // any other id would run and explain nothing.
+  std::string Out;
+  EXPECT_EQ(runCapture(Lint + " --explain=bogus " + Example, Out), 2);
+  EXPECT_NE(Out.find("unknown check 'bogus' for --explain (expected one of: "
+                     "redundant-load, dead-store, loop-carried-reuse, "
+                     "cross-iteration-conflict)"),
+            std::string::npos)
+      << Out;
+  EXPECT_EQ(run(Lint + " --explain=precondition " + Example), 2);
+  EXPECT_EQ(run(Lint + " --explain= " + Example), 2);
+  EXPECT_EQ(run(Lint + " --quiet --explain=dead-store " + Example), 0);
 }
 
 TEST(CliRobustnessTest, EngineNamesAreValidated) {

@@ -84,7 +84,8 @@ int usage(std::ostream &OS, int Code) {
         "                             finding's backing solution cell: a\n"
         "                             because-trail in text output, the\n"
         "                             derivation DAG in JSON, SARIF\n"
-        "                             codeFlows. With =CHECK-ID only that\n"
+        "                             codeFlows. With =CHECK-ID, one of\n"
+        "                             the four checks above, only that\n"
         "                             check's findings are explained\n"
         "  --strict                   fail (exit 1) when any check was\n"
         "                             degraded by a budget or fault\n"
@@ -140,8 +141,10 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts, std::string &Err) {
     } else if (Arg.rfind("--explain=", 0) == 0) {
       Opts.Lint.Explain = true;
       Opts.Lint.ExplainCheck = Arg.substr(strlen("--explain="));
-      if (Opts.Lint.ExplainCheck.empty()) {
-        Err = "--explain= needs a check id";
+      if (!isExplainableCheck(Opts.Lint.ExplainCheck)) {
+        Err = "unknown check '" + Opts.Lint.ExplainCheck +
+              "' for --explain (expected one of: " + explainableCheckList() +
+              ")";
         return false;
       }
     } else if (Arg == "--quiet") {
