@@ -2,6 +2,7 @@
 
 #include "analysis/LoopAnalysisSession.h"
 
+#include "ir/PrettyPrinter.h"
 #include "support/FailPoint.h"
 #include "telemetry/Telemetry.h"
 
@@ -105,6 +106,15 @@ LoopAnalysisSession::reusePairs(const ProblemSpec &Spec,
                                 RefSelector SinkSel,
                                 const SolverOptions &Opts) {
   return collectReusePairs(instance(Spec), solve(Spec, Opts), SinkSel);
+}
+
+const std::string &LoopAnalysisSession::occurrenceText(unsigned OccId) {
+  if (OccurrenceTexts.empty())
+    OccurrenceTexts.resize(Universe->size());
+  std::string &Text = OccurrenceTexts[OccId];
+  if (Text.empty())
+    appendExpr(Text, *Universe->occurrence(OccId).Ref);
+  return Text;
 }
 
 std::vector<ReusePair> ardf::collectReusePairs(const FrameworkInstance &FW,

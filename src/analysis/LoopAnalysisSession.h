@@ -35,6 +35,7 @@
 #include "dataflow/Framework.h"
 
 #include <memory>
+#include <string>
 #include <vector>
 
 namespace ardf {
@@ -124,6 +125,10 @@ public:
                                     const SolverOptions &Opts =
                                         SolverOptions());
 
+  /// Source text of occurrence \p OccId's array reference ("A[i + 1]"),
+  /// printed on first request and memoized for the session's lifetime.
+  const std::string &occurrenceText(unsigned OccId);
+
   /// Distinct framework instances built so far.
   unsigned instancesBuilt() const { return Instances.size(); }
 
@@ -179,6 +184,9 @@ private:
   std::vector<std::unique_ptr<Solution>> Solutions;
   /// Per-cache hit/miss tallies (preserve pair lives in Cache).
   SessionCacheStats Stats;
+  /// occurrenceText memo, indexed by occurrence id; empty = not printed
+  /// yet (a reference never prints empty).
+  std::vector<std::string> OccurrenceTexts;
 };
 
 } // namespace ardf

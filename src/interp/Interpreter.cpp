@@ -2,6 +2,8 @@
 
 #include "interp/Interpreter.h"
 
+#include "support/WrapArith.h"
+
 #include <cassert>
 
 using namespace ardf;
@@ -74,7 +76,7 @@ int64_t Interpreter::evalExpr(const Expr &E) {
   case Expr::Kind::Unary: {
     const auto *UE = cast<UnaryExpr>(&E);
     int64_t V = evalExpr(*UE->getOperand());
-    return UE->getOp() == UnaryOpKind::Neg ? -V : !V;
+    return UE->getOp() == UnaryOpKind::Neg ? wrapSub(0, V) : !V;
   }
   case Expr::Kind::Binary: {
     const auto *BE = cast<BinaryExpr>(&E);
@@ -87,13 +89,13 @@ int64_t Interpreter::evalExpr(const Expr &E) {
     int64_t R = evalExpr(*BE->getRHS());
     switch (BE->getOp()) {
     case BinaryOpKind::Add:
-      return L + R;
+      return wrapAdd(L, R);
     case BinaryOpKind::Sub:
-      return L - R;
+      return wrapSub(L, R);
     case BinaryOpKind::Mul:
-      return L * R;
+      return wrapMul(L, R);
     case BinaryOpKind::Div:
-      return R == 0 ? 0 : L / R;
+      return wrapDiv(L, R);
     case BinaryOpKind::Eq:
       return L == R;
     case BinaryOpKind::Ne:

@@ -2,6 +2,8 @@
 
 #include "ir/PrettyPrinter.h"
 
+#include "support/StrAppend.h"
+
 #include <ostream>
 #include <sstream>
 
@@ -33,23 +35,23 @@ unsigned precedence(BinaryOpKind Op) {
   return 0;
 }
 
-void printExprPrec(std::ostream &OS, const Expr &E, unsigned ParentPrec) {
+void appendExprPrec(std::string &Out, const Expr &E, unsigned ParentPrec) {
   switch (E.getKind()) {
   case Expr::Kind::IntLit:
-    OS << cast<IntLit>(&E)->getValue();
+    strAppend(Out, cast<IntLit>(&E)->getValue());
     return;
   case Expr::Kind::VarRef:
-    OS << cast<VarRef>(&E)->getName();
+    Out += cast<VarRef>(&E)->getName();
     return;
   case Expr::Kind::ArrayRef: {
     const auto *AR = cast<ArrayRefExpr>(&E);
-    OS << AR->getName() << '[';
+    strAppend(Out, AR->getName(), '[');
     for (unsigned I = 0, N = AR->getNumSubscripts(); I != N; ++I) {
       if (I)
-        OS << ", ";
-      printExprPrec(OS, *AR->getSubscript(I), 0);
+        Out += ", ";
+      appendExprPrec(Out, *AR->getSubscript(I), 0);
     }
-    OS << ']';
+    Out += ']';
     return;
   }
   case Expr::Kind::Binary: {
@@ -57,20 +59,20 @@ void printExprPrec(std::ostream &OS, const Expr &E, unsigned ParentPrec) {
     unsigned Prec = precedence(BE->getOp());
     bool NeedParens = Prec < ParentPrec;
     if (NeedParens)
-      OS << '(';
-    printExprPrec(OS, *BE->getLHS(), Prec);
-    OS << ' ' << spelling(BE->getOp()) << ' ';
+      Out += '(';
+    appendExprPrec(Out, *BE->getLHS(), Prec);
+    strAppend(Out, ' ', spelling(BE->getOp()), ' ');
     // Right operand binds one tighter so that a - b - c prints with
     // explicit left association preserved.
-    printExprPrec(OS, *BE->getRHS(), Prec + 1);
+    appendExprPrec(Out, *BE->getRHS(), Prec + 1);
     if (NeedParens)
-      OS << ')';
+      Out += ')';
     return;
   }
   case Expr::Kind::Unary: {
     const auto *UE = cast<UnaryExpr>(&E);
-    OS << spelling(UE->getOp());
-    printExprPrec(OS, *UE->getOperand(), 6);
+    Out += spelling(UE->getOp());
+    appendExprPrec(Out, *UE->getOperand(), 6);
     return;
   }
   }
@@ -83,8 +85,12 @@ void indentBy(std::ostream &OS, unsigned Indent) {
 
 } // namespace
 
+void ardf::appendExpr(std::string &Out, const Expr &E) {
+  appendExprPrec(Out, E, 0);
+}
+
 void ardf::printExpr(std::ostream &OS, const Expr &E) {
-  printExprPrec(OS, E, 0);
+  OS << exprToString(E);
 }
 
 void ardf::printStmt(std::ostream &OS, const Stmt &S, unsigned Indent) {
@@ -165,9 +171,9 @@ void ardf::printProgram(std::ostream &OS, const Program &P) {
 }
 
 std::string ardf::exprToString(const Expr &E) {
-  std::ostringstream OS;
-  printExpr(OS, E);
-  return OS.str();
+  std::string Out;
+  appendExpr(Out, E);
+  return Out;
 }
 
 std::string ardf::stmtToString(const Stmt &S) {

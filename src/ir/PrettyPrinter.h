@@ -20,6 +20,10 @@
 
 namespace ardf {
 
+/// Appends \p E in surface syntax to \p Out (the one expression
+/// printer; printExpr and exprToString go through it).
+void appendExpr(std::string &Out, const Expr &E);
+
 /// Prints \p E in surface syntax.
 void printExpr(std::ostream &OS, const Expr &E);
 

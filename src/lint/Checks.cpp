@@ -4,7 +4,6 @@
 
 #include "analysis/Dependence.h"
 #include "analysis/LoopDataFlow.h"
-#include "ir/PrettyPrinter.h"
 
 #include <algorithm>
 #include <map>
@@ -90,21 +89,17 @@ private:
       PerLevel;
 };
 
-std::string iterations(int64_t N) {
-  return std::to_string(N) + (N == 1 ? " iteration" : " iterations");
-}
-
-/// Emits an analysis-degraded diagnostic for \p CheckName on the
+/// Emits an analysis-degraded diagnostic for \p Check on the
 /// session's loop.
 void emitDegraded(LoopAnalysisSession &Session, const LintCheckContext &Ctx,
-                  const char *CheckName, BreachReason Reason,
+                  const char *Check, BreachReason Reason,
                   std::vector<Diagnostic> &Out) {
   Diagnostic D;
   D.CheckId = checkid::AnalysisDegraded;
   D.Severity = DiagSeverity::Warning;
   D.File = Ctx.File;
   D.Loc = Session.loop().getLoc();
-  D.Message = std::string("analysis degraded: check '") + CheckName +
+  D.Message = std::string("analysis degraded: check '") + Check +
               "' skipped for the loop over '" + Session.loop().getIndVar() +
               "' (" + breachReasonName(Reason) +
               "); its backing solve returned the conservative answer";
@@ -118,13 +113,34 @@ void emitDegraded(LoopAnalysisSession &Session, const LintCheckContext &Ctx,
 /// result is degraded, reports that instead of deriving findings from
 /// the conservative fill. Returns true when the check must be skipped.
 bool gateDegraded(LoopAnalysisSession &Session, const LintCheckContext &Ctx,
-                  const ProblemSpec &Spec, const char *CheckName,
+                  const ProblemSpec &Spec, const char *Check,
                   std::vector<Diagnostic> &Out) {
   const SolveResult &R = Session.solve(Spec, Ctx.Solver);
   if (R.Outcome == SolveOutcome::Ok)
     return false;
-  emitDegraded(Session, Ctx, CheckName, R.Breach, Out);
+  emitDegraded(Session, Ctx, Check, R.Breach, Out);
   return true;
+}
+
+/// The compact record of one finding of \p Check: the sink occurrence
+/// anchors it, the source occurrence is the other end of the pair. Text
+/// is formatted from these fields only when read (lint/Diagnostic.h).
+Diagnostic finding(LoopAnalysisSession &Session, const LintCheckContext &Ctx,
+                   const char *Check, DiagSeverity Severity,
+                   unsigned SourceId, unsigned SinkId, int64_t Distance) {
+  const ReferenceUniverse &U = Session.universe();
+  Diagnostic D;
+  D.CheckId = Check;
+  D.Severity = Severity;
+  D.File = Ctx.File;
+  D.Loc = U.occurrence(SinkId).Ref->getLoc();
+  D.Distance = Distance;
+  D.SinkText = Session.occurrenceText(SinkId);
+  D.SourceText = Session.occurrenceText(SourceId);
+  D.SourcePos = U.occurrence(SourceId).Ref->getLoc();
+  D.EvidenceSourceId = SourceId;
+  D.EvidenceSinkId = SinkId;
+  return D;
 }
 
 /// Picks one reuse pair per sink: definitions are preferred as sources
@@ -178,37 +194,9 @@ void ardf::checkRedundantLoad(LoopAnalysisSession &Session,
   for (const ReusePair &Pair : bestPairPerSink(
            U, Session.reusePairs(ProblemSpec::availableValuesPerOccurrence(),
                                  RefSelector::Uses, Ctx.Solver))) {
-    const RefOccurrence &Sink = U.occurrence(Pair.SinkId);
-    const RefOccurrence &Source = U.occurrence(Pair.SourceId);
-    std::string SinkText = exprToString(*Sink.Ref);
-    std::string SourceText = exprToString(*Source.Ref);
-
-    Diagnostic D;
-    D.CheckId = checkid::RedundantLoad;
-    D.Severity = DiagSeverity::Warning;
-    D.File = Ctx.File;
-    D.Loc = Sink.Ref->getLoc();
-    D.Distance = Pair.Distance;
-    if (Pair.Distance == 0) {
-      D.Message = "redundant load: " + SinkText + " re-reads the value of " +
-                  SourceText + " from earlier in the same iteration";
-      D.FixHint = "reuse the scalar that already holds " + SourceText +
-                  " instead of reloading from memory";
-    } else {
-      D.Message = "redundant load: " + SinkText + " re-reads the value " +
-                  SourceText + " produced " + iterations(Pair.Distance) +
-                  " earlier";
-      D.FixHint = "keep the last " + std::to_string(Pair.Distance + 1) +
-                  " value(s) of " + SourceText +
-                  " in scalar temporaries (register pipeline of depth " +
-                  std::to_string(Pair.Distance) + ")";
-    }
-    D.Related.push_back(
-        RelatedLoc{Source.Ref->getLoc(), "value of " + SourceText +
-                                             " is generated here"});
-    D.EvidenceProblem = ProblemSpec::availableValuesPerOccurrence().Name;
-    D.EvidenceSourceId = Pair.SourceId;
-    D.EvidenceSinkId = Pair.SinkId;
+    Diagnostic D = finding(Session, Ctx, checkid::RedundantLoad,
+                           DiagSeverity::Warning, Pair.SourceId, Pair.SinkId,
+                           Pair.Distance);
     Levels.attach(D, Ctx, Pair);
     Out.push_back(std::move(D));
   }
@@ -226,33 +214,9 @@ void ardf::checkDeadStore(LoopAnalysisSession &Session,
   for (const ReusePair &Pair : bestPairPerSink(
            U, Session.reusePairs(ProblemSpec::busyStoresPerOccurrence(),
                                  RefSelector::Defs, Ctx.Solver))) {
-    const RefOccurrence &Sink = U.occurrence(Pair.SinkId);
-    const RefOccurrence &Source = U.occurrence(Pair.SourceId);
-    std::string SinkText = exprToString(*Sink.Ref);
-    std::string SourceText = exprToString(*Source.Ref);
-
-    Diagnostic D;
-    D.CheckId = checkid::DeadStore;
-    D.Severity = DiagSeverity::Warning;
-    D.File = Ctx.File;
-    D.Loc = Sink.Ref->getLoc();
-    D.Distance = Pair.Distance;
-    D.Message = "dead store: " + SinkText + " is overwritten by " +
-                SourceText + " " +
-                (Pair.Distance == 0 ? std::string("later in the same "
-                                                  "iteration")
-                                    : iterations(Pair.Distance) + " later") +
-                " without an intervening read";
-    D.FixHint = Pair.Distance == 0
-                    ? "remove the store; its value is never observed"
-                    : "remove the store from the loop and unpeel the final " +
-                          iterations(Pair.Distance) + " into an epilogue";
-    D.Related.push_back(RelatedLoc{Source.Ref->getLoc(),
-                                   SourceText + " overwrites the element "
-                                                "here"});
-    D.EvidenceProblem = ProblemSpec::busyStoresPerOccurrence().Name;
-    D.EvidenceSourceId = Pair.SourceId;
-    D.EvidenceSinkId = Pair.SinkId;
+    Diagnostic D = finding(Session, Ctx, checkid::DeadStore,
+                           DiagSeverity::Warning, Pair.SourceId, Pair.SinkId,
+                           Pair.Distance);
     Levels.attach(D, Ctx, Pair);
     Out.push_back(std::move(D));
   }
@@ -277,34 +241,9 @@ void ardf::checkLoopCarriedReuse(LoopAnalysisSession &Session,
                              }),
               Pairs.end());
   for (const ReusePair &Pair : bestPairPerSink(U, std::move(Pairs))) {
-    const RefOccurrence &Sink = U.occurrence(Pair.SinkId);
-    const RefOccurrence &Source = U.occurrence(Pair.SourceId);
-    std::string SinkText = exprToString(*Sink.Ref);
-    std::string SourceText = exprToString(*Source.Ref);
-    int64_t Registers = Pair.Distance + 1;
-
-    Diagnostic D;
-    D.CheckId = checkid::LoopCarriedReuse;
-    D.Severity = DiagSeverity::Note;
-    D.File = Ctx.File;
-    D.Loc = Sink.Ref->getLoc();
-    D.Distance = Pair.Distance;
-    D.Message = "loop-carried reuse: " + SinkText +
-                " always reads the value stored by " + SourceText + " " +
-                iterations(Pair.Distance) +
-                " earlier; register pipelining candidate (distance " +
-                std::to_string(Pair.Distance) + ", " +
-                std::to_string(Registers) + " register(s), saves one load "
-                                            "per iteration)";
-    D.FixHint = "carry the value in " + std::to_string(Registers) +
-                " rotating scalar register(s) to eliminate the load of " +
-                SinkText;
-    D.Related.push_back(RelatedLoc{Source.Ref->getLoc(),
-                                   "pipelined value is stored here by " +
-                                       SourceText});
-    D.EvidenceProblem = ProblemSpec::mustReachingDefs().Name;
-    D.EvidenceSourceId = Pair.SourceId;
-    D.EvidenceSinkId = Pair.SinkId;
+    Diagnostic D = finding(Session, Ctx, checkid::LoopCarriedReuse,
+                           DiagSeverity::Note, Pair.SourceId, Pair.SinkId,
+                           Pair.Distance);
     Levels.attach(D, Ctx, Pair);
     Out.push_back(std::move(D));
   }
@@ -326,30 +265,10 @@ void ardf::checkCrossIterationConflict(LoopAnalysisSession &Session,
     const RefOccurrence &To = U.occurrence(Dep.ToId);
     if (From.InSummary || To.InSummary)
       continue;
-    const char *Shape = Dep.Kind == DepKind::Output ? "write/write"
-                        : Dep.Kind == DepKind::Flow ? "write/read"
-                                                    : "read/write";
-    std::string FromText = exprToString(*From.Ref);
-    std::string ToText = exprToString(*To.Ref);
-
-    Diagnostic D;
-    D.CheckId = checkid::CrossIterationConflict;
-    D.Severity = DiagSeverity::Note;
-    D.File = Ctx.File;
-    D.Loc = To.Ref->getLoc();
-    D.Distance = Dep.Distance;
-    D.Message = std::string("cross-iteration ") + Shape + " conflict: " +
-                depKindName(Dep.Kind) + " dependence " + FromText + " -> " +
-                ToText + " at distance " + std::to_string(Dep.Distance) +
-                " blocks unordered parallel execution of iterations";
-    D.FixHint = "iterations closer than " + iterations(Dep.Distance) +
-                " apart are dependence-free; unroll or block by at most " +
-                std::to_string(Dep.Distance) + " for safe overlap";
-    D.Related.push_back(
-        RelatedLoc{From.Ref->getLoc(), FromText + " conflicts from here"});
-    D.EvidenceProblem = ProblemSpec::reachingReferences().Name;
-    D.EvidenceSourceId = Dep.FromId;
-    D.EvidenceSinkId = Dep.ToId;
+    Diagnostic D = finding(Session, Ctx, checkid::CrossIterationConflict,
+                           DiagSeverity::Note, Dep.FromId, Dep.ToId,
+                           Dep.Distance);
+    D.Kind = Dep.Kind;
     Levels.attach(D, Ctx, Dep);
     Out.push_back(std::move(D));
   }

@@ -7,20 +7,6 @@
 
 using namespace ardf;
 
-namespace {
-
-/// Resolves an explain key's problem name back to its spec. The checks
-/// only ever stamp the four lint problems, so a linear scan suffices.
-const ProblemSpec *findProblem(const std::vector<ProblemSpec> &Problems,
-                               const std::string &Name) {
-  for (const ProblemSpec &Spec : Problems)
-    if (Spec.Name == Name)
-      return &Spec;
-  return nullptr;
-}
-
-} // namespace
-
 unsigned ardf::attachRemarks(LoopAnalysisSession &Session,
                              const LintCheckContext &Ctx,
                              std::vector<Diagnostic> &Diags, size_t FirstIdx,
@@ -30,12 +16,15 @@ unsigned ardf::attachRemarks(LoopAnalysisSession &Session,
   unsigned Attached = 0;
   for (size_t I = FirstIdx; I < Diags.size(); ++I) {
     Diagnostic &D = Diags[I];
-    if (D.EvidenceProblem.empty())
+    // Findings are the explainable diagnostics; lintProblems() lists
+    // each check's backing problem in check order.
+    FindingCheck Check = findingCheck(D.CheckId);
+    if (Check == FindingCheck::None)
       continue;
     if (!Opts.CheckFilter.empty() && D.CheckId != Opts.CheckFilter)
       continue;
-    const ProblemSpec *Spec = findProblem(Problems, D.EvidenceProblem);
-    if (!Spec || D.EvidenceSinkId >= U.size())
+    const ProblemSpec &Spec = Problems[static_cast<size_t>(Check)];
+    if (D.EvidenceSinkId >= U.size())
       continue;
 
     // Reference re-solve with recording. RecordProvenance participates
@@ -44,7 +33,7 @@ unsigned ardf::attachRemarks(LoopAnalysisSession &Session,
     // diagnostic of the same problem.
     SolverOptions ProvOpts = Ctx.Solver;
     ProvOpts.RecordProvenance = true;
-    const SolveResult &Recorded = Session.solve(*Spec, ProvOpts);
+    const SolveResult &Recorded = Session.solve(Spec, ProvOpts);
     if (!Recorded.ok() || !Recorded.Provenance ||
         Recorded.Provenance->Degraded)
       continue; // degraded analysis: no explanation, no crash
@@ -53,7 +42,7 @@ unsigned ardf::attachRemarks(LoopAnalysisSession &Session,
     // The recording must derive exactly the solution the check read:
     // cross-check the re-solve bit-identical against the cached result
     // of the configured engine before interpreting it.
-    const SolveResult &Fast = Session.solve(*Spec, Ctx.Solver);
+    const SolveResult &Fast = Session.solve(Spec, Ctx.Solver);
     if (Fast.ok() &&
         !(Recorded.In == Fast.In && Recorded.Out == Fast.Out))
       continue; // engine divergence is checkEngineDivergence's report

@@ -7,9 +7,9 @@
 /// \file
 /// The remarks pass behind ardf-lint --explain: turns the provenance
 /// recording of dataflow/Provenance.h into structured analysis remarks
-/// attached to each Diagnostic. Every framework-backed check stamps an
-/// explain key (the backing problem plus the occurrence pair) onto its
-/// findings for free; when explain is requested, attachRemarks re-solves
+/// attached to each Diagnostic. Every finding carries an explain key for
+/// free: its check names the backing problem and its record holds the
+/// occurrence pair. When explain is requested, attachRemarks re-solves
 /// each referenced problem through the reference engine with provenance
 /// recording -- the packed engine stays untouched -- cross-checks the
 /// re-solve bit-identical against the cached configured-engine result,
@@ -40,7 +40,7 @@ struct RemarkOptions {
 };
 
 /// Attaches derivation evidence to the diagnostics in
-/// [\p FirstIdx, Diags.size()) that carry an explain key. Each backing
+/// [\p FirstIdx, Diags.size()) that are findings. Each backing
 /// problem is re-solved once through \p Session with the reference
 /// engine recording provenance (a distinct solution-cache entry, so the
 /// configured engine's cached result is undisturbed) and the re-solve is

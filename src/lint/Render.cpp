@@ -4,34 +4,103 @@
 
 #include "lint/Checks.h"
 #include "support/JsonEscape.h"
+#include "support/StrAppend.h"
 
 #include <algorithm>
 #include <ostream>
-#include <set>
-#include <sstream>
 
 using namespace ardf;
 
 namespace {
 
-/// "i/j" + {1, 0} -> "i=1, j=0"; a NoDistance level prints "?".
-std::string levelDistanceList(const Diagnostic &D) {
-  std::vector<std::string> Names;
-  std::string Segment;
-  std::istringstream Path(D.NestPath);
-  while (std::getline(Path, Segment, '/'))
-    Names.push_back(Segment);
-  std::string Out;
+/// A render call's output buffer: every renderer appends into it and
+/// hands it to the stream a chunk at a time.
+class OutBuf {
+public:
+  explicit OutBuf(std::ostream &OS) : OS(OS) {}
+  ~OutBuf() { flush(); }
+
+  std::string &text() { return Buf; }
+
+  /// Writes the buffer out once it holds a chunk (called between
+  /// diagnostics, so a chunk ends on a record boundary).
+  void endRecord() {
+    if (Buf.size() >= ChunkBytes)
+      flush();
+  }
+
+private:
+  static constexpr size_t ChunkBytes = size_t(1) << 16;
+
+  void flush() {
+    OS.write(Buf.data(), static_cast<std::streamsize>(Buf.size()));
+    Buf.clear();
+  }
+
+  std::ostream &OS;
+  std::string Buf;
+};
+
+/// "file:line:col: " -- "file:?: " at an unknown position -- the anchor
+/// of a text line.
+void appendAt(std::string &Out, const std::string &File, SourceLoc L) {
+  strAppend(Out, File, ':');
+  if (L.isValid())
+    strAppend(Out, L.Line, ':', L.Col);
+  else
+    Out += '?';
+  Out += ": ";
+}
+
+/// The source line under a diagnostic plus a caret at \p Col, both
+/// indented by \p Indent; nothing when the line is unknown or empty.
+void appendSnippet(std::string &Out, std::string_view Line, unsigned Col,
+                   size_t Indent) {
+  if (Line.empty())
+    return;
+  Out.append(Indent, ' ');
+  strAppend(Out, Line, '\n');
+  Out.append(Indent + (Col > 0 ? Col - 1 : 0), ' ');
+  Out += "^\n";
+}
+
+/// Appends the JSON-escaped output of \p Write, which appends raw text.
+template <typename WriteFn>
+void appendJsonText(std::string &Out, WriteFn &&Write) {
+  size_t Begin = Out.size();
+  Write(Out);
+  escapeJsonTail(Out, Begin);
+}
+
+/// "i/j" + {1, 0} -> "i=1, j=0"; a NoDistance level prints "?", and so
+/// does a level without a NestPath segment.
+void appendLevelDistances(std::string &Out, const Diagnostic &D) {
+  std::string_view Path = D.NestPath;
+  size_t Pos = 0; // start of the next segment
   for (size_t I = 0; I != D.Levels.size(); ++I) {
     if (I)
       Out += ", ";
-    Out += I < Names.size() ? Names[I] : "?";
+    if (Pos < Path.size()) {
+      size_t End = std::min(Path.find('/', Pos), Path.size());
+      Out += Path.substr(Pos, End - Pos);
+      Pos = End + 1;
+    } else {
+      Out += '?';
+    }
     Out += '=';
-    Out += D.Levels[I] == Diagnostic::NoDistance
-               ? "?"
-               : std::to_string(D.Levels[I]);
+    if (D.Levels[I] == Diagnostic::NoDistance)
+      Out += '?';
+    else
+      strAppend(Out, D.Levels[I]);
   }
-  return Out;
+}
+
+/// Comma-separated integers with \p Sep between them.
+void appendIntList(std::string &Out, const std::vector<int64_t> &Values,
+                   const char *Sep) {
+  for (size_t I = 0; I != Values.size(); ++I) {
+    strAppend(Out, I ? Sep : "", Values[I]);
+  }
 }
 
 } // namespace
@@ -45,16 +114,17 @@ void SourceMap::add(std::string File, std::string Text) {
     S.LineStarts.push_back(Pos + 1);
 }
 
-std::string SourceMap::line(const std::string &File, unsigned Line) const {
+std::string_view SourceMap::line(const std::string &File,
+                                 unsigned Line) const {
   auto It = Texts.find(File);
   if (It == Texts.end() || Line == 0 || Line > It->second.LineStarts.size())
-    return std::string();
+    return {};
   const Source &S = It->second;
   size_t Begin = S.LineStarts[Line - 1];
   size_t End = S.Text.size();
   if (Line < S.LineStarts.size())
     End = S.LineStarts[Line] - 1;
-  return S.Text.substr(Begin, End - Begin);
+  return std::string_view(S.Text).substr(Begin, End - Begin);
 }
 
 //===----------------------------------------------------------------------===//
@@ -63,113 +133,130 @@ std::string SourceMap::line(const std::string &File, unsigned Line) const {
 
 void ardf::renderText(std::ostream &OS, const std::vector<Diagnostic> &Diags,
                       const SourceMap &Sources) {
+  OutBuf Buf(OS);
+  std::string &B = Buf.text();
   for (const Diagnostic &D : Diags) {
-    OS << D.File << ':' << D.Loc.toString() << ": " << severityName(D.Severity)
-       << ": [" << D.CheckId << "] " << D.Message << '\n';
-    if (D.Loc.isValid()) {
-      std::string Snippet = Sources.line(D.File, D.Loc.Line);
-      if (!Snippet.empty()) {
-        OS << "    " << Snippet << '\n';
-        OS << "    " << std::string(D.Loc.Col > 0 ? D.Loc.Col - 1 : 0, ' ')
-           << "^\n";
-      }
-    }
+    appendAt(B, D.File, D.Loc);
+    strAppend(B, severityName(D.Severity), ": [", D.CheckId.view(), "] ");
+    D.appendMessage(B);
+    B += '\n';
+    if (D.Loc.isValid())
+      appendSnippet(B, Sources.line(D.File, D.Loc.Line), D.Loc.Col, 4);
     if (D.hasDistance())
-      OS << "  distance: " << D.Distance
-         << (D.Distance == 1 ? " iteration" : " iterations") << '\n';
+      strAppend(B, "  distance: ", D.Distance,
+                D.Distance == 1 ? " iteration\n" : " iterations\n");
     if (D.hasNest()) {
-      OS << "  nest: " << D.NestPath;
-      if (!D.Levels.empty())
-        OS << " (level distances: " << levelDistanceList(D) << ')';
-      OS << '\n';
+      strAppend(B, "  nest: ", D.NestPath);
+      if (!D.Levels.empty()) {
+        B += " (level distances: ";
+        appendLevelDistances(B, D);
+        B += ')';
+      }
+      B += '\n';
     }
-    for (const RelatedLoc &R : D.Related)
-      OS << "  note: " << D.File << ':' << R.Loc.toString() << ": "
-         << R.Message << '\n';
+    if (D.isFinding()) {
+      B += "  note: ";
+      appendAt(B, D.File, D.SourcePos);
+      D.appendRelatedNote(B);
+      B += '\n';
+    }
     if (D.hasEvidence()) {
       // The because-trail: the chronological derivation of the solution
       // cell behind the finding, each step caret-anchored to its source
       // line (steps without a position, e.g. the final settling summary,
       // print without a snippet).
-      OS << "  because:\n";
+      B += "  because:\n";
       for (size_t E = 0; E != D.Evidence.size(); ++E) {
         const RelatedLoc &Step = D.Evidence[E];
-        OS << "    [" << E + 1 << "] ";
+        strAppend(B, "    [", E + 1, "] ");
         if (Step.Loc.isValid())
-          OS << D.File << ':' << Step.Loc.toString() << ": ";
-        OS << Step.Message << '\n';
-        if (Step.Loc.isValid()) {
-          std::string Snippet = Sources.line(D.File, Step.Loc.Line);
-          if (!Snippet.empty()) {
-            OS << "        " << Snippet << '\n';
-            OS << "        "
-               << std::string(Step.Loc.Col > 0 ? Step.Loc.Col - 1 : 0, ' ')
-               << "^\n";
-          }
-        }
+          appendAt(B, D.File, Step.Loc);
+        strAppend(B, Step.Message, '\n');
+        if (Step.Loc.isValid())
+          appendSnippet(B, Sources.line(D.File, Step.Loc.Line), Step.Loc.Col,
+                        8);
       }
     }
-    if (!D.FixHint.empty())
-      OS << "  fix: " << D.FixHint << '\n';
+    if (D.hasFixHint()) {
+      B += "  fix: ";
+      D.appendFixHint(B);
+      B += '\n';
+    }
+    Buf.endRecord();
   }
 }
-
-//===----------------------------------------------------------------------===//
-// JSON helpers
-//===----------------------------------------------------------------------===//
 
 //===----------------------------------------------------------------------===//
 // JSON lines
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// {"line":L,"col":C,"message":"M"} of a related note or evidence step.
+template <typename WriteFn>
+void appendJsonNote(std::string &B, SourceLoc L, WriteFn &&Write) {
+  strAppend(B, "{\"line\":", L.Line, ",\"col\":", L.Col, ",\"message\":\"");
+  appendJsonText(B, Write);
+  B += "\"}";
+}
+
+} // namespace
+
 void ardf::renderJsonLines(std::ostream &OS,
                            const std::vector<Diagnostic> &Diags) {
+  OutBuf Buf(OS);
+  std::string &B = Buf.text();
   for (const Diagnostic &D : Diags) {
-    OS << "{\"check\":\"" << jsonEscape(D.CheckId) << "\",\"severity\":\""
-       << severityName(D.Severity) << "\",\"file\":\"" << jsonEscape(D.File)
-       << "\",\"line\":" << D.Loc.Line << ",\"col\":" << D.Loc.Col
-       << ",\"message\":\"" << jsonEscape(D.Message) << '"';
+    B += "{\"check\":\"";
+    appendJsonEscaped(B, D.CheckId.view());
+    strAppend(B, "\",\"severity\":\"", severityName(D.Severity),
+              "\",\"file\":\"");
+    appendJsonEscaped(B, D.File);
+    strAppend(B, "\",\"line\":", D.Loc.Line, ",\"col\":", D.Loc.Col,
+              ",\"message\":\"");
+    appendJsonText(B, [&](std::string &T) { D.appendMessage(T); });
+    B += '"';
     if (D.hasDistance())
-      OS << ",\"distance\":" << D.Distance;
+      strAppend(B, ",\"distance\":", D.Distance);
     if (D.hasNest()) {
-      OS << ",\"nest\":\"" << jsonEscape(D.NestPath) << '"';
+      B += ",\"nest\":\"";
+      appendJsonEscaped(B, D.NestPath);
+      B += '"';
       if (!D.Levels.empty()) {
         // NoDistance levels render as -1 (distance unknown there).
-        OS << ",\"levels\":[";
-        for (size_t L = 0; L != D.Levels.size(); ++L)
-          OS << (L ? "," : "") << D.Levels[L];
-        OS << ']';
+        B += ",\"levels\":[";
+        appendIntList(B, D.Levels, ",");
+        B += ']';
       }
     }
     if (D.StmtId != 0)
-      OS << ",\"stmtId\":" << D.StmtId;
-    if (!D.FixHint.empty())
-      OS << ",\"fix\":\"" << jsonEscape(D.FixHint) << '"';
-    if (!D.Related.empty()) {
-      OS << ",\"related\":[";
-      for (size_t I = 0; I != D.Related.size(); ++I) {
-        const RelatedLoc &R = D.Related[I];
-        OS << (I ? "," : "") << "{\"line\":" << R.Loc.Line
-           << ",\"col\":" << R.Loc.Col << ",\"message\":\""
-           << jsonEscape(R.Message) << "\"}";
-      }
-      OS << ']';
+      strAppend(B, ",\"stmtId\":", D.StmtId);
+    if (D.hasFixHint()) {
+      B += ",\"fix\":\"";
+      appendJsonText(B, [&](std::string &T) { D.appendFixHint(T); });
+      B += '"';
+    }
+    if (D.isFinding()) {
+      B += ",\"related\":[";
+      appendJsonNote(B, D.SourcePos,
+                     [&](std::string &T) { D.appendRelatedNote(T); });
+      B += ']';
     }
     if (D.hasEvidence()) {
-      OS << ",\"evidence\":[";
+      B += ",\"evidence\":[";
       for (size_t I = 0; I != D.Evidence.size(); ++I) {
         const RelatedLoc &E = D.Evidence[I];
-        OS << (I ? "," : "") << "{\"line\":" << E.Loc.Line
-           << ",\"col\":" << E.Loc.Col << ",\"message\":\""
-           << jsonEscape(E.Message) << "\"}";
+        B += I ? "," : "";
+        appendJsonNote(B, E.Loc, [&](std::string &T) { T += E.Message; });
       }
-      OS << ']';
+      B += ']';
       // The derivation DAG is already one compact JSON object; embed it
       // verbatim rather than re-escaping it as a string.
       if (!D.DerivationJson.empty())
-        OS << ",\"derivation\":" << D.DerivationJson;
+        strAppend(B, ",\"derivation\":", D.DerivationJson);
     }
-    OS << "}\n";
+    B += "}\n";
+    Buf.endRecord();
   }
 }
 
@@ -179,7 +266,7 @@ void ardf::renderJsonLines(std::ostream &OS,
 
 namespace {
 
-const char *ruleDescription(const std::string &Id) {
+const char *ruleDescription(std::string_view Id) {
   for (const CheckInfo &R : allChecks())
     if (Id == R.Id)
       return R.Description;
@@ -248,140 +335,145 @@ const std::string &ardf::explainableCheckList() {
 void ardf::renderSarif(std::ostream &OS,
                        const std::vector<Diagnostic> &Diags) {
   // Rule table: every check id that fired, in sorted order.
-  std::set<std::string> Fired;
+  std::vector<std::string_view> Fired;
   for (const Diagnostic &D : Diags)
-    Fired.insert(D.CheckId);
+    Fired.push_back(D.CheckId.view());
+  std::sort(Fired.begin(), Fired.end());
+  Fired.erase(std::unique(Fired.begin(), Fired.end()), Fired.end());
 
-  OS << "{\n"
-     << "  \"$schema\": "
-        "\"https://json.schemastore.org/sarif-2.1.0.json\",\n"
-     << "  \"version\": \"2.1.0\",\n"
-     << "  \"runs\": [\n"
-     << "    {\n"
-     << "      \"tool\": {\n"
-     << "        \"driver\": {\n"
-     << "          \"name\": \"ardf-lint\",\n"
-     << "          \"informationUri\": "
-        "\"https://doi.org/10.1145/155090.155096\",\n"
-     << "          \"rules\": [\n";
-  size_t RuleIdx = 0;
-  for (const std::string &Id : Fired) {
-    OS << "            {\n"
-       << "              \"id\": \"" << jsonEscape(Id) << "\",\n"
-       << "              \"shortDescription\": { \"text\": \""
-       << jsonEscape(ruleDescription(Id)) << "\" }\n"
-       << "            }" << (++RuleIdx != Fired.size() ? "," : "") << '\n';
+  OutBuf Buf(OS);
+  std::string &B = Buf.text();
+  B += "{\n"
+       "  \"$schema\": "
+       "\"https://json.schemastore.org/sarif-2.1.0.json\",\n"
+       "  \"version\": \"2.1.0\",\n"
+       "  \"runs\": [\n"
+       "    {\n"
+       "      \"tool\": {\n"
+       "        \"driver\": {\n"
+       "          \"name\": \"ardf-lint\",\n"
+       "          \"informationUri\": "
+       "\"https://doi.org/10.1145/155090.155096\",\n"
+       "          \"rules\": [\n";
+  for (size_t R = 0; R != Fired.size(); ++R) {
+    B += "            {\n"
+         "              \"id\": \"";
+    appendJsonEscaped(B, Fired[R]);
+    B += "\",\n"
+         "              \"shortDescription\": { \"text\": \"";
+    appendJsonEscaped(B, ruleDescription(Fired[R]));
+    strAppend(B, "\" }\n            }", R + 1 != Fired.size() ? ",\n" : "\n");
   }
-  OS << "          ]\n"
-     << "        }\n"
-     << "      },\n"
-     << "      \"results\": [\n";
+  B += "          ]\n"
+       "        }\n"
+       "      },\n"
+       "      \"results\": [\n";
+  // One physicalLocation object in \p File at \p L, each line prefixed
+  // by \p Indent.
+  auto AppendPhysical = [&](const std::string &File, SourceLoc L,
+                            std::string_view Indent) {
+    strAppend(B, Indent, "\"physicalLocation\": {\n", Indent,
+              "  \"artifactLocation\": { \"uri\": \"");
+    appendJsonEscaped(B, File);
+    strAppend(B, "\" },\n", Indent, "  \"region\": { \"startLine\": ", L.Line,
+              ", \"startColumn\": ", L.Col, " }\n", Indent, '}');
+  };
   for (size_t I = 0; I != Diags.size(); ++I) {
     const Diagnostic &D = Diags[I];
-    OS << "        {\n"
-       << "          \"ruleId\": \"" << jsonEscape(D.CheckId) << "\",\n"
-       << "          \"level\": \"" << severityName(D.Severity) << "\",\n"
-       << "          \"message\": { \"text\": \"" << jsonEscape(D.Message)
-       << "\" },\n"
-       << "          \"locations\": [\n"
-       << "            {\n"
-       << "              \"physicalLocation\": {\n"
-       << "                \"artifactLocation\": { \"uri\": \""
-       << jsonEscape(D.File) << "\" },\n"
-       << "                \"region\": { \"startLine\": " << D.Loc.Line
-       << ", \"startColumn\": " << D.Loc.Col << " }\n"
-       << "              }\n"
-       << "            }\n"
-       << "          ]";
-    if (!D.Related.empty()) {
-      OS << ",\n          \"relatedLocations\": [\n";
-      for (size_t R = 0; R != D.Related.size(); ++R) {
-        const RelatedLoc &Rel = D.Related[R];
-        OS << "            {\n"
-           << "              \"physicalLocation\": {\n"
-           << "                \"artifactLocation\": { \"uri\": \""
-           << jsonEscape(D.File) << "\" },\n"
-           << "                \"region\": { \"startLine\": " << Rel.Loc.Line
-           << ", \"startColumn\": " << Rel.Loc.Col << " }\n"
-           << "              },\n"
-           << "              \"message\": { \"text\": \""
-           << jsonEscape(Rel.Message) << "\" }\n"
-           << "            }" << (R + 1 != D.Related.size() ? "," : "")
-           << '\n';
-      }
-      OS << "          ]";
+    B += "        {\n"
+         "          \"ruleId\": \"";
+    appendJsonEscaped(B, D.CheckId.view());
+    strAppend(B, "\",\n          \"level\": \"", severityName(D.Severity),
+              "\",\n          \"message\": { \"text\": \"");
+    appendJsonText(B, [&](std::string &T) { D.appendMessage(T); });
+    B += "\" },\n"
+         "          \"locations\": [\n"
+         "            {\n";
+    AppendPhysical(D.File, D.Loc, "              ");
+    B += "\n"
+         "            }\n"
+         "          ]";
+    if (D.isFinding()) {
+      B += ",\n          \"relatedLocations\": [\n"
+           "            {\n";
+      AppendPhysical(D.File, D.SourcePos, "              ");
+      B += ",\n"
+           "              \"message\": { \"text\": \"";
+      appendJsonText(B, [&](std::string &T) { D.appendRelatedNote(T); });
+      B += "\" }\n"
+           "            }\n"
+           "          ]";
     }
     if (D.hasEvidence()) {
       // The derivation trail as a SARIF code flow: one threadFlow whose
       // locations walk the solution cell's derivation chronologically.
       // Steps without a source position anchor at the result's own
       // location (SARIF requires a physicalLocation per step).
-      OS << ",\n          \"codeFlows\": [\n"
-         << "            {\n"
-         << "              \"threadFlows\": [\n"
-         << "                {\n"
-         << "                  \"locations\": [\n";
+      B += ",\n          \"codeFlows\": [\n"
+           "            {\n"
+           "              \"threadFlows\": [\n"
+           "                {\n"
+           "                  \"locations\": [\n";
       for (size_t E = 0; E != D.Evidence.size(); ++E) {
         const RelatedLoc &Step = D.Evidence[E];
-        const SourceLoc &L = Step.Loc.isValid() ? Step.Loc : D.Loc;
-        OS << "                    {\n"
-           << "                      \"location\": {\n"
-           << "                        \"physicalLocation\": {\n"
-           << "                          \"artifactLocation\": { \"uri\": \""
-           << jsonEscape(D.File) << "\" },\n"
-           << "                          \"region\": { \"startLine\": "
-           << L.Line << ", \"startColumn\": " << L.Col << " }\n"
-           << "                        },\n"
-           << "                        \"message\": { \"text\": \""
-           << jsonEscape(Step.Message) << "\" }\n"
-           << "                      }\n"
-           << "                    }"
-           << (E + 1 != D.Evidence.size() ? "," : "") << '\n';
+        B += "                    {\n"
+             "                      \"location\": {\n";
+        AppendPhysical(D.File, Step.Loc.isValid() ? Step.Loc : D.Loc,
+                       "                        ");
+        B += ",\n"
+             "                        \"message\": { \"text\": \"";
+        appendJsonEscaped(B, Step.Message);
+        strAppend(B,
+                  "\" }\n"
+                  "                      }\n"
+                  "                    }",
+                  E + 1 != D.Evidence.size() ? ",\n" : "\n");
       }
-      OS << "                  ]\n"
-         << "                }\n"
-         << "              ]\n"
-         << "            }\n"
-         << "          ]";
+      B += "                  ]\n"
+           "                }\n"
+           "              ]\n"
+           "            }\n"
+           "          ]";
     }
-    bool HasProps = D.hasDistance() || !D.FixHint.empty() || D.StmtId != 0 ||
-                    D.hasNest() ||
-                    (D.hasEvidence() && !D.DerivationJson.empty());
-    if (HasProps) {
-      OS << ",\n          \"properties\": { ";
-      bool First = true;
+    bool HasDerivation = D.hasEvidence() && !D.DerivationJson.empty();
+    if (D.hasDistance() || D.hasFixHint() || D.StmtId != 0 || D.hasNest() ||
+        HasDerivation) {
+      B += ",\n          \"properties\": { ";
+      const char *Sep = "";
       if (D.hasDistance()) {
-        OS << "\"iterationDistance\": " << D.Distance;
-        First = false;
+        strAppend(B, "\"iterationDistance\": ", D.Distance);
+        Sep = ", ";
       }
       if (D.hasNest()) {
-        OS << (First ? "" : ", ") << "\"nestPath\": \""
-           << jsonEscape(D.NestPath) << '"';
+        strAppend(B, Sep, "\"nestPath\": \"");
+        appendJsonEscaped(B, D.NestPath);
+        B += '"';
         if (!D.Levels.empty()) {
-          OS << ", \"levelDistances\": [";
-          for (size_t L = 0; L != D.Levels.size(); ++L)
-            OS << (L ? ", " : "") << D.Levels[L];
-          OS << ']';
+          B += ", \"levelDistances\": [";
+          appendIntList(B, D.Levels, ", ");
+          B += ']';
         }
-        First = false;
+        Sep = ", ";
       }
       if (D.StmtId != 0) {
-        OS << (First ? "" : ", ") << "\"stmtId\": " << D.StmtId;
-        First = false;
+        strAppend(B, Sep, "\"stmtId\": ", D.StmtId);
+        Sep = ", ";
       }
-      if (!D.FixHint.empty()) {
-        OS << (First ? "" : ", ") << "\"fix\": \"" << jsonEscape(D.FixHint)
-           << '"';
-        First = false;
+      if (D.hasFixHint()) {
+        strAppend(B, Sep, "\"fix\": \"");
+        appendJsonText(B, [&](std::string &T) { D.appendFixHint(T); });
+        B += '"';
+        Sep = ", ";
       }
-      if (D.hasEvidence() && !D.DerivationJson.empty())
-        OS << (First ? "" : ", ") << "\"derivation\": " << D.DerivationJson;
-      OS << " }";
+      if (HasDerivation)
+        strAppend(B, Sep, "\"derivation\": ", D.DerivationJson);
+      B += " }";
     }
-    OS << "\n        }" << (I + 1 != Diags.size() ? "," : "") << '\n';
+    strAppend(B, "\n        }", I + 1 != Diags.size() ? ",\n" : "\n");
+    Buf.endRecord();
   }
-  OS << "      ]\n"
-     << "    }\n"
-     << "  ]\n"
-     << "}\n";
+  B += "      ]\n"
+       "    }\n"
+       "  ]\n"
+       "}\n";
 }

@@ -16,7 +16,11 @@
 ///     a rule table covering every check id that fired.
 ///
 /// Renderers are pure: they read diagnostics (and, for snippets, the
-/// SourceMap) and write a stream; they never reorder or filter.
+/// SourceMap) and write a stream; they never reorder or filter. Each
+/// appends its output into one buffer -- text through the diagnostic
+/// formatter, integers through std::to_chars, JSON escapes in place --
+/// and writes the buffer to the stream in chunks, so no diagnostic
+/// builds temporaries and memory does not grow with the output.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,8 +52,9 @@ public:
   }
 
   /// Line \p Line (1-based) of \p File, without the newline; empty when
-  /// the file or line is unknown.
-  std::string line(const std::string &File, unsigned Line) const;
+  /// the file or line is unknown. The view points into the map's copy
+  /// of the text and stays valid until \p File is added again.
+  std::string_view line(const std::string &File, unsigned Line) const;
 
 private:
   struct Source {

@@ -2,6 +2,8 @@
 
 #include "machine/Simulator.h"
 
+#include "support/WrapArith.h"
+
 #include <cassert>
 
 using namespace ardf;
@@ -59,16 +61,16 @@ void MachineSimulator::run(uint64_t MaxInstructions) {
       ++Stats.Instructions;
       continue;
     case MOpcode::Add:
-      Regs[I.Dst] = Regs[I.Src1] + Regs[I.Src2];
+      Regs[I.Dst] = wrapAdd(Regs[I.Src1], Regs[I.Src2]);
       break;
     case MOpcode::Sub:
-      Regs[I.Dst] = Regs[I.Src1] - Regs[I.Src2];
+      Regs[I.Dst] = wrapSub(Regs[I.Src1], Regs[I.Src2]);
       break;
     case MOpcode::Mul:
-      Regs[I.Dst] = Regs[I.Src1] * Regs[I.Src2];
+      Regs[I.Dst] = wrapMul(Regs[I.Src1], Regs[I.Src2]);
       break;
     case MOpcode::Div:
-      Regs[I.Dst] = Regs[I.Src2] == 0 ? 0 : Regs[I.Src1] / Regs[I.Src2];
+      Regs[I.Dst] = wrapDiv(Regs[I.Src1], Regs[I.Src2]);
       break;
     case MOpcode::CmpEq:
       Regs[I.Dst] = Regs[I.Src1] == Regs[I.Src2];

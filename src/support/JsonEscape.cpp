@@ -4,9 +4,23 @@
 
 using namespace ardf;
 
+namespace {
+
+bool needsEscape(char C) {
+  return C == '"' || C == '\\' || static_cast<unsigned char>(C) < 0x20;
+}
+
+} // namespace
+
 void ardf::appendJsonEscaped(std::string &Out, std::string_view S) {
   static const char Hex[] = "0123456789abcdef";
-  for (char C : S) {
+  size_t Run = 0; // start of the pending run of bytes that pass through
+  for (size_t I = 0; I != S.size(); ++I) {
+    char C = S[I];
+    if (!needsEscape(C))
+      continue;
+    Out.append(S.data() + Run, I - Run);
+    Run = I + 1;
     switch (C) {
     case '"':
       Out += "\\\"";
@@ -24,15 +38,23 @@ void ardf::appendJsonEscaped(std::string &Out, std::string_view S) {
       Out += "\\r";
       break;
     default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        Out += "\\u00";
-        Out += Hex[(C >> 4) & 0xF];
-        Out += Hex[C & 0xF];
-      } else {
-        Out += C;
-      }
+      Out += "\\u00";
+      Out += Hex[(C >> 4) & 0xF];
+      Out += Hex[C & 0xF];
     }
   }
+  Out.append(S.data() + Run, S.size() - Run);
+}
+
+void ardf::escapeJsonTail(std::string &Out, size_t Begin) {
+  size_t First = Begin;
+  while (First != Out.size() && !needsEscape(Out[First]))
+    ++First;
+  if (First == Out.size())
+    return;
+  std::string Raw(Out, First);
+  Out.resize(First);
+  appendJsonEscaped(Out, Raw);
 }
 
 std::string ardf::jsonEscape(std::string_view S) {

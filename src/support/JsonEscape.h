@@ -17,6 +17,7 @@
 #ifndef ARDF_SUPPORT_JSONESCAPE_H
 #define ARDF_SUPPORT_JSONESCAPE_H
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 
@@ -24,6 +25,11 @@ namespace ardf {
 
 /// Appends \p S to \p Out escaped for a JSON string literal (no quotes).
 void appendJsonEscaped(std::string &Out, std::string_view S);
+
+/// Escapes the bytes of \p Out from offset \p Begin on in place, so a
+/// writer can append raw text into its buffer and escape it there
+/// without a temporary (text needing no escape is left untouched).
+void escapeJsonTail(std::string &Out, size_t Begin);
 
 /// \p S escaped for embedding in a JSON string literal (no quotes).
 std::string jsonEscape(std::string_view S);

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <limits>
 #include <sstream>
 
 using namespace ardf;
@@ -57,6 +59,56 @@ TEST(MachineTest, BasicExecution) {
   Sim.run();
   EXPECT_EQ(Sim.arrayCell("A", 2), 12);
   EXPECT_EQ(Sim.stats().Stores, 1u);
+}
+
+TEST(MachineTest, ArithmeticWrapsInTwosComplement) {
+  // The interpreter's semantics: overflow wraps, x / 0 is 0 and
+  // INT64_MIN / -1 is INT64_MIN.
+  const int64_t Max = std::numeric_limits<int64_t>::max();
+  const int64_t Min = std::numeric_limits<int64_t>::min();
+  MachineProgram Prog;
+  Prog.emit({.Op = MOpcode::LoadImm, .Dst = 0, .Imm = Max});
+  Prog.emit({.Op = MOpcode::LoadImm, .Dst = 1, .Imm = Min});
+  Prog.emit({.Op = MOpcode::LoadImm, .Dst = 2, .Imm = 1});
+  Prog.emit({.Op = MOpcode::LoadImm, .Dst = 3, .Imm = -1});
+  Prog.emit({.Op = MOpcode::LoadImm, .Dst = 4, .Imm = 0});
+  Prog.emit({.Op = MOpcode::LoadImm, .Dst = 5, .Imm = 2});
+  struct Case {
+    MOpcode Op;
+    int Lhs, Rhs;
+    int64_t Expected;
+  };
+  const Case Cases[] = {{MOpcode::Add, 0, 2, Min}, {MOpcode::Sub, 1, 2, Max},
+                        {MOpcode::Mul, 0, 5, -2},  {MOpcode::Div, 1, 3, Min},
+                        {MOpcode::Mul, 1, 3, Min}, {MOpcode::Sub, 4, 1, Min},
+                        {MOpcode::Div, 0, 4, 0}};
+  int Reg = 10;
+  for (size_t K = 0; K != std::size(Cases); ++K) {
+    const Case &C = Cases[K];
+    Prog.emit({.Op = C.Op, .Dst = Reg, .Src1 = C.Lhs, .Src2 = C.Rhs});
+    Prog.emit({.Op = MOpcode::LoadImm, .Dst = Reg + 1,
+               .Imm = static_cast<int64_t>(K)});
+    Prog.emit({.Op = MOpcode::Store, .Src1 = Reg + 1, .Src2 = Reg,
+               .Array = "A"});
+    Reg += 2;
+  }
+  Prog.emit({.Op = MOpcode::Halt});
+  MachineSimulator Sim(Prog);
+  Sim.run();
+  for (size_t K = 0; K != std::size(Cases); ++K)
+    EXPECT_EQ(Sim.arrayCell("A", static_cast<int64_t>(K)), Cases[K].Expected)
+        << K;
+}
+
+TEST(CodeGenTest, OverflowingLoopMatchesInterpreter) {
+  // Wrapped arithmetic keeps the two oracles in agreement on values the
+  // host would otherwise overflow on.
+  runAndCheck("do i = 1, 4 { A[i] = big * i + big; B[i] = small / m - i;"
+              " C[i] = -small * i; }",
+              {},
+              {{"big", std::numeric_limits<int64_t>::max()},
+               {"small", std::numeric_limits<int64_t>::min()},
+               {"m", -1}});
 }
 
 TEST(MachineTest, RotateWindow) {

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 using namespace ardf;
 
 TEST(InterpreterTest, SimpleLoopComputes) {
@@ -45,6 +47,29 @@ TEST(InterpreterTest, ScalarPresetsAndShortCircuit) {
   // Division by zero evaluates to 0 (defined semantics); && forced it.
   EXPECT_EQ(I.scalar("y"), 1);
   EXPECT_EQ(I.scalar("z"), 1);
+}
+
+TEST(InterpreterTest, ArithmeticWrapsInTwosComplement) {
+  // Overflow wraps instead of being undefined, x / 0 is 0 and
+  // INT64_MIN / -1 is INT64_MIN: the machine simulator's semantics too.
+  const int64_t Max = std::numeric_limits<int64_t>::max();
+  const int64_t Min = std::numeric_limits<int64_t>::min();
+  Program P = parseOrDie("A[1] = big + 1; A[2] = small - 1; A[3] = big * 2;"
+                         " A[4] = small / m; A[5] = small * m;"
+                         " A[6] = -small; A[7] = big / 0; A[8] = small / 2;");
+  Interpreter I(P);
+  I.setScalar("big", Max);
+  I.setScalar("small", Min);
+  I.setScalar("m", -1);
+  I.run();
+  EXPECT_EQ(I.arrayCell("A", 1), Min);
+  EXPECT_EQ(I.arrayCell("A", 2), Max);
+  EXPECT_EQ(I.arrayCell("A", 3), -2);
+  EXPECT_EQ(I.arrayCell("A", 4), Min);
+  EXPECT_EQ(I.arrayCell("A", 5), Min);
+  EXPECT_EQ(I.arrayCell("A", 6), Min);
+  EXPECT_EQ(I.arrayCell("A", 7), 0);
+  EXPECT_EQ(I.arrayCell("A", 8), Min / 2);
 }
 
 TEST(InterpreterTest, RecurrencePropagatesValues) {

@@ -77,8 +77,8 @@ TEST_F(LintDegradeTest, BudgetBreachSkipsEveryFrameworkCheck) {
     if (D.CheckId == checkid::AnalysisDegraded) {
       Found = true;
       EXPECT_EQ(D.Severity, DiagSeverity::Warning);
-      EXPECT_NE(D.Message.find("node-visits"), std::string::npos)
-          << D.Message;
+      EXPECT_NE(D.message().find("node-visits"), std::string::npos)
+          << D.message();
     }
   EXPECT_TRUE(Found);
   (void)R;
@@ -97,10 +97,10 @@ TEST_F(LintDegradeTest, SingleSolveBreachSkipsOnlyThatCheck) {
   ASSERT_EQ(countCheckId(R, checkid::AnalysisDegraded), 1u);
   for (const Diagnostic &D : R.Diags)
     if (D.CheckId == checkid::AnalysisDegraded) {
-      EXPECT_NE(D.Message.find("redundant-load"), std::string::npos)
-          << D.Message;
-      EXPECT_NE(D.Message.find("fault-injected"), std::string::npos)
-          << D.Message;
+      EXPECT_NE(D.message().find("redundant-load"), std::string::npos)
+          << D.message();
+      EXPECT_NE(D.message().find("fault-injected"), std::string::npos)
+          << D.message();
     }
   EXPECT_EQ(countCheckId(R, checkid::RedundantLoad), 0u);
   // The loop's other checks still ran and found their usual issues.
@@ -123,8 +123,8 @@ TEST_F(LintDegradeTest, ThrowingCheckIsIsolated) {
   for (const Diagnostic &D : R.Diags)
     if (D.CheckId == checkid::AnalysisDegraded) {
       Found = true;
-      EXPECT_NE(D.Message.find("dead-store"), std::string::npos);
-      EXPECT_NE(D.Message.find("aborted"), std::string::npos);
+      EXPECT_NE(D.message().find("dead-store"), std::string::npos);
+      EXPECT_NE(D.message().find("aborted"), std::string::npos);
     }
   EXPECT_TRUE(Found);
   EXPECT_GT(countCheckId(R, checkid::RedundantLoad), 0u);

@@ -51,9 +51,9 @@ TEST(LintRedundantLoadTest, SameIterationReRead) {
   EXPECT_EQ(D.Severity, DiagSeverity::Warning);
   EXPECT_EQ(D.Loc, SourceLoc(3, 10)); // the second A[i]
   EXPECT_EQ(D.Distance, 0);
-  EXPECT_NE(D.Message.find("same iteration"), std::string::npos);
-  ASSERT_EQ(D.Related.size(), 1u);
-  EXPECT_EQ(D.Related[0].Loc, SourceLoc(2, 10)); // the first A[i]
+  EXPECT_NE(D.message().find("same iteration"), std::string::npos);
+  ASSERT_EQ(D.related().size(), 1u);
+  EXPECT_EQ(D.related()[0].Loc, SourceLoc(2, 10)); // the first A[i]
 }
 
 TEST(LintRedundantLoadTest, CrossIterationReRead) {
@@ -65,7 +65,7 @@ TEST(LintRedundantLoadTest, CrossIterationReRead) {
   const Diagnostic &D = Diags[0];
   EXPECT_EQ(D.Loc, SourceLoc(2, 10)); // A[i] re-reads last round's A[i+1]
   EXPECT_EQ(D.Distance, 1);
-  EXPECT_NE(D.FixHint.find("register pipeline of depth 1"),
+  EXPECT_NE(D.fixHint().find("register pipeline of depth 1"),
             std::string::npos);
 }
 
@@ -91,8 +91,8 @@ TEST(LintDeadStoreTest, SameIterationOverwrite) {
   EXPECT_EQ(D.Severity, DiagSeverity::Warning);
   EXPECT_EQ(D.Loc, SourceLoc(2, 3)); // the dead (earlier) store
   EXPECT_EQ(D.Distance, 0);
-  ASSERT_EQ(D.Related.size(), 1u);
-  EXPECT_EQ(D.Related[0].Loc, SourceLoc(3, 3)); // the overwriting store
+  ASSERT_EQ(D.related().size(), 1u);
+  EXPECT_EQ(D.related()[0].Loc, SourceLoc(3, 3)); // the overwriting store
 }
 
 TEST(LintDeadStoreTest, CrossIterationOverwrite) {
@@ -103,8 +103,8 @@ TEST(LintDeadStoreTest, CrossIterationOverwrite) {
   std::vector<Diagnostic> Diags = ofCheck(R, checkid::DeadStore);
   ASSERT_EQ(Diags.size(), 1u);
   EXPECT_EQ(Diags[0].Distance, 1);
-  EXPECT_NE(Diags[0].Message.find("1 iteration later"), std::string::npos);
-  EXPECT_NE(Diags[0].FixHint.find("epilogue"), std::string::npos);
+  EXPECT_NE(Diags[0].message().find("1 iteration later"), std::string::npos);
+  EXPECT_NE(Diags[0].fixHint().find("epilogue"), std::string::npos);
 }
 
 TEST(LintDeadStoreTest, InterveningReadSuppresses) {
@@ -131,11 +131,11 @@ TEST(LintLoopCarriedReuseTest, UnconditionalDefFeedsLaterUse) {
   EXPECT_EQ(D.Severity, DiagSeverity::Note);
   EXPECT_EQ(D.Loc, SourceLoc(3, 10)); // the A[i] use
   EXPECT_EQ(D.Distance, 1);
-  EXPECT_NE(D.Message.find("register pipelining candidate (distance 1, "
+  EXPECT_NE(D.message().find("register pipelining candidate (distance 1, "
                            "2 register(s)"),
             std::string::npos);
-  ASSERT_EQ(D.Related.size(), 1u);
-  EXPECT_EQ(D.Related[0].Loc, SourceLoc(2, 3)); // the A[i+1] store
+  ASSERT_EQ(D.related().size(), 1u);
+  EXPECT_EQ(D.related()[0].Loc, SourceLoc(2, 3)); // the A[i+1] store
 }
 
 TEST(LintLoopCarriedReuseTest, ConditionalDefIsNotMustReuse) {
@@ -162,8 +162,8 @@ TEST(LintConflictTest, FlowDependenceAcrossIterations) {
   const Diagnostic &D = Diags[0];
   EXPECT_EQ(D.Severity, DiagSeverity::Note);
   EXPECT_EQ(D.Distance, 1);
-  EXPECT_NE(D.Message.find("write/read"), std::string::npos);
-  EXPECT_NE(D.Message.find("flow dependence"), std::string::npos);
+  EXPECT_NE(D.message().find("write/read"), std::string::npos);
+  EXPECT_NE(D.message().find("flow dependence"), std::string::npos);
 }
 
 TEST(LintConflictTest, OuterLevelDistanceSpansEnclosingIterations) {
@@ -219,7 +219,7 @@ TEST(LintEngineTest, NonNormalizedLoopIsNormalizedAndAnalyzed) {
   EXPECT_EQ(R.LoopsAnalyzed, 1u);
   std::vector<Diagnostic> Pre = ofCheck(R, checkid::Precondition);
   ASSERT_EQ(Pre.size(), 1u);
-  EXPECT_NE(Pre[0].Message.find("not normalized"), std::string::npos);
+  EXPECT_NE(Pre[0].message().find("not normalized"), std::string::npos);
   std::vector<Diagnostic> Conf = ofCheck(R, checkid::CrossIterationConflict);
   ASSERT_EQ(Conf.size(), 1u);
   EXPECT_EQ(Conf[0].Distance, 1);

@@ -4,6 +4,7 @@
 #include "interp/Interpreter.h"
 #include "ir/PrettyPrinter.h"
 #include "transform/LoadElimination.h"
+#include "transform/StoreElimination.h"
 
 #include <gtest/gtest.h>
 
@@ -140,4 +141,52 @@ TEST(LoadElimTest, MultipleIndependentPipelines) {
   auto [IA, IB] = checkEquivalent(P, R.Transformed);
   EXPECT_EQ(IB.stats().ArrayLoads, 3u); // 1 + 2 preheader fills
   (void)IA;
+}
+
+TEST(LoadElimTest, NoReuseAtOrBeyondTheTripCount) {
+  // B[i - 3] reads the element B[i + 1] produced four iterations earlier,
+  // but the loop runs four times, so every such read sees the preheader
+  // fill -- which the conditional store B[i - 2] may overwrite one
+  // iteration before the read. The framework's fact does not cover that
+  // kill (the exit increment saturates a distance of trip - 2 or more to
+  // every in-loop instance), so the pair must not be pipelined.
+  Program P = parseOrDie(R"(
+    do i = 1, 4 {
+      A[i] = B[i - 3];
+      C[i] = B[i + 1];
+      if (C[i + 1] > 0) { B[i - 2] = 7; }
+    })");
+  LoadElimResult R = eliminateRedundantLoads(P);
+  EXPECT_EQ(R.LoadsEliminated, 0u);
+  checkEquivalent(P, R.Transformed);
+}
+
+TEST(LoadElimTest, StoreThenLoadEliminationOfAShortLoop) {
+  // Seed 740 of TransformPropertyTest's UnderIf shape: store elimination
+  // unpeels the last iteration, leaving a loop of trip count 4 in which
+  // `B[i - 3]` would reuse `B[i + 1]` from 4 iterations earlier past the
+  // conditional kill `B[i - 2] = ...`.
+  Program P = parseOrDie(R"(
+    if (x > -7) {
+      do i = 1, 5 {
+        if (A[2 * i - 1] > -53) {
+          C[2 * i - 2] = B[2 * i + 3] + B[2 * i - 1] + x;
+          B[2 * i + 3] = B[i - 3];
+        }
+        A[2 * i - 3] = A[2 * i - 3] * 3 + x;
+        C[i] = A[2 * i - 3] + B[i + 1] + x;
+        C[i - 2] = C[2 * i - 1] + C[i - 1];
+        A[2 * i - 3] = A[i] + x;
+        C[i - 1] = C[i - 1] + B[i - 3] * 2 + x;
+        A[2 * i + 1] = A[i + 3];
+        if (C[i + 1] > -41) {
+          B[i - 2] = B[2 * i + 1] * 3;
+          A[i + 1] = C[2 * i + 1];
+        }
+        A[i - 2] = A[2 * i - 2] + x;
+      }
+    })");
+  Program Stored = eliminateRedundantStores(P).Transformed;
+  LoadElimResult R = eliminateRedundantLoads(Stored);
+  checkEquivalent(P, R.Transformed, {{"x", 1}}, 740 ^ 0xabcdef);
 }
