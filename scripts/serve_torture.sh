@@ -13,13 +13,17 @@
 #   - the armed failpoints (serve.request throw, serve.session breach)
 #     burn on sacrificial requests and the daemon keeps serving;
 #   - the final stats response carries the request-latency histogram,
-#     which is saved as the run's artifact.
+#     which is saved as the run's artifact;
+#   - a deadline drill on a short-lived stdio daemon: a request stalled
+#     past --deadline-ms is answered deadline by its own worker, the next
+#     request is served, and the daemon exits 0 within 2 s of EOF.
 #
 # Usage: scripts/serve_torture.sh [build-dir] [out-dir]
 #   build-dir  defaults to ./build (must contain tools/ardf-serve and
 #              tools/ardf-lint).
 #   out-dir    defaults to ./serve-torture-out; receives requests.ndjson,
-#              responses.ndjson, daemon.log, and serve-latency.json.
+#              responses.ndjson, daemon.log, serve-latency.json, and
+#              deadline-drill.ndjson.
 set -eu
 
 REPO_ROOT=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -90,5 +94,48 @@ python3 "$REPO_ROOT/scripts/serve_verify.py" \
   --expect="$OUT_DIR/expect.json" \
   --responses="$OUT_DIR/responses.ndjson" \
   --latency-out="$OUT_DIR/serve-latency.json"
+
+# Deadline drill: the first request stalls 300 ms at the serve.request
+# failpoint under a 100 ms deadline. Its own worker must answer deadline
+# once the stall returns, the good lint after it must be served, and the
+# daemon must exit 0 within 2 s of EOF: no wedged thread is left behind.
+ARDF_FAILPOINTS='serve.request@1:stall=300' python3 - "$SERVE" \
+  "$OUT_DIR/deadline-drill.ndjson" <<'EOF'
+import json
+import subprocess
+import sys
+
+serve, out_path = sys.argv[1], sys.argv[2]
+source = "do i = 1, 10 {\n  A[i] = A[i - 1] + 1;\n}\n"
+requests = [{"method": "stats", "id": 1},
+            {"method": "lint", "id": 2, "file": "drill.arf", "source": source}]
+payload = "".join(json.dumps(r) + "\n" for r in requests).encode()
+daemon = subprocess.Popen([serve, "--deadline-ms=100"],
+                          stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+try:
+    out, _ = daemon.communicate(payload, timeout=2)
+except subprocess.TimeoutExpired:
+    daemon.kill()
+    daemon.communicate()
+    sys.exit("serve_torture.sh: error: deadline drill: the daemon was "
+             "still running 2 s after EOF")
+with open(out_path, "wb") as f:
+    f.write(out)
+if daemon.returncode != 0:
+    sys.exit(f"serve_torture.sh: error: deadline drill: the daemon exited "
+             f"{daemon.returncode}")
+replies = [json.loads(line) for line in out.decode().splitlines()]
+if len(replies) != 2:
+    sys.exit(f"serve_torture.sh: error: deadline drill: {len(replies)} "
+             f"replies to 2 requests")
+stalled, good = replies
+if stalled.get("ok") or stalled.get("error", {}).get("code") != "deadline":
+    sys.exit(f"serve_torture.sh: error: deadline drill: the stalled "
+             f"request answered {stalled}")
+if good.get("ok") is not True or good.get("id") != 2:
+    sys.exit(f"serve_torture.sh: error: deadline drill: the lint after "
+             f"the stall answered {good}")
+print("serve_torture.sh: deadline drill ok (deadline, then ok)")
+EOF
 
 echo "serve_torture.sh: PASS (artifacts in $OUT_DIR)"

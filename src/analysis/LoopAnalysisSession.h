@@ -101,6 +101,13 @@ public:
   /// The trip count instances of this session saturate at.
   int64_t tripCount() const { return TripCount; }
 
+  /// False for a reuse at least the known trip count after its source:
+  /// it only reads the preheader fill, which the fact does not cover
+  /// (the exit increment saturates trip - 2 or more, hiding a kill).
+  bool reuseWithinTrip(int64_t Distance) const {
+    return TripCount == UnknownTripCount || Distance < TripCount;
+  }
+
   /// The memoized framework instance for \p Spec (built on first use;
   /// problems are identified by their (G, K, mode, direction, grouping)
   /// parameters, not their name).

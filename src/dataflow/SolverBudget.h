@@ -20,8 +20,9 @@
 /// reason ride on SolveResult::Outcome / SolveResult::Breach.
 ///
 /// A default-constructed budget (all fields 0) disables every check;
-/// the pass-boundary guard then costs two integer compares plus one
-/// relaxed atomic load (the failpoint fast path) per pass. Armed or
+/// the pass-boundary guard then costs two integer compares, one relaxed
+/// atomic load (the failpoint fast path) and one thread-local load (the
+/// running request's deadline, support/Deadline.h) per pass. Armed or
 /// not, the guard lives on the stack: the alloc-counting suite holds a
 /// budgeted solve, breached or not, to exactly the heap blocks of an
 /// unbudgeted one.
@@ -31,6 +32,7 @@
 #ifndef ARDF_DATAFLOW_SOLVERBUDGET_H
 #define ARDF_DATAFLOW_SOLVERBUDGET_H
 
+#include "support/Deadline.h"
 #include "support/FailPoint.h"
 #include "telemetry/Telemetry.h"
 
@@ -49,7 +51,7 @@ enum class SolveOutcome : uint8_t { Ok, Degraded, Failed };
 enum class BreachReason : uint8_t {
   None,
   NodeVisits,     ///< Visit ceiling (slack * schedule, or absolute) hit.
-  Deadline,       ///< Wall-clock deadline passed at a pass boundary.
+  Deadline,       ///< A solve or request deadline passed at a boundary.
   MatrixCells,    ///< nodes * tracked exceeds the matrix-cell cap.
   NonConvergence, ///< IterateToFixpoint exhausted MaxPasses.
   FaultInjected   ///< A solver.pass failpoint forced a breach.
@@ -112,7 +114,10 @@ public:
     if (B.VisitSlack > 0.0) {
       double Sched =
           static_cast<double>((IsMust ? 3u : 2u)) * NumNodes * B.VisitSlack;
-      VisitCap = Sched < 1.0 ? 1 : static_cast<uint64_t>(Sched);
+      if (Sched >= 18446744073709551616.0) // 2^64: not convertible
+        VisitCap = UINT64_MAX;
+      else
+        VisitCap = Sched < 1.0 ? 1 : static_cast<uint64_t>(Sched);
     }
     if (B.MaxNodeVisits != 0 &&
         (VisitCap == 0 || B.MaxNodeVisits < VisitCap))
@@ -136,7 +141,8 @@ public:
       return BreachReason::FaultInjected;
     if (VisitCap != 0 && NodeVisits > VisitCap)
       return BreachReason::NodeVisits;
-    if (DeadlineNs != 0 && telem::wallNowNs() - StartNs > DeadlineNs)
+    if ((DeadlineNs != 0 && telem::wallNowNs() - StartNs > DeadlineNs) ||
+        deadline::passed())
       return BreachReason::Deadline;
     return BreachReason::None;
   }

@@ -2,6 +2,7 @@
 
 #include "driver/ProgramAnalysisDriver.h"
 
+#include "support/Deadline.h"
 #include "support/FailPoint.h"
 #include "telemetry/Telemetry.h"
 
@@ -66,6 +67,10 @@ void ProgramAnalysisDriver::analyzeLoop(AnalyzedLoop &R) const {
         LoopFailure{std::move(Phase), std::move(Message)});
     telem::count(telem::Counter::LoopFailures);
   };
+  if (deadline::passed()) {
+    Fail("deadline", "the request deadline passed before the loop");
+    return;
+  }
   try {
     failpoint::evaluate("driver.loop");
     R.Session = std::make_unique<LoopAnalysisSession>(*Prog, *R.Loop);
@@ -137,7 +142,10 @@ void ProgramAnalysisDriver::analyzeAll(
         Slots[I]->Telem.setSink(&Slots[I]->Sink);
     }
 
-  auto Worker = [this, &Next, &Slots, &Work](unsigned WorkerIdx) {
+  // Workers inherit the caller's request deadline.
+  const uint64_t Deadline = deadline::current();
+  auto Worker = [this, &Next, &Slots, &Work, Deadline](unsigned WorkerIdx) {
+    deadline::Scope DeadlineScope(Deadline);
     std::optional<telem::TelemetryScope> Scope;
     if (Slots[WorkerIdx])
       Scope.emplace(Slots[WorkerIdx]->Telem);

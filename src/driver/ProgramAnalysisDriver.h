@@ -26,7 +26,8 @@
 /// worker records into its own private Telemetry (and private trace
 /// buffer, when the root has a sink) under a distinct thread id, and
 /// run() merges counters and spans into the root context after join --
-/// the workers share no telemetry state while analyzing.
+/// the workers share no telemetry state while analyzing. Workers
+/// inherit the caller's request deadline (support/Deadline.h) too.
 ///
 /// The default is Threads = 1, which runs inline on the calling thread
 /// (deterministic, and what the tests use); benchmarks opt into more.
@@ -76,8 +77,9 @@ struct DriverOptions {
 /// boundary: which phase threw and what it said. Failed solves record
 /// one entry per problem; the loop's other problems still run.
 struct LoopFailure {
-  /// The phase that failed: "session" (building the loop's tables) or
-  /// "solve:<problem name>".
+  /// The phase that failed: "session" (building the loop's tables),
+  /// "solve:<problem name>", or "deadline" (the running request's
+  /// deadline, support/Deadline.h, passed before the loop was reached).
   std::string Phase;
 
   /// The exception's what() text.

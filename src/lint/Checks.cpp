@@ -191,9 +191,13 @@ void ardf::checkRedundantLoad(LoopAnalysisSession &Session,
     return;
   LevelDistances Levels(Ctx, ProblemSpec::availableValuesPerOccurrence(),
                         RefSelector::Uses);
-  for (const ReusePair &Pair : bestPairPerSink(
-           U, Session.reusePairs(ProblemSpec::availableValuesPerOccurrence(),
-                                 RefSelector::Uses, Ctx.Solver))) {
+  std::vector<ReusePair> Pairs =
+      Session.reusePairs(ProblemSpec::availableValuesPerOccurrence(),
+                         RefSelector::Uses, Ctx.Solver);
+  std::erase_if(Pairs, [&](const ReusePair &P) {
+    return !Session.reuseWithinTrip(P.Distance);
+  });
+  for (const ReusePair &Pair : bestPairPerSink(U, std::move(Pairs))) {
     Diagnostic D = finding(Session, Ctx, checkid::RedundantLoad,
                            DiagSeverity::Warning, Pair.SourceId, Pair.SinkId,
                            Pair.Distance);

@@ -8,6 +8,7 @@
 #include "lint/Checks.h"
 #include "lint/Remarks.h"
 #include "passes/Validate.h"
+#include "support/Deadline.h"
 #include "support/FailPoint.h"
 #include "telemetry/Telemetry.h"
 
@@ -59,6 +60,8 @@ LintResult ardf::lintProgram(const Program &P, const std::string &File,
   Ctx.Solver.Eng = Opts.Engine;
   Ctx.Solver.Budget = Opts.Budget;
   for (const std::unique_ptr<NestLoop> &NodePtr : Nest.all()) {
+    if (deadline::passed())
+      break;
     const NestLoop &N = *NodePtr;
     if (N.Depth > 0 && !Opts.IncludeNested)
       continue;
@@ -113,6 +116,8 @@ LintResult ardf::lintProgram(const Program &P, const std::string &File,
     // analysis-degraded diagnostic for that check only; the loop's
     // remaining checks still run.
     auto RunCheck = [&](const char *Name, auto &&Fn) {
+      if (deadline::passed())
+        return;
       telem::Span S("check", "lint", Name);
       telem::LatencyTimer LT(telem::Histo::CheckNs);
       telem::count(telem::Counter::LintChecks);

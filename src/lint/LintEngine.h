@@ -98,7 +98,8 @@ struct LintResult {
 };
 
 /// Lints an already-parsed program. \p File is the artifact name stamped
-/// into every diagnostic.
+/// into every diagnostic. Past the request deadline (support/Deadline.h)
+/// it stops at the next loop or check and returns a partial result.
 LintResult lintProgram(const Program &P, const std::string &File,
                        const LintOptions &Opts = LintOptions());
 

@@ -4,6 +4,7 @@
 
 #include "lint/Render.h"
 
+#include <cmath>
 #include <limits>
 
 using namespace ardf;
@@ -173,8 +174,9 @@ ParsedRequest serve::parseRequest(const std::string &Line,
       return P;
     }
     if (const json::Value *Slack = B->find("slack")) {
-      if (!Slack->isNumber() || Slack->doubleValue() < 0.0) {
-        P.Error = "'slack' must be a non-negative number";
+      if (!Slack->isNumber() || !std::isfinite(Slack->doubleValue()) ||
+          Slack->doubleValue() < 0.0) {
+        P.Error = "'slack' must be a finite non-negative number";
         return P;
       }
       R.Budget.VisitSlack = Slack->doubleValue();

@@ -6,13 +6,12 @@
 #include "frontend/Parser.h"
 #include "lint/LintEngine.h"
 #include "lint/Render.h"
+#include "support/Deadline.h"
 #include "support/FailPoint.h"
 
-#include <atomic>
-#include <chrono>
+#include <bit>
 #include <condition_variable>
 #include <deque>
-#include <initializer_list>
 #include <mutex>
 #include <sstream>
 #include <thread>
@@ -41,31 +40,25 @@ std::string okResponseRaw(const json::Value &Id, const std::string &Result) {
   return Out;
 }
 
-/// The effective budget of one request: the server's ceilings, with the
-/// server deadline folded in, tightened (never loosened) by the
-/// request's own ceilings.
+/// The effective budget of one request: the server's ceilings,
+/// tightened (never loosened) by the request's own ceilings (0 sets
+/// none).
 SolverBudget clampBudget(const ServeOptions &O, const SolverBudget &R) {
   SolverBudget B = O.Budget;
-  uint64_t ServerDeadline = O.RequestDeadlineMs * 1000000ull;
-  if (ServerDeadline != 0 &&
-      (B.DeadlineNs == 0 || ServerDeadline < B.DeadlineNs))
-    B.DeadlineNs = ServerDeadline;
-  if (R.VisitSlack > 0.0 &&
-      (B.VisitSlack == 0.0 || R.VisitSlack < B.VisitSlack))
-    B.VisitSlack = R.VisitSlack;
-  if (R.MaxNodeVisits != 0 &&
-      (B.MaxNodeVisits == 0 || R.MaxNodeVisits < B.MaxNodeVisits))
-    B.MaxNodeVisits = R.MaxNodeVisits;
-  if (R.DeadlineNs != 0 && (B.DeadlineNs == 0 || R.DeadlineNs < B.DeadlineNs))
-    B.DeadlineNs = R.DeadlineNs;
-  if (R.MaxMatrixCells != 0 &&
-      (B.MaxMatrixCells == 0 || R.MaxMatrixCells < B.MaxMatrixCells))
-    B.MaxMatrixCells = R.MaxMatrixCells;
+  auto Tighten = [](auto &Ceiling, auto Requested) {
+    if (Requested != 0 && (Ceiling == 0 || Requested < Ceiling))
+      Ceiling = Requested;
+  };
+  Tighten(B.VisitSlack, R.VisitSlack);
+  Tighten(B.MaxNodeVisits, R.MaxNodeVisits);
+  Tighten(B.DeadlineNs, R.DeadlineNs);
+  Tighten(B.MaxMatrixCells, R.MaxMatrixCells);
   return B;
 }
 
 uint64_t budgetKey(const SolverBudget &B) {
-  uint64_t H = mix(0, static_cast<uint64_t>(B.VisitSlack * 1e6));
+  // The slack's exact bits: every distinct factor is a distinct budget.
+  uint64_t H = mix(0, std::bit_cast<uint64_t>(B.VisitSlack));
   H = mix(H, B.MaxNodeVisits);
   H = mix(H, B.DeadlineNs);
   return mix(H, B.MaxMatrixCells);
@@ -92,66 +85,33 @@ uint64_t driverOptionsKey(const Request &R, const SolverBudget &B) {
 }
 
 /// What a worker hands back for one request: the response line and
-/// whether it is an ok response (the counter split happens at the
-/// respond-once site, so watchdog-killed requests are not double
-/// counted).
+/// whether it is an ok response.
 struct HandlerResult {
   std::string Line;
   bool Ok = false;
 };
 
-/// One in-flight request, shared between its worker, the watchdog, and
-/// (until admission) the submitting thread. The Responded flag makes
-/// responding idempotent: exactly one of worker / watchdog / shedding
-/// wins.
+/// One request line and the callback that answers it: by submit() when
+/// it refuses the line, by the shutdown drain while the line is queued,
+/// or else by the worker that dequeued it.
 struct PendingRequest {
   std::string Line;
   AnalysisServer::Respond Respond;
-  std::atomic<bool> Responded{false};
-
-  std::mutex IdM;
-  json::Value Id;
-
-  /// Claims the respond-once slot; the winner adds \p Counters to
-  /// \p Telem and only then hands \p Response to the client, so a
-  /// client that reads the counters after its reply always finds its
-  /// own request counted.
-  void tryRespond(std::string Response, telem::Telemetry &Telem,
-                  std::initializer_list<telem::Counter> Counters) {
-    if (Responded.exchange(true))
-      return;
-    for (telem::Counter C : Counters)
-      Telem.add(C);
-    Respond(std::move(Response));
-  }
-
-  void setId(const json::Value &V) {
-    std::lock_guard<std::mutex> L(IdM);
-    Id = V;
-  }
-
-  json::Value idSnapshot() {
-    std::lock_guard<std::mutex> L(IdM);
-    return Id;
-  }
-};
-
-/// One worker slot. Current/StartNs/Abandoned are guarded by the
-/// server mutex; the thread object is moved out by whoever retires the
-/// slot (join at shutdown, detach at abandonment).
-struct WorkerState {
-  std::thread T;
-  std::shared_ptr<PendingRequest> Current;
-  uint64_t StartNs = 0;
-  bool Abandoned = false;
 };
 
 } // namespace
 
-struct AnalysisServer::Core : std::enable_shared_from_this<Core> {
+struct AnalysisServer::Core {
   explicit Core(ServeOptions O)
       : Opts(std::move(O)), Cache(Opts.TenantQuota) {
     Telem.enableTimings(true);
+  }
+
+  /// Joins every worker, also when the server's constructor throws.
+  ~Core() {
+    beginShutdown();
+    for (std::thread &T : Workers)
+      T.join();
   }
 
   ServeOptions Opts;
@@ -159,127 +119,97 @@ struct AnalysisServer::Core : std::enable_shared_from_this<Core> {
   telem::Telemetry Telem;
 
   std::mutex M;
-  std::condition_variable CV;        ///< workers wait for work
-  std::condition_variable IdleCV;    ///< drain() waits for quiescence
-  std::condition_variable WatchdogCV;
-  std::deque<std::shared_ptr<PendingRequest>> Queue;
-  std::vector<std::shared_ptr<WorkerState>> Workers;
-  std::thread Watchdog;
+  std::condition_variable CV;     ///< workers wait for work
+  std::condition_variable IdleCV; ///< drain() waits for quiescence
+  std::deque<PendingRequest> Queue;
+  unsigned Busy = 0; ///< dequeued requests not yet answered
   bool Shutdown = false;
-  bool WatchdogStop = false;
 
-  void start() {
-    unsigned N = Opts.Workers == 0 ? 1 : Opts.Workers;
-    std::lock_guard<std::mutex> L(M);
-    for (unsigned I = 0; I != N; ++I)
-      Workers.push_back(spawnWorker());
-    if (Opts.RequestDeadlineMs != 0)
-      Watchdog = std::thread([C = shared_from_this()] { C->watchdogLoop(); });
+  /// Started by the constructor, joined by the destructor.
+  std::vector<std::thread> Workers;
+
+  /// Counts \p C and only then hands \p Response to the client, so a
+  /// client that reads the counters after its reply always finds its
+  /// own request counted.
+  void respond(PendingRequest &Req, std::string Response, telem::Counter C) {
+    Telem.add(C);
+    Req.Respond(std::move(Response));
   }
 
-  std::shared_ptr<WorkerState> spawnWorker() {
-    auto W = std::make_shared<WorkerState>();
-    W->T = std::thread([C = shared_from_this(), W] { C->workerLoop(W); });
-    return W;
-  }
-
-  void workerLoop(std::shared_ptr<WorkerState> Self) {
+  void workerLoop() {
     // One shared Telemetry for the whole pool: counters and histograms
     // are relaxed atomics, and no sink is ever attached, so concurrent
     // workers are safe.
     telem::TelemetryScope Scope(Telem);
+    std::unique_lock<std::mutex> L(M);
     for (;;) {
-      std::shared_ptr<PendingRequest> Req;
+      CV.wait(L, [&] { return Shutdown || !Queue.empty(); });
+      if (Queue.empty())
+        return; // shutdown, nothing left
+      PendingRequest Req = std::move(Queue.front());
+      Queue.pop_front();
+      ++Busy;
+      L.unlock();
       {
-        std::unique_lock<std::mutex> L(M);
-        CV.wait(L, [&] { return Shutdown || !Queue.empty(); });
-        if (Queue.empty())
-          return; // shutdown, nothing left
-        Req = std::move(Queue.front());
-        Queue.pop_front();
-        Self->Current = Req;
-        Self->StartNs = telem::wallNowNs();
+        // The request's deadline runs from dequeue; this worker answers
+        // deadline once its solves, loops and checks stop at it.
+        deadline::Scope Deadline(deadline::afterMs(Opts.RequestDeadlineMs));
+        HandlerResult HR = handleRequest(Req.Line);
+        respond(Req, std::move(HR.Line),
+                HR.Ok ? telem::Counter::ServeOk : telem::Counter::ServeErrors);
       }
-      HandlerResult HR = handleRequest(*Req);
-      telem::Counter Outcome =
-          HR.Ok ? telem::Counter::ServeOk : telem::Counter::ServeErrors;
-      Req->tryRespond(std::move(HR.Line), Telem, {Outcome});
-      {
-        std::lock_guard<std::mutex> L(M);
-        Self->Current = nullptr;
-        Self->StartNs = 0;
-        if (Self->Abandoned)
-          return; // the watchdog already runs a replacement
-      }
+      L.lock();
+      --Busy;
       IdleCV.notify_all();
     }
   }
 
-  void watchdogLoop() {
-    const uint64_t WedgeNs = (Opts.RequestDeadlineMs + Opts.WatchdogGraceMs) *
-                             1000000ull;
-    std::unique_lock<std::mutex> L(M);
-    while (!WatchdogStop) {
-      WatchdogCV.wait_for(L, std::chrono::milliseconds(20));
-      if (WatchdogStop)
-        return;
-      uint64_t Now = telem::wallNowNs();
-      for (size_t I = 0; I != Workers.size(); ++I) {
-        std::shared_ptr<WorkerState> W = Workers[I];
-        if (W->Abandoned || !W->Current || Now - W->StartNs <= WedgeNs)
-          continue;
-        // Fail the wedged request, abandon the worker, keep the pool at
-        // strength. The abandoned thread finishes into the void: its
-        // late tryRespond loses, and it exits on the Abandoned flag.
-        std::shared_ptr<PendingRequest> Req = W->Current;
-        W->Abandoned = true;
-        W->T.detach();
-        Workers[I] = spawnWorker();
-        L.unlock();
-        std::string Line =
-            errorResponse(Req->idSnapshot(), ErrorCode::Deadline,
-                          "request exceeded its deadline; worker abandoned");
-        Req->tryRespond(std::move(Line), Telem,
-                        {telem::Counter::ServeErrors,
-                         telem::Counter::ServeWatchdogKills});
-        IdleCV.notify_all();
-        L.lock();
-      }
-    }
-  }
-
   void beginShutdown() {
-    std::vector<std::shared_ptr<PendingRequest>> Orphans;
+    std::deque<PendingRequest> Orphans;
     {
       std::lock_guard<std::mutex> L(M);
       Shutdown = true;
-      Orphans.assign(Queue.begin(), Queue.end());
-      Queue.clear();
+      Orphans.swap(Queue);
     }
     CV.notify_all();
     IdleCV.notify_all();
-    for (const std::shared_ptr<PendingRequest> &R : Orphans)
-      R->tryRespond(errorResponse(R->idSnapshot(), ErrorCode::ShuttingDown,
-                                  "daemon is shutting down"),
-                    Telem, {telem::Counter::ServeErrors});
+    for (PendingRequest &R : Orphans)
+      refuseShuttingDown(R);
   }
 
-  HandlerResult handleRequest(PendingRequest &Req) {
+  void refuseShuttingDown(PendingRequest &Req) {
+    respond(Req,
+            errorResponse(json::Value(), ErrorCode::ShuttingDown,
+                          "daemon is shutting down"),
+            telem::Counter::ServeErrors);
+  }
+
+  /// The reply of a request whose deadline passed before its reply was
+  /// ready.
+  HandlerResult deadlineReply(const json::Value &Id) {
+    Telem.add(telem::Counter::ServeDeadlines);
+    return {errorResponse(Id, ErrorCode::Deadline,
+                          "request exceeded its deadline"),
+            false};
+  }
+
+  HandlerResult handleRequest(const std::string &Line) {
     telem::LatencyTimer Timer(telem::Histo::ServeRequestNs);
     json::Value Id;
     try {
       // The per-request fault boundary's own drill site. Throw is
       // contained right here (an internal error response); Breach
-      // forces load shedding; Stall is the watchdog's test vector.
+      // forces load shedding; Stall runs the request past its deadline.
       if (failpoint::evaluate("serve.request") == failpoint::Fired::Breach)
         return {errorResponse(Id, ErrorCode::Overloaded,
                               "serve.request failpoint forced shedding"),
                 false};
-      ParsedRequest P = parseRequest(Req.Line, Opts.Engine);
+      ParsedRequest P = parseRequest(Line, Opts.Engine);
       Id = P.Id;
-      Req.setId(P.Id);
       if (!P.Ok)
         return {errorResponse(P.Id, ErrorCode::BadRequest, P.Error), false};
+      if (deadline::passed())
+        return deadlineReply(P.Id);
       switch (P.R.M) {
       case Method::Stats:
         return {okResponse(P.R.Id, statsResult()), true};
@@ -331,6 +261,13 @@ struct AnalysisServer::Core : std::enable_shared_from_this<Core> {
     } else {
       ResultJson = lintResult(R, Budget);
     }
+    if (deadline::passed()) {
+      // The result may rest on work the deadline cut short: never memoize
+      // it, and leave no half-analyzed driver warm.
+      if (R.M == Method::Analyze)
+        Doc->reset();
+      return deadlineReply(R.Id);
+    }
     Doc->rememberResponse(MemoKey, ResultJson);
     return {okResponseRaw(R.Id, ResultJson), true};
   }
@@ -366,9 +303,8 @@ struct AnalysisServer::Core : std::enable_shared_from_this<Core> {
   /// "" with \p ParseError set when the source does not parse. Caller
   /// holds the document mutex.
   std::string analyzeResult(const Request &R, const SolverBudget &Budget,
-                            uint64_t SrcHash, Document &D,
+                            uint64_t SrcHash, Document &Doc,
                             std::string &ParseError) {
-    Document *Doc = &D;
     uint64_t DrvKey = driverOptionsKey(R, Budget);
     ParseResult PR = parseProgram(R.Source);
     if (!PR.succeeded()) {
@@ -378,57 +314,50 @@ struct AnalysisServer::Core : std::enable_shared_from_this<Core> {
     // A warm driver only serves requests with the same analysis shape;
     // different options rebuild cold (rare: one editor per document in
     // practice).
-    if (Doc->Driver && Doc->DriverOptionsKey != DrvKey)
-      Doc->reset();
+    if (Doc.Driver && Doc.DriverOptionsKey != DrvKey)
+      Doc.reset();
     // Bound the rerun lifetime rule: after enough retained versions,
     // rebuild cold to release them.
-    if (Doc->Driver && Doc->SourceHash != SrcHash &&
-        Doc->Programs.size() >= Opts.MaxProgramsPerDocument)
-      Doc->reset();
+    if (Doc.Driver && Doc.SourceHash != SrcHash &&
+        Doc.Programs.size() >= Opts.MaxProgramsPerDocument)
+      Doc.reset();
 
-    bool Warm = false;
-    unsigned Reused = 0, Reanalyzed = 0;
-    if (Doc->Driver && Doc->SourceHash == SrcHash) {
-      // Same text, options differing only in memo-relevant ways: the
-      // driver's whole state is current.
-      Warm = true;
-    } else if (Doc->Driver) {
-      auto NewProg = std::make_unique<Program>(std::move(PR.Prog));
-      DriverRerun RR = Doc->Driver->rerun(*NewProg);
-      Doc->Programs.push_back(std::move(NewProg));
-      Doc->RetainedBytes += R.Source.size();
-      Doc->SourceHash = SrcHash;
-      Telem.add(telem::Counter::ServeReruns);
-      Warm = true;
-      Reused = RR.Reused;
-      Reanalyzed = RR.Reanalyzed;
-    } else {
-      auto NewProg = std::make_unique<Program>(std::move(PR.Prog));
-      DriverOptions DO;
-      DO.IncludeNested = R.IncludeNested;
-      DO.Solver.Eng = R.Engine;
-      DO.Solver.Budget = Budget;
-      Doc->Driver =
-          std::make_unique<ProgramAnalysisDriver>(*NewProg, std::move(DO));
-      Doc->Programs.push_back(std::move(NewProg));
-      Doc->RetainedBytes += R.Source.size();
-      Doc->SourceHash = SrcHash;
-      Doc->DriverOptionsKey = DrvKey;
-      Doc->Driver->run();
+    // A warm driver over the same text (options differing only in
+    // memo-relevant ways) is current as it stands.
+    bool Warm = Doc.Driver != nullptr;
+    DriverRerun RR;
+    if (!Warm || Doc.SourceHash != SrcHash) {
+      const Program &NewProg = *Doc.Programs.emplace_back(
+          std::make_unique<Program>(std::move(PR.Prog)));
+      Doc.RetainedBytes += R.Source.size();
+      if (Warm) {
+        RR = Doc.Driver->rerun(NewProg);
+        Telem.add(telem::Counter::ServeReruns);
+      } else {
+        DriverOptions DO;
+        DO.IncludeNested = R.IncludeNested;
+        DO.Solver.Eng = R.Engine;
+        DO.Solver.Budget = Budget;
+        Doc.Driver = std::make_unique<ProgramAnalysisDriver>(NewProg,
+                                                             std::move(DO));
+        Doc.DriverOptionsKey = DrvKey;
+        Doc.Driver->run();
+      }
+      Doc.SourceHash = SrcHash;
     }
 
-    DriverReport Rep = Doc->Driver->report();
+    DriverReport Rep = Doc.Driver->report();
     json::Object O;
     O["loops"] = jint(Rep.total());
     O["ok"] = jint(Rep.Ok);
     O["degraded"] = jint(Rep.Degraded);
     O["failed"] = jint(Rep.Failed);
     O["unsupported"] = jint(Rep.Unsupported);
-    O["node_visits"] = jint(Doc->Driver->totalNodeVisits());
+    O["node_visits"] = jint(Doc.Driver->totalNodeVisits());
     O["engine"] = json::Value(engineName(R.Engine));
     O["warm"] = json::Value(Warm);
-    O["reused"] = jint(Reused);
-    O["reanalyzed"] = jint(Reanalyzed);
+    O["reused"] = jint(RR.Reused);
+    O["reanalyzed"] = jint(RR.Reanalyzed);
     return json::Value(std::move(O)).toString();
   }
 
@@ -462,71 +391,43 @@ struct AnalysisServer::Core : std::enable_shared_from_this<Core> {
 };
 
 AnalysisServer::AnalysisServer(ServeOptions Opts)
-    : C(std::make_shared<Core>(std::move(Opts))) {
-  C->start();
+    : C(std::make_unique<Core>(std::move(Opts))) {
+  unsigned N = C->Opts.Workers == 0 ? 1 : C->Opts.Workers;
+  for (unsigned I = 0; I != N; ++I)
+    C->Workers.emplace_back([Self = C.get()] { Self->workerLoop(); });
 }
 
-AnalysisServer::~AnalysisServer() {
-  C->beginShutdown();
-  {
-    std::lock_guard<std::mutex> L(C->M);
-    C->WatchdogStop = true;
-  }
-  C->WatchdogCV.notify_all();
-  if (C->Watchdog.joinable())
-    C->Watchdog.join();
-  std::vector<std::thread> Threads;
-  {
-    std::lock_guard<std::mutex> L(C->M);
-    for (const std::shared_ptr<WorkerState> &W : C->Workers)
-      if (!W->Abandoned && W->T.joinable())
-        Threads.push_back(std::move(W->T));
-  }
-  C->CV.notify_all();
-  for (std::thread &T : Threads)
-    T.join();
-}
+AnalysisServer::~AnalysisServer() = default;
 
 void AnalysisServer::submit(std::string Line, Respond R) {
-  auto Req = std::make_shared<PendingRequest>();
-  Req->Line = std::move(Line);
-  Req->Respond = std::move(R);
+  PendingRequest Req{std::move(Line), std::move(R)};
   C->Telem.add(telem::Counter::ServeRequests);
   if (C->Opts.MaxRequestBytes != 0 &&
-      Req->Line.size() > C->Opts.MaxRequestBytes) {
-    std::string Why = "request of " + std::to_string(Req->Line.size()) +
+      Req.Line.size() > C->Opts.MaxRequestBytes) {
+    std::string Why = "request of " + std::to_string(Req.Line.size()) +
                       " bytes exceeds the " +
                       std::to_string(C->Opts.MaxRequestBytes) + " byte cap";
-    Req->tryRespond(errorResponse(json::Value(), ErrorCode::PayloadTooLarge,
-                                  Why),
-                    C->Telem, {telem::Counter::ServeErrors});
+    C->respond(Req,
+               errorResponse(json::Value(), ErrorCode::PayloadTooLarge, Why),
+               telem::Counter::ServeErrors);
     return;
   }
-  ErrorCode Shed = ErrorCode::BadRequest; // sentinel meaning "admitted"
-  {
-    std::lock_guard<std::mutex> L(C->M);
-    if (C->Shutdown)
-      Shed = ErrorCode::ShuttingDown;
-    else if (C->Queue.size() >= C->Opts.QueueDepth)
-      Shed = ErrorCode::Overloaded;
-    else
-      C->Queue.push_back(Req);
-  }
-  if (Shed == ErrorCode::ShuttingDown) {
-    Req->tryRespond(errorResponse(json::Value(), Shed,
-                                  "daemon is shutting down"),
-                    C->Telem, {telem::Counter::ServeErrors});
-    return;
-  }
-  if (Shed == ErrorCode::Overloaded) {
+  std::unique_lock<std::mutex> L(C->M);
+  if (C->Shutdown) {
+    L.unlock();
+    C->refuseShuttingDown(Req);
+  } else if (C->Queue.size() >= C->Opts.QueueDepth) {
+    L.unlock();
     // Shedding is deliberately cheap: no parse, so the echoed id is
     // null. Clients treat overloaded as retry-later regardless of id.
-    Req->tryRespond(errorResponse(json::Value(), Shed,
-                                  "request queue is full; retry later"),
-                    C->Telem, {telem::Counter::ServeOverloads});
-    return;
+    C->respond(Req,
+               errorResponse(json::Value(), ErrorCode::Overloaded,
+                             "request queue is full; retry later"),
+               telem::Counter::ServeOverloads);
+  } else {
+    C->Queue.push_back(std::move(Req));
+    C->CV.notify_one();
   }
-  C->CV.notify_one();
 }
 
 void AnalysisServer::requestShutdown() { C->beginShutdown(); }
@@ -538,14 +439,7 @@ bool AnalysisServer::shutdownRequested() const {
 
 void AnalysisServer::drain() {
   std::unique_lock<std::mutex> L(C->M);
-  C->IdleCV.wait(L, [&] {
-    if (!C->Queue.empty())
-      return false;
-    for (const std::shared_ptr<WorkerState> &W : C->Workers)
-      if (!W->Abandoned && W->Current)
-        return false;
-    return true;
-  });
+  C->IdleCV.wait(L, [&] { return C->Queue.empty() && C->Busy == 0; });
 }
 
 const ServeOptions &AnalysisServer::options() const { return C->Opts; }

@@ -6,10 +6,10 @@
 ///
 /// \file
 /// The daemon's transport-agnostic core: a bounded request queue, a
-/// worker pool, the tenant cache, and a watchdog. Transports (stdio,
-/// Unix socket -- tools/ardf-serve) read lines and call submit(); the
-/// server promises to invoke the response callback exactly once per
-/// submitted line, always with a well-formed protocol response.
+/// worker pool and the tenant cache. Transports (stdio, Unix socket --
+/// tools/ardf-serve) read lines and call submit(); the server invokes
+/// the response callback exactly once per submitted line, always with a
+/// well-formed protocol response.
 ///
 /// The robustness envelope, one layer per failure class:
 ///
@@ -23,13 +23,10 @@
 ///  * Fault boundary: each request runs inside its own try/catch (plus
 ///    the serve.request failpoint); an escaping exception becomes an
 ///    internal error response for that request only.
-///  * Watchdog: a worker that blows through the deadline plus grace
-///    (e.g. a stalled failpoint or a pathological input the budgets
-///    missed) has its request failed with a deadline response by the
-///    watchdog thread; the worker slot is abandoned -- the thread
-///    detaches, finishes into the void, and discards its late result --
-///    and a replacement worker keeps the pool at strength. The daemon
-///    never dies with the wedged worker.
+///  * Request deadline: the worker that dequeues a request installs its
+///    deadline (support/Deadline.h); the request's work stops at its
+///    next pass, loop or check boundary past it, and the worker answers
+///    deadline. No thread is ever abandoned or replaced.
 ///  * Quotas: the cache evicts per tenant (ServeCache), so one noisy
 ///    tenant cannot evict another's warm state.
 ///
@@ -63,15 +60,10 @@ struct ServeOptions {
   /// Admission cap on one request line, bytes (0 = uncapped).
   uint64_t MaxRequestBytes = 1u << 20;
 
-  /// Per-request wall-clock deadline, milliseconds. Doubles as the
-  /// default solver deadline when a request sets none, and as the
-  /// watchdog threshold (plus grace). 0 disables both.
+  /// Per-request wall-clock deadline in milliseconds from dequeue; the
+  /// request is answered deadline at its next solver pass, loop or check
+  /// boundary past it. 0 disables it.
   uint64_t RequestDeadlineMs = 2000;
-
-  /// Extra time past the deadline before the watchdog fails a wedged
-  /// worker's request (budgets check at pass boundaries, so a healthy
-  /// over-deadline solve normally degrades on its own first).
-  uint64_t WatchdogGraceMs = 500;
 
   /// Live documents per tenant (ServeCache quota).
   unsigned TenantQuota = 8;
@@ -91,15 +83,17 @@ struct ServeOptions {
 class AnalysisServer {
 public:
   /// Invoked exactly once per submitted line with the complete response
-  /// line (no trailing newline). May be called from a worker thread,
-  /// the watchdog thread, or inline from submit(); must be thread-safe
-  /// against other requests' callbacks and must not block for long.
+  /// line (no trailing newline): inline from submit() for a refused
+  /// line, from the thread that begins shutdown for a line still queued,
+  /// and otherwise from the worker that handled the line. Must be
+  /// thread-safe against other requests' callbacks and must not block
+  /// for long.
   using Respond = std::function<void(std::string)>;
 
   explicit AnalysisServer(ServeOptions Opts = ServeOptions());
 
-  /// Drains and joins (requestShutdown + pending requests answered
-  /// shutting-down).
+  /// Answers queued requests shutting-down, lets every worker finish
+  /// its current request, and joins every thread the server started.
   ~AnalysisServer();
 
   AnalysisServer(const AnalysisServer &) = delete;
@@ -132,7 +126,7 @@ public:
 
 private:
   struct Core;
-  std::shared_ptr<Core> C;
+  std::unique_ptr<Core> C;
 };
 
 } // namespace serve

@@ -104,8 +104,8 @@ const char *telem::counterName(Counter C) {
     return "serve.errors";
   case Counter::ServeOverloads:
     return "serve.overloads";
-  case Counter::ServeWatchdogKills:
-    return "serve.watchdog_kills";
+  case Counter::ServeDeadlines:
+    return "serve.deadlines";
   case Counter::ServeCacheHits:
     return "serve.cache.hits";
   case Counter::ServeCacheMisses:

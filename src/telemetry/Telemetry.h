@@ -142,8 +142,8 @@ enum class Counter : unsigned {
   ServeErrors,
   /// Requests shed with an overloaded response (queue full).
   ServeOverloads,
-  /// Wedged requests the watchdog failed so the daemon kept serving.
-  ServeWatchdogKills,
+  /// Requests answered deadline: it passed before their reply was ready.
+  ServeDeadlines,
   /// Serve cache hits (a memoized response or warm entry was served).
   ServeCacheHits,
   /// Serve cache misses (the request was analyzed from scratch).

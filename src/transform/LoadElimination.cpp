@@ -44,12 +44,7 @@ void planLoop(LoopAnalysisSession &Session, const LoadElimOptions &Opts,
       continue;
     if (Pair.Distance > Opts.MaxDistance)
       continue;
-    // A use at least the trip count after its generator only ever reads
-    // the preheader fill, and the fact does not cover that fill: the
-    // exit increment saturates a distance of trip - 2 or more to "all
-    // in-loop instances", so a kill at a shorter distance goes unseen.
-    if (Session.tripCount() != UnknownTripCount &&
-        Pair.Distance >= Session.tripCount())
+    if (!Session.reuseWithinTrip(Pair.Distance))
       continue;
     BySink[Pair.SinkId].push_back(Pair);
     AllSinks.insert(Pair.SinkId);

@@ -11,10 +11,13 @@
 
 #include "analysis/LoopAnalysisSession.h"
 #include "frontend/Parser.h"
+#include "support/Deadline.h"
 #include "support/FailPoint.h"
 #include "telemetry/Telemetry.h"
 
 #include <gtest/gtest.h>
+
+#include <limits>
 
 using namespace ardf;
 
@@ -111,6 +114,29 @@ TEST_F(BudgetTest, TightSlackDegradesUndersizedSchedule) {
   expectConservativeFill(R, /*IsMust=*/true);
 }
 
+TEST_F(BudgetTest, HugeSlackCapsAtTheLargestCount) {
+  // A slack whose visit cap lies past every uint64_t count admits the
+  // whole schedule, as no slack does; an absolute cap still wins.
+  for (double Slack : {1e300, std::numeric_limits<double>::infinity()})
+    for (SolverOptions::Engine Eng :
+         {SolverOptions::Engine::Reference,
+          SolverOptions::Engine::PackedKernel}) {
+      SolverOptions Huge;
+      Huge.Budget.VisitSlack = Slack;
+      SolveResult Plain =
+          solveFig1(ProblemSpec::mustReachingDefs(), SolverOptions(), Eng);
+      SolveResult R = solveFig1(ProblemSpec::mustReachingDefs(), Huge, Eng);
+      EXPECT_EQ(R.Outcome, SolveOutcome::Ok) << Slack;
+      EXPECT_EQ(R.In, Plain.In) << Slack;
+      EXPECT_EQ(R.NodeVisits, Plain.NodeVisits) << Slack;
+      Huge.Budget.MaxNodeVisits = 1;
+      SolveResult Capped =
+          solveFig1(ProblemSpec::mustReachingDefs(), Huge, Eng);
+      EXPECT_EQ(Capped.Outcome, SolveOutcome::Degraded) << Slack;
+      EXPECT_EQ(Capped.Breach, BreachReason::NodeVisits) << Slack;
+    }
+}
+
 TEST_F(BudgetTest, MatrixCellCapDegradesWithoutSolving) {
   SolverOptions Opts;
   Opts.Budget.MaxMatrixCells = 2; // Fig1 needs far more
@@ -152,6 +178,31 @@ TEST_F(BudgetTest, StalledPassMissesDeadline) {
   EXPECT_EQ(R.Outcome, SolveOutcome::Degraded);
   EXPECT_EQ(R.Breach, BreachReason::Deadline);
   expectConservativeFill(R, /*IsMust=*/true);
+}
+
+TEST_F(BudgetTest, PassedRequestDeadlineDegradesBothEngines) {
+  // The running request's deadline (support/Deadline.h) stops even an
+  // unbudgeted solve at its first pass boundary once it has passed; a
+  // deadline still ahead changes nothing.
+  for (SolverOptions::Engine Eng :
+       {SolverOptions::Engine::Reference,
+        SolverOptions::Engine::PackedKernel}) {
+    SolveResult Plain =
+        solveFig1(ProblemSpec::reachingReferences(), SolverOptions(), Eng);
+    {
+      deadline::Scope Past(1); // 1 ns after the steady clock's epoch
+      SolveResult R =
+          solveFig1(ProblemSpec::reachingReferences(), SolverOptions(), Eng);
+      EXPECT_EQ(R.Outcome, SolveOutcome::Degraded);
+      EXPECT_EQ(R.Breach, BreachReason::Deadline);
+      expectConservativeFill(R, /*IsMust=*/false);
+    }
+    deadline::Scope Ahead(deadline::afterMs(60000));
+    SolveResult R =
+        solveFig1(ProblemSpec::reachingReferences(), SolverOptions(), Eng);
+    EXPECT_EQ(R.Outcome, SolveOutcome::Ok);
+    EXPECT_EQ(R.Out, Plain.Out);
+  }
 }
 
 TEST_F(BudgetTest, FixpointExhaustionIsDegradedNonConvergence) {

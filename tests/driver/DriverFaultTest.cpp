@@ -4,12 +4,14 @@
 // injected via the driver.loop / session.lower failpoints -- is captured
 // as a structured LoopFailure, the batch always completes, unaffected
 // loops are bit-identical to an unarmed run, and the report tallies
-// ok/degraded/failed. Parallel workers never propagate a throw.
+// ok/degraded/failed. Parallel workers never propagate a throw, and
+// they inherit the caller's request deadline.
 //
 //===----------------------------------------------------------------------===//
 
 #include "driver/ProgramAnalysisDriver.h"
 #include "frontend/Parser.h"
+#include "support/Deadline.h"
 #include "support/FailPoint.h"
 #include "telemetry/Telemetry.h"
 
@@ -181,6 +183,32 @@ TEST_F(DriverFaultTest, EnginesDegradeIdenticallyUnderSameFault) {
     }
   }
   EXPECT_EQ(DegradedLoops, 1u);
+}
+
+TEST_F(DriverFaultTest, LoopsPastTheRequestDeadlineFailUntilRerun) {
+  // Loops reached after the request deadline fail with phase "deadline"
+  // and no session, on the calling thread and on pool workers alike; a
+  // rerun without the deadline reanalyzes every one of them.
+  Program P = parseOrDie(multiLoopSource(6));
+  for (unsigned Threads : {1u, 3u}) {
+    DriverOptions Opts;
+    Opts.Threads = Threads;
+    ProgramAnalysisDriver Driver(P, Opts);
+    {
+      deadline::Scope Past(1); // 1 ns after the steady clock's epoch
+      Driver.run();
+    }
+    EXPECT_EQ(Driver.report().Failed, 6u) << Threads;
+    for (const AnalyzedLoop &L : Driver.loops()) {
+      ASSERT_EQ(L.Failures.size(), 1u) << Threads;
+      EXPECT_EQ(L.Failures[0].Phase, "deadline");
+      EXPECT_EQ(L.Session, nullptr);
+    }
+    DriverRerun RR = Driver.rerun(P);
+    EXPECT_EQ(RR.Reused, 0u) << Threads;
+    EXPECT_EQ(RR.Reanalyzed, 6u) << Threads;
+    EXPECT_EQ(Driver.report().Ok, 6u) << Threads;
+  }
 }
 
 TEST_F(DriverFaultTest, LoopFailuresAreCounted) {

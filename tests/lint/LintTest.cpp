@@ -69,6 +69,32 @@ TEST(LintRedundantLoadTest, CrossIterationReRead) {
             std::string::npos);
 }
 
+TEST(LintRedundantLoadTest, NoReuseAtOrBeyondTheTripCount) {
+  // B[i - 3] reads what B[i + 1] read 4 iterations earlier, but the loop
+  // runs 4 iterations: that use only ever reads the value from before
+  // the loop, which the guarded store to B[i - 2] may overwrite first.
+  // A 5-value pipeline for it would read a stale value.
+  LintResult R = lint("do i = 1, 4 {\n"
+                      "  A[i] = B[i - 3];\n"
+                      "  C[i] = B[i + 1];\n"
+                      "  if (C[i + 1] > 0) { B[i - 2] = 7; }\n"
+                      "}\n");
+  EXPECT_TRUE(ofCheck(R, checkid::RedundantLoad).empty()) << renderedJson(R);
+  // Without the store, the distance must still be below the trip count.
+  const char *Reuse4 = "do i = 1, 4 {\n"
+                       "  A[i] = B[i - 3];\n"
+                       "  C[i] = B[i + 1];\n"
+                       "}\n";
+  EXPECT_TRUE(ofCheck(lint(Reuse4), checkid::RedundantLoad).empty());
+  std::string Reuse5 = Reuse4;
+  Reuse5.replace(Reuse5.find("1, 4"), 4, "1, 5");
+  std::vector<Diagnostic> Diags =
+      ofCheck(lint(Reuse5), checkid::RedundantLoad);
+  ASSERT_EQ(Diags.size(), 1u);
+  EXPECT_EQ(Diags[0].Loc, SourceLoc(2, 10));
+  EXPECT_EQ(Diags[0].Distance, 4);
+}
+
 TEST(LintRedundantLoadTest, NoFalsePositiveOnDistinctElements) {
   LintResult R = lint("do i = 1, 10 {\n"
                       "  B[i] = A[2*i] + A[2*i+1];\n"

@@ -106,6 +106,19 @@ TEST(ProtocolTest, FieldTypesAreValidated) {
       parseRequest("{\"method\":\"lint\",\"source\":\"\","
                    "\"budget\":{\"visits\":-5}}")
           .Ok);
+  // 1e999 parses to infinity: no finite factor, so no slack at all.
+  ParsedRequest Inf =
+      parseRequest("{\"method\":\"lint\",\"source\":\"\","
+                   "\"budget\":{\"slack\":1e999}}");
+  EXPECT_FALSE(Inf.Ok);
+  EXPECT_NE(Inf.Error.find("'slack' must be a finite non-negative number"),
+            std::string::npos)
+      << Inf.Error;
+  ParsedRequest Huge300 =
+      parseRequest("{\"method\":\"lint\",\"source\":\"\","
+                   "\"budget\":{\"slack\":1e300}}");
+  ASSERT_TRUE(Huge300.Ok) << Huge300.Error;
+  EXPECT_EQ(Huge300.R.Budget.VisitSlack, 1e300);
   // A deadline whose nanosecond count overflows uint64_t would wrap to
   // a tiny one; the largest representable deadline still parses.
   ParsedRequest Huge =

@@ -4,9 +4,10 @@
 // renders against the single-shot pipeline, cold/warm analyze reruns,
 // memoized response replay, admission control (payload cap, queue
 // shedding), budget clamping, fault containment behind the
-// serve.request failpoint, the watchdog's wedged-worker recovery, and
-// shutdown draining. Every submit() must resolve to exactly one
-// well-formed response line -- the helpers here block on that promise.
+// serve.request failpoint, request deadlines answered by the request's
+// own worker, and shutdown draining. Every submit() must resolve to
+// exactly one well-formed response line -- the helpers here block on
+// that promise.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,7 +19,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <filesystem>
 #include <future>
 #include <sstream>
 #include <thread>
@@ -33,12 +36,20 @@ const char *GoodSource = "do i = 1, 10 {\n"
                          "  C[i] = A[i];\n"
                          "}\n";
 
-/// Submits one line and blocks until its (exactly-once) response.
-std::string call(AnalysisServer &S, const std::string &Line,
-                 uint64_t TimeoutMs = 30000) {
+/// Submits one line; the future resolves with its (exactly-once)
+/// response.
+std::future<std::string> submitLine(AnalysisServer &S,
+                                    const std::string &Line) {
   auto P = std::make_shared<std::promise<std::string>>();
   std::future<std::string> F = P->get_future();
   S.submit(Line, [P](std::string R) { P->set_value(std::move(R)); });
+  return F;
+}
+
+/// Submits one line and blocks until its (exactly-once) response.
+std::string call(AnalysisServer &S, const std::string &Line,
+                 uint64_t TimeoutMs = 30000) {
+  std::future<std::string> F = submitLine(S, Line);
   EXPECT_EQ(F.wait_for(std::chrono::milliseconds(TimeoutMs)),
             std::future_status::ready)
       << "no response within " << TimeoutMs << "ms for: " << Line;
@@ -67,12 +78,13 @@ std::string errorCode(const json::Value &Resp) {
 
 /// JSON-encodes a source string into a lint request line.
 std::string lintLine(const std::string &Source, const std::string &File,
-                     int Id) {
+                     int Id, const std::string &Extra = "") {
   std::string Line = "{\"method\":\"lint\",\"id\":" + std::to_string(Id) +
                      ",\"file\":";
   json::appendQuoted(Line, File);
   Line += ",\"source\":";
   json::appendQuoted(Line, Source);
+  Line += Extra;
   Line += "}";
   return Line;
 }
@@ -97,12 +109,21 @@ std::string referenceRender(const std::string &Source,
                             const ServeOptions &ServerOpts) {
   LintOptions LO;
   LO.Budget = ServerOpts.Budget;
-  if (ServerOpts.RequestDeadlineMs != 0 && LO.Budget.DeadlineNs == 0)
-    LO.Budget.DeadlineNs = ServerOpts.RequestDeadlineMs * 1000000ull;
   LintResult LR = lintSource(Source, File, LO);
   std::ostringstream OS;
   renderJsonLines(OS, LR.Diags);
   return OS.str();
+}
+
+/// Threads of this process: the entries of /proc/self/task.
+size_t threadCount() {
+  size_t N = 0;
+  for (const auto &Task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)Task;
+    ++N;
+  }
+  return N;
 }
 
 } // namespace
@@ -210,7 +231,7 @@ TEST(ServerTest, FullQueueShedsWithOverloaded) {
   ServeOptions Opts;
   Opts.Workers = 1;
   Opts.QueueDepth = 1;
-  Opts.RequestDeadlineMs = 0; // no watchdog: the stall must outlive us
+  Opts.RequestDeadlineMs = 0; // the stalled request must still answer ok
   AnalysisServer S(Opts);
 
   auto Blocker = std::make_shared<std::promise<std::string>>();
@@ -256,29 +277,123 @@ TEST(ServerTest, SessionFailpointShedsDocumentCreation) {
   EXPECT_TRUE(isOk(parsed(call(S, lintLine(GoodSource, "s.arf", 2)))));
 }
 
-TEST(ServerTest, WatchdogFailsWedgedWorkerNotTheServer) {
-  // A stall far past deadline+grace: the watchdog must answer the
-  // request with a deadline error and replace the worker while the
-  // stalled thread finishes into the void.
+TEST(ServerTest, StalledRequestAnswersItsOwnDeadline) {
+  // A stall past the deadline: the stalled request's own worker answers
+  // deadline once the stall returns, and then serves the next request.
   failpoint::ScopedFailPoint Stall("serve.request", failpoint::Action::Stall,
-                                   1, 1200);
+                                   1, 300);
   ServeOptions Opts;
   Opts.RequestDeadlineMs = 100;
-  Opts.WatchdogGraceMs = 100;
+  AnalysisServer S(Opts);
+  json::Value Resp = parsed(call(S, "{\"method\":\"stats\",\"id\":1}", 5000));
+  EXPECT_FALSE(isOk(Resp));
+  EXPECT_EQ(errorCode(Resp), "deadline");
+  EXPECT_EQ(Resp.find("id")->intValue(), 1);
+  EXPECT_EQ(S.telemetry().get(telem::Counter::ServeDeadlines), 1u);
+  EXPECT_TRUE(isOk(parsed(call(S, "{\"method\":\"stats\",\"id\":2}"))));
+}
+
+TEST(ServerTest, StalledDocumentNeverGrowsThePool) {
+  // One worker stalls 600 ms on a fresh document while holding its
+  // mutex, six times the deadline, and a client retries the same
+  // document in a closed loop. No thread is added, replaced or left
+  // behind: the process never runs more threads than it had before plus
+  // the workers, the stalled request answers deadline itself, and every
+  // retry is answered.
+  failpoint::ScopedFailPoint Stall("serve.session", failpoint::Action::Stall,
+                                   1, 600);
+  const size_t Before = threadCount();
+  ServeOptions Opts;
+  Opts.Workers = 1;
+  Opts.RequestDeadlineMs = 100;
+  size_t MaxThreads = 0;
   {
     AnalysisServer S(Opts);
-    json::Value Resp =
-        parsed(call(S, "{\"method\":\"stats\",\"id\":1}", 5000));
-    EXPECT_FALSE(isOk(Resp));
-    EXPECT_EQ(errorCode(Resp), "deadline");
-    EXPECT_GE(S.telemetry().get(telem::Counter::ServeWatchdogKills), 1u);
-    // The replacement worker serves the next request normally.
-    EXPECT_TRUE(isOk(parsed(call(S, "{\"method\":\"stats\",\"id\":2}"))));
+    std::future<std::string> Stalled =
+        submitLine(S, analyzeLine(GoodSource, "wedge.arf", 1));
+    const auto Start = std::chrono::steady_clock::now();
+    int Id = 2;
+    do {
+      std::future<std::string> Retry =
+          submitLine(S, analyzeLine(GoodSource, "wedge.arf", Id++));
+      const auto GiveUp =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      MaxThreads = std::max(MaxThreads, threadCount());
+      while (Retry.wait_for(std::chrono::milliseconds(5)) !=
+                 std::future_status::ready &&
+             std::chrono::steady_clock::now() < GiveUp)
+        MaxThreads = std::max(MaxThreads, threadCount());
+      ASSERT_EQ(Retry.wait_for(std::chrono::seconds(0)),
+                std::future_status::ready)
+          << "retry " << Id - 1 << " was never answered";
+      json::Value Reply = parsed(Retry.get());
+      EXPECT_TRUE(isOk(Reply) || errorCode(Reply) == "deadline")
+          << Reply.toString();
+    } while (std::chrono::steady_clock::now() - Start <
+             std::chrono::milliseconds(500));
+    json::Value First = parsed(Stalled.get());
+    EXPECT_EQ(errorCode(First), "deadline") << First.toString();
+    EXPECT_GE(S.telemetry().get(telem::Counter::ServeDeadlines), 1u);
   }
-  // Destruction with an abandoned worker still in its stall must not
-  // crash or hang (it holds a shared_ptr to the server core). Wait out
-  // the stall so the scoped failpoint outlives the sleeping evaluate.
-  std::this_thread::sleep_for(std::chrono::milliseconds(1300));
+  EXPECT_LE(MaxThreads, Before + Opts.Workers);
+  EXPECT_EQ(threadCount(), Before) << "a thread outlived the server";
+}
+
+TEST(ServerTest, LintAndAnalyzeStopAtTheirDeadline) {
+  // A lint stalled in its second check and an analyze stalled in its
+  // first loop both overrun a 50 ms deadline: each stops at its next
+  // check, solver pass or loop boundary and answers deadline.
+  ServeOptions Opts;
+  Opts.RequestDeadlineMs = 50;
+  AnalysisServer S(Opts);
+  {
+    failpoint::ScopedFailPoint Stall("lint.check", failpoint::Action::Stall,
+                                     2, 200);
+    json::Value Lint = parsed(call(S, lintLine(GoodSource, "late.arf", 1)));
+    EXPECT_EQ(errorCode(Lint), "deadline") << Lint.toString();
+  }
+  {
+    failpoint::ScopedFailPoint Stall("driver.loop", failpoint::Action::Stall,
+                                     1, 200);
+    json::Value Analyze =
+        parsed(call(S, analyzeLine(GoodSource, "late.arf", 2)));
+    EXPECT_EQ(errorCode(Analyze), "deadline") << Analyze.toString();
+  }
+  EXPECT_EQ(S.telemetry().get(telem::Counter::ServeDeadlines), 2u);
+  // The interrupted analyze left no driver warm: the same text analyzes
+  // cold, and neither deadline reply was memoized.
+  json::Value Again = parsed(call(S, analyzeLine(GoodSource, "late.arf", 3)));
+  ASSERT_TRUE(isOk(Again)) << Again.toString();
+  EXPECT_FALSE(Again.find("result")->find("warm")->boolValue());
+  EXPECT_EQ(Again.find("result")->find("failed")->intValue(), 0);
+  json::Value Lint = parsed(call(S, lintLine(GoodSource, "late.arf", 4)));
+  ASSERT_TRUE(isOk(Lint)) << Lint.toString();
+  EXPECT_EQ(Lint.find("result")->find("render")->stringValue(),
+            referenceRender(GoodSource, "late.arf", Opts));
+  EXPECT_EQ(S.telemetry().get(telem::Counter::ServeCacheHits), 0u);
+}
+
+TEST(ServerTest, EverySlackKeysItsOwnMemo) {
+  // A slack of 1e-7 starves every solve, so its lint degrades. It must
+  // not replay the plain lint's memoized reply for the same text, or
+  // the reverse: the memo keys on the slack's exact value.
+  const std::string Starved = ",\"budget\":{\"slack\":1e-7}";
+  json::Value Fresh;
+  {
+    AnalysisServer S;
+    Fresh = parsed(call(S, lintLine(GoodSource, "slack.arf", 1, Starved)));
+  }
+  ASSERT_TRUE(isOk(Fresh)) << Fresh.toString();
+  EXPECT_GE(Fresh.find("result")->find("degraded")->intValue(), 1);
+
+  AnalysisServer S;
+  json::Value Plain = parsed(call(S, lintLine(GoodSource, "slack.arf", 1)));
+  ASSERT_TRUE(isOk(Plain)) << Plain.toString();
+  EXPECT_EQ(Plain.find("result")->find("degraded")->intValue(), 0);
+  json::Value After =
+      parsed(call(S, lintLine(GoodSource, "slack.arf", 1, Starved)));
+  EXPECT_EQ(After.toString(), Fresh.toString());
+  EXPECT_EQ(S.telemetry().get(telem::Counter::ServeCacheHits), 0u);
 }
 
 TEST(ServerTest, RequestIsCountedBeforeItsReply) {

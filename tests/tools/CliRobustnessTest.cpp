@@ -9,12 +9,17 @@
 
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <string>
 
+#include <fcntl.h>
+#include <spawn.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 namespace {
 
@@ -307,15 +312,85 @@ TEST(CliRobustnessTest, ServeUsageErrorsExitTwo) {
        {"--max-request-bytes=abc", "--budget-slack=-1", "--deadline-ms=abc",
         "--budget-visits=abc", "--workers=3abc"})
     EXPECT_EQ(run(Serve + " " + Flag + " </dev/null"), 2) << Flag;
-  // Millisecond limits whose nanosecond watchdog threshold (deadline +
-  // grace) overflows uint64_t would wrap to a tiny deadline.
-  for (const char *Flags :
-       {"--deadline-ms=18446744073710",
-        "--deadline-ms=1000 --grace-ms=18446744072710"})
-    EXPECT_EQ(run(Serve + " " + Flags + " </dev/null"), 2) << Flags;
-  EXPECT_EQ(run(Serve + " --deadline-ms=1000 --grace-ms=18446744072709"
-                        " </dev/null"),
-            0);
+  // A deadline whose nanosecond count overflows uint64_t would wrap to
+  // a tiny one; the largest representable deadline is accepted.
+  EXPECT_EQ(run(Serve + " --deadline-ms=18446744073710 </dev/null"), 2);
+  EXPECT_EQ(run(Serve + " --deadline-ms=18446744073709 </dev/null"), 0);
+  // Requests enforce their own deadline; there is no watchdog grace.
+  std::string Out;
+  EXPECT_EQ(runCapture(Serve + " --grace-ms=1 </dev/null", Out), 2);
+  EXPECT_NE(Out.find("unknown option '--grace-ms=1'"), std::string::npos)
+      << Out;
+}
+
+TEST(CliRobustnessTest, ServeSocketJoinsClosedConnections) {
+  // Each connection runs on its own thread. A daemon that kept every
+  // closed connection's thread until shutdown would keep its stack
+  // mapped: about 8 MiB of VmSize a connection.
+  char Dir[] = "/tmp/ardf-serve-test.XXXXXX";
+  ASSERT_NE(mkdtemp(Dir), nullptr);
+  const std::string Sock = std::string(Dir) + "/s.sock";
+  std::string SocketArg = "--socket=" + Sock;
+  std::string Bin = Serve;
+  char *Argv[] = {Bin.data(), SocketArg.data(), nullptr};
+  posix_spawn_file_actions_t Files;
+  posix_spawn_file_actions_init(&Files);
+  posix_spawn_file_actions_addopen(&Files, 0, "/dev/null", O_RDONLY, 0);
+  posix_spawn_file_actions_addopen(&Files, 2, "/dev/null", O_WRONLY, 0);
+  pid_t Daemon = -1;
+  int Spawned = posix_spawn(&Daemon, Bin.c_str(), &Files, nullptr, Argv,
+                            environ);
+  posix_spawn_file_actions_destroy(&Files);
+  ASSERT_EQ(Spawned, 0);
+  // Reaps the daemon on every exit path; kills it first if it is still
+  // running (a failed assertion below).
+  struct Reaper {
+    pid_t Pid;
+    int Status = -1;
+    bool Reaped = false;
+    int wait() {
+      if (!Reaped && waitpid(Pid, &Status, 0) == Pid)
+        Reaped = true;
+      return Reaped && WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
+    }
+    ~Reaper() {
+      if (!Reaped) {
+        kill(Pid, SIGKILL);
+        wait();
+      }
+    }
+  } Guard{Daemon};
+
+  for (int Tries = 0; Tries != 200 && !std::filesystem::exists(Sock);
+       ++Tries)
+    usleep(25000);
+  ASSERT_TRUE(std::filesystem::exists(Sock)) << "daemon never bound " << Sock;
+  auto Client = [&](const std::string &Request) {
+    return run("printf '%s\\n' '" + Request + "' | " + Serve +
+               " --connect=" + Sock);
+  };
+  auto VmSizeKiB = [&] {
+    std::ifstream Status("/proc/" + std::to_string(Daemon) + "/status");
+    std::string Line;
+    while (std::getline(Status, Line))
+      if (Line.rfind("VmSize:", 0) == 0)
+        return std::strtoll(Line.c_str() + 7, nullptr, 10);
+    return 0ll;
+  };
+  // Warm-up: the first connections set up the allocator's thread arena
+  // and the thread stack cache.
+  for (int I = 0; I != 5; ++I)
+    ASSERT_EQ(Client("{\"method\":\"stats\"}"), 0);
+  long long Before = VmSizeKiB();
+  ASSERT_GT(Before, 0);
+  for (int I = 0; I != 40; ++I)
+    ASSERT_EQ(Client("{\"method\":\"stats\"}"), 0) << "client " << I;
+  long long After = VmSizeKiB();
+  EXPECT_LT(After - Before, 64 * 1024)
+      << "VmSize grew from " << Before << " to " << After << " KiB";
+  EXPECT_EQ(Client("{\"method\":\"shutdown\"}"), 0);
+  EXPECT_EQ(Guard.wait(), 0);
+  std::filesystem::remove_all(Dir);
 }
 
 TEST(CliRobustnessTest, ServeStdioRenderMatchesLintJson) {

@@ -30,6 +30,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <future>
 #include <iostream>
 #include <limits>
 #include <memory>
@@ -72,12 +73,9 @@ int usage(std::ostream &OS, int Code) {
         "                          get an overloaded response (default 64)\n"
         "  --max-request-bytes=N   admission cap per request line\n"
         "                          (default 1MiB, 0 = uncapped)\n"
-        "  --deadline-ms=N         per-request wall-clock deadline and\n"
-        "                          default solver deadline (default 2000,\n"
-        "                          0 disables deadline and watchdog)\n"
-        "  --grace-ms=N            extra time past the deadline before\n"
-        "                          the watchdog fails a wedged worker's\n"
-        "                          request (default 500)\n"
+        "  --deadline-ms=N         per-request wall-clock deadline from\n"
+        "                          dequeue; a request past it is answered\n"
+        "                          deadline (default 2000, 0 disables)\n"
         "  --tenant-quota=N        cached documents per tenant, LRU\n"
         "                          evicted (default 8)\n"
         "  --engine=NAME           default solver engine (default:\n"
@@ -127,8 +125,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts, std::string &Err) {
                               Opts.Serve.MaxRequestBytes, Err) ||
                cli::countFlag(Arg, "--deadline-ms",
                               Opts.Serve.RequestDeadlineMs, Err) ||
-               cli::countFlag(Arg, "--grace-ms", Opts.Serve.WatchdogGraceMs,
-                              Err) ||
                cli::countFlag(Arg, "--tenant-quota", Opts.Serve.TenantQuota,
                               Err, /*Positive=*/true) ||
                cli::engineFlag(Arg, Opts.Serve.Engine, Err) ||
@@ -145,11 +141,10 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts, std::string &Err) {
     Err = "--socket and --connect are mutually exclusive";
     return false;
   }
-  // The watchdog waits deadline + grace, counted in nanoseconds.
-  const uint64_t MaxMs = std::numeric_limits<uint64_t>::max() / 1000000ull;
-  if (Opts.Serve.RequestDeadlineMs > MaxMs ||
-      Opts.Serve.WatchdogGraceMs > MaxMs - Opts.Serve.RequestDeadlineMs) {
-    Err = "--deadline-ms plus --grace-ms is out of range";
+  // The deadline is counted in nanoseconds.
+  if (Opts.Serve.RequestDeadlineMs >
+      std::numeric_limits<uint64_t>::max() / 1000000ull) {
+    Err = "--deadline-ms is out of range";
     return false;
   }
   return true;
@@ -246,22 +241,28 @@ int runSocket(const CliOptions &Opts) {
     }
   });
 
-  std::vector<std::thread> Connections;
+  // One noexcept thread per connection, joined when its std::async future
+  // is destroyed. Each accept drops the connections that have ended, so
+  // a closed connection's stack does not stay mapped until shutdown.
+  std::vector<std::future<void>> Connections;
   for (;;) {
     int Fd = Listener.accept();
     if (Fd < 0)
       break; // closed by the shutdown watcher (or a fatal accept error)
-    Connections.emplace_back([&Server, Fd] {
-      auto Sink = std::make_shared<ConnectionSink>(Fd);
-      net::LineReader Reader(Fd);
-      serveStream(Server, Reader, Sink);
-      Sink->close();
+    std::erase_if(Connections, [](const std::future<void> &F) {
+      return F.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
     });
+    Connections.push_back(
+        std::async(std::launch::async, [&Server, Fd]() noexcept {
+          auto Sink = std::make_shared<ConnectionSink>(Fd);
+          net::LineReader Reader(Fd);
+          serveStream(Server, Reader, Sink);
+          Sink->close();
+        }));
   }
   Stop.store(true, std::memory_order_relaxed);
   ShutdownWatcher.join();
-  for (std::thread &T : Connections)
-    T.join();
+  Connections.clear(); // joins the remaining connection threads
   Server.drain();
   return 0;
 }
