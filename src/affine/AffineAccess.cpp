@@ -3,12 +3,18 @@
 #include "affine/AffineAccess.h"
 
 #include "lattice/Distance.h"
+#include "support/CheckedArith.h"
 
 #include <sstream>
+#include <stdexcept>
 
 using namespace ardf;
 
-std::optional<Poly> ardf::evalToPoly(const Expr &E) {
+namespace {
+
+/// evalToPoly, except that a coefficient overflow throws
+/// std::overflow_error.
+std::optional<Poly> evalOrThrow(const Expr &E) {
   switch (E.getKind()) {
   case Expr::Kind::IntLit:
     return Poly::constant(cast<IntLit>(&E)->getValue());
@@ -20,15 +26,15 @@ std::optional<Poly> ardf::evalToPoly(const Expr &E) {
     const auto *UE = cast<UnaryExpr>(&E);
     if (UE->getOp() != UnaryOpKind::Neg)
       return std::nullopt;
-    std::optional<Poly> Operand = evalToPoly(*UE->getOperand());
+    std::optional<Poly> Operand = evalOrThrow(*UE->getOperand());
     if (!Operand)
       return std::nullopt;
     return -*Operand;
   }
   case Expr::Kind::Binary: {
     const auto *BE = cast<BinaryExpr>(&E);
-    std::optional<Poly> L = evalToPoly(*BE->getLHS());
-    std::optional<Poly> R = evalToPoly(*BE->getRHS());
+    std::optional<Poly> L = evalOrThrow(*BE->getLHS());
+    std::optional<Poly> R = evalOrThrow(*BE->getRHS());
     if (!L || !R)
       return std::nullopt;
     switch (BE->getOp()) {
@@ -51,11 +57,13 @@ std::optional<Poly> ardf::evalToPoly(const Expr &E) {
   return std::nullopt;
 }
 
-std::optional<Poly> ardf::linearizeSubscripts(const ArrayRefExpr &Ref,
-                                              const Program &P) {
+/// linearizeSubscripts, except that a coefficient overflow throws
+/// std::overflow_error.
+std::optional<Poly> linearizeOrThrow(const ArrayRefExpr &Ref,
+                                     const Program &P) {
   unsigned NumDims = Ref.getNumSubscripts();
   if (NumDims == 1)
-    return evalToPoly(*Ref.getSubscript(0));
+    return evalOrThrow(*Ref.getSubscript(0));
 
   const ArrayDecl *Decl = P.getArrayDecl(Ref.getName());
   if (!Decl || Decl->getNumDims() != NumDims)
@@ -66,19 +74,40 @@ std::optional<Poly> ardf::linearizeSubscripts(const ArrayRefExpr &Ref,
   // N*i + j (Fig. 4 discussion).
   Poly Addr;
   for (unsigned I = 0; I != NumDims; ++I) {
-    std::optional<Poly> Sub = evalToPoly(*Ref.getSubscript(I));
+    std::optional<Poly> Sub = evalOrThrow(*Ref.getSubscript(I));
     if (!Sub)
       return std::nullopt;
     if (I == 0) {
       Addr = *Sub;
       continue;
     }
-    std::optional<Poly> Dim = evalToPoly(*Decl->DimSizes[I]);
+    std::optional<Poly> Dim = evalOrThrow(*Decl->DimSizes[I]);
     if (!Dim)
       return std::nullopt;
     Addr = Addr * *Dim + *Sub;
   }
   return Addr;
+}
+
+} // namespace
+
+// A subscript whose polynomial overflows int64 is not affine: the
+// occurrence becomes a whole-array kill.
+std::optional<Poly> ardf::evalToPoly(const Expr &E) {
+  try {
+    return evalOrThrow(E);
+  } catch (const std::overflow_error &) {
+    return std::nullopt;
+  }
+}
+
+std::optional<Poly> ardf::linearizeSubscripts(const ArrayRefExpr &Ref,
+                                              const Program &P) {
+  try {
+    return linearizeOrThrow(Ref, P);
+  } catch (const std::overflow_error &) {
+    return std::nullopt;
+  }
 }
 
 std::string AffineAccess::toString(const std::string &IV) const {
@@ -124,17 +153,25 @@ std::optional<Rational> ardf::constantReuseDistance(const AffineAccess &From,
   // d == (B1 - B2) / A1.
   if (From.A != To.A)
     return std::nullopt;
-  Poly Diff = From.B - To.B;
-  if (Diff.isZero())
-    return Rational(0);
-  if (From.A.isZero())
-    return std::nullopt;
-  return Diff.ratioTo(From.A);
+  try {
+    Poly Diff = From.B - To.B;
+    if (Diff.isZero())
+      return Rational(0);
+    if (From.A.isZero())
+      return std::nullopt;
+    return Diff.ratioTo(From.A);
+  } catch (const std::overflow_error &) {
+    return std::nullopt; // no distance within the int64 range
+  }
 }
 
-std::optional<int64_t> ardf::minOverlapDistance(const AffineAccess &From,
-                                                const AffineAccess &To,
-                                                int64_t Pr, int64_t Trip) {
+namespace {
+
+/// minOverlapDistance, except that an int64 overflow throws
+/// std::overflow_error.
+std::optional<int64_t> minOverlapOrThrow(const AffineAccess &From,
+                                         const AffineAccess &To, int64_t Pr,
+                                         int64_t Trip) {
   Poly Da = From.A - To.A;
   Poly Db = From.B - To.B;
 
@@ -180,19 +217,24 @@ std::optional<int64_t> ardf::minOverlapDistance(const AffineAccess &From,
   // >= Pr over integer i in [1, Trip].
   int64_t DaC = Da.getConstant(), DbC = Db.getConstant(),
           A1 = From.A.getConstant();
-  auto DeltaAt = [&](int64_t I) { return Rational(DaC * I + DbC, A1); };
-  Rational XStar(Pr * A1 - DbC, DaC); // delta(x*) == Pr
+  auto DeltaAt = [&](int64_t I) {
+    return Rational(checkedAdd(checkedMul(DaC, I), DbC), A1);
+  };
+  // The crossing delta(x*) == Pr.
+  Rational XStar(checkedSub(checkedMul(Pr, A1), DbC), DaC);
   bool SlopePositive = (DaC > 0) == (A1 > 0);
   Rational M;
   if (SlopePositive) {
-    int64_t I0 = XStar.isInteger() ? XStar.asInteger() : XStar.floor() + 1;
+    int64_t I0 = XStar.isInteger() ? XStar.asInteger()
+                                   : checkedAdd(XStar.floor(), 1);
     if (I0 < 1)
       I0 = 1;
     if (Trip != UnknownTripCount && I0 > Trip)
       return std::nullopt;
     M = DeltaAt(I0);
   } else {
-    int64_t ILast = XStar.isInteger() ? XStar.asInteger() : XStar.ceil() - 1;
+    int64_t ILast = XStar.isInteger() ? XStar.asInteger()
+                                      : checkedSub(XStar.ceil(), 1);
     if (Trip != UnknownTripCount && ILast > Trip)
       ILast = Trip;
     if (ILast < 1)
@@ -202,4 +244,16 @@ std::optional<int64_t> ardf::minOverlapDistance(const AffineAccess &From,
   if (M < Rational(Pr))
     return std::nullopt;
   return M.ceil();
+}
+
+} // namespace
+
+std::optional<int64_t> ardf::minOverlapDistance(const AffineAccess &From,
+                                                const AffineAccess &To,
+                                                int64_t Pr, int64_t Trip) {
+  try {
+    return minOverlapOrThrow(From, To, Pr, Trip);
+  } catch (const std::overflow_error &) {
+    return Pr; // conservative, as for symbolic forms
+  }
 }

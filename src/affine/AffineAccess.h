@@ -26,15 +26,17 @@ namespace ardf {
 
 /// Evaluates a subscript-position expression to a polynomial over
 /// symbolic names. Returns nullopt for expressions containing array
-/// references, comparisons, logical operators, or inexact division.
+/// references, comparisons, logical operators, or inexact division, and
+/// when a coefficient overflows int64.
 std::optional<Poly> evalToPoly(const Expr &E);
 
 /// Linearizes the subscripts of \p Ref into a single polynomial, using
 /// the dimension sizes declared in \p P (row-major: the first subscript
 /// varies slowest, matching the paper's X[N*i + j] form for X[i, j]).
 /// One-dimensional references linearize to their sole subscript.
-/// Returns nullopt when a subscript is not polynomial or a needed
-/// dimension size is missing/non-polynomial.
+/// Returns nullopt when a subscript is not polynomial, a needed
+/// dimension size is missing/non-polynomial, or a coefficient of the
+/// linearized form overflows int64 (then the reference is not affine).
 std::optional<Poly> linearizeSubscripts(const ArrayRefExpr &Ref,
                                         const Program &P);
 
@@ -67,16 +69,17 @@ std::optional<AffineAccess> makeAffineAccess(const ArrayRefExpr &Ref,
 /// of \p To reference the element \p From produced delta iterations
 /// earlier: delta = (From.B - To.B) / From.A + contribution of equal A's.
 /// Requires both accesses to the same array with symbolically equal A;
-/// returns nullopt when no constant distance exists.
+/// returns nullopt when no constant distance exists or its arithmetic
+/// overflows int64.
 std::optional<Rational> constantReuseDistance(const AffineAccess &From,
                                               const AffineAccess &To);
 
 /// Smallest iteration distance delta >= \p Pr at which From(i - delta)
 /// may equal To(i) for some i in [1, \p Trip] (\p Trip may be
 /// UnknownTripCount). Conservative in the may sense: symbolic
-/// uncertainty reports an overlap at distance \p Pr rather than missing
-/// one. Returns nullopt when overlap is provably impossible. Requires
-/// both accesses to the same array.
+/// uncertainty and int64 overflow report an overlap at distance \p Pr
+/// rather than missing one. Returns nullopt when overlap is provably
+/// impossible. Requires both accesses to the same array.
 std::optional<int64_t> minOverlapDistance(const AffineAccess &From,
                                           const AffineAccess &To, int64_t Pr,
                                           int64_t Trip);

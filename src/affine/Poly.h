@@ -12,6 +12,14 @@
 /// such as N*i (Section 3.6 of the paper). The affine decomposition
 /// a*iv + b with symbolic a and b is computed from a Poly.
 ///
+/// Representation: the constant term is an inline int64_t and the other
+/// terms form one vector sorted by monomial, with no zero coefficient.
+/// A constant -- every coefficient and offset of a constant-coefficient
+/// subscript after splitAffine -- therefore owns no heap memory, and
+/// arithmetic over constants allocates nothing. Every coefficient
+/// operation is overflow-checked: a result outside int64 throws
+/// std::overflow_error (support/CheckedArith.h).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef ARDF_AFFINE_POLY_H
@@ -21,9 +29,9 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace ardf {
@@ -32,7 +40,9 @@ namespace ardf {
 /// the constant term.
 using Monomial = std::vector<std::string>;
 
-/// A sparse multivariate polynomial with int64 coefficients.
+/// A sparse multivariate polynomial with int64 coefficients. Operations
+/// whose exact coefficients leave the int64 range throw
+/// std::overflow_error.
 class Poly {
 public:
   /// The zero polynomial.
@@ -44,10 +54,10 @@ public:
   /// The degree-1 polynomial consisting of the single symbol \p Name.
   static Poly symbol(const std::string &Name);
 
-  bool isZero() const { return Terms.empty(); }
+  bool isZero() const { return Const == 0 && Terms.empty(); }
 
   /// True if the polynomial is a constant (possibly zero).
-  bool isConstant() const;
+  bool isConstant() const { return Terms.empty(); }
 
   /// Returns the constant value; asserts isConstant().
   int64_t getConstant() const;
@@ -65,7 +75,9 @@ public:
   Poly operator-(const Poly &RHS) const;
   Poly operator*(const Poly &RHS) const;
   Poly operator-() const;
-  bool operator==(const Poly &RHS) const { return Terms == RHS.Terms; }
+  bool operator==(const Poly &RHS) const {
+    return Const == RHS.Const && Terms == RHS.Terms;
+  }
   bool operator!=(const Poly &RHS) const { return !(*this == RHS); }
 
   /// Multiplies all coefficients by \p C.
@@ -91,15 +103,21 @@ public:
   /// All distinct symbols mentioned.
   std::vector<std::string> symbols() const;
 
-  const std::map<Monomial, int64_t> &terms() const { return Terms; }
-
-  /// Renders e.g. "2*N*i + j - 1"; "0" for the zero polynomial.
+  /// Renders e.g. "2*N*i + j - 1": terms by degree, highest first (ties
+  /// in monomial order), the constant last; "0" for the zero polynomial.
   std::string toString() const;
 
 private:
-  void addTerm(const Monomial &M, int64_t Coeff);
+  using Term = std::pair<Monomial, int64_t>;
 
-  std::map<Monomial, int64_t> Terms;
+  /// L + R, or L - R when \p Subtract.
+  static Poly combine(const Poly &L, const Poly &R, bool Subtract);
+
+  /// The constant term (the empty monomial's coefficient).
+  int64_t Const = 0;
+
+  /// The non-constant terms, sorted by monomial; no coefficient is zero.
+  std::vector<Term> Terms;
 };
 
 std::ostream &operator<<(std::ostream &OS, const Poly &P);

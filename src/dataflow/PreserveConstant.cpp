@@ -2,7 +2,10 @@
 
 #include "dataflow/PreserveConstant.h"
 
+#include "support/CheckedArith.h"
+
 #include <cassert>
+#include <stdexcept>
 
 using namespace ardf;
 
@@ -55,10 +58,12 @@ bool isIntegerIterationInRange(const Rational &X, int64_t TripCount) {
 DistanceValue numericKillScan(int64_t Da, int64_t Db, int64_t A1, int64_t Pr,
                               int64_t TripCount) {
   assert(Da != 0 && A1 != 0 && "numeric scan needs a non-constant k");
-  auto KAt = [&](int64_t I) { return Rational(Da * I + Db, A1); };
+  auto KAt = [&](int64_t I) {
+    return Rational(checkedAdd(checkedMul(Da, I), Db), A1);
+  };
 
   // Where k crosses pr: k(x) == Pr  <=>  x == (Pr*A1 - Db) / Da.
-  Rational XStar(Pr * A1 - Db, Da);
+  Rational XStar(checkedSub(checkedMul(Pr, A1), Db), Da);
 
   // An exact integer hit k(i) == Pr kills the newest in-range instance
   // in that iteration; nothing is guaranteed to survive.
@@ -69,7 +74,7 @@ DistanceValue numericKillScan(int64_t Da, int64_t Db, int64_t A1, int64_t Pr,
   Rational M; // min{ k(i) | i in I, k(i) > Pr }
   if (SlopePositive) {
     // k increasing: the first i above the crossing gives the minimum.
-    int64_t I0 = XStar.floor() + 1;
+    int64_t I0 = checkedAdd(XStar.floor(), 1);
     if (I0 < 1)
       I0 = 1;
     if (TripCount != UnknownTripCount && I0 > TripCount)
@@ -78,7 +83,7 @@ DistanceValue numericKillScan(int64_t Da, int64_t Db, int64_t A1, int64_t Pr,
   } else {
     // k decreasing: values above Pr form a prefix; its last element
     // attains the minimum above Pr.
-    int64_t ILast = XStar.ceil() - 1;
+    int64_t ILast = checkedSub(XStar.ceil(), 1);
     if (TripCount != UnknownTripCount && ILast > TripCount)
       ILast = TripCount;
     if (ILast < 1)
@@ -120,16 +125,9 @@ DistanceValue invariantPreserved(const AffineAccess &D,
   return DistanceValue::allInstances();
 }
 
-} // namespace
-
-DistanceValue ardf::computePreserveConstant(const PreserveQuery &Q) {
-  assert(Q.Preserved && "preserve query without tracked reference");
-  assert((Q.Pr == 0 || Q.Pr == 1) && "pr is a predicate");
-
-  // Whole-array kills (non-affine or summary-node killers).
-  if (!Q.Killer)
-    return conservative(Q.Mode);
-
+/// computePreserveConstant for an affine killer, except that an int64
+/// overflow throws std::overflow_error.
+DistanceValue preserveOrThrow(const PreserveQuery &Q) {
   const AffineAccess &D = *Q.Preserved;
   const AffineAccess &K = *Q.Killer;
 
@@ -161,4 +159,21 @@ DistanceValue ardf::computePreserveConstant(const PreserveQuery &Q) {
     return conservative(Q.Mode);
   return numericKillScan(Da.getConstant(), Db.getConstant(),
                          D.A.getConstant(), Q.Pr, Q.TripCount);
+}
+
+} // namespace
+
+DistanceValue ardf::computePreserveConstant(const PreserveQuery &Q) {
+  assert(Q.Preserved && "preserve query without tracked reference");
+  assert((Q.Pr == 0 || Q.Pr == 1) && "pr is a predicate");
+
+  // Whole-array kills (non-affine or summary-node killers).
+  if (!Q.Killer)
+    return conservative(Q.Mode);
+  try {
+    return preserveOrThrow(Q);
+  } catch (const std::overflow_error &) {
+    // The kill distance leaves the int64 range: nothing precise is known.
+    return conservative(Q.Mode);
+  }
 }

@@ -25,7 +25,8 @@
 /// recognized whenever (b1 - b2) is a rational multiple of a1 and the
 /// coefficients of i agree (this covers the linearized multi-dimensional
 /// cases of Section 3.6, e.g. k = N / N = 1). Anything else degrades
-/// conservatively: NoInstance for must, AllInstances for may.
+/// conservatively: NoInstance for must, AllInstances for may. So does a
+/// kill distance whose arithmetic overflows int64.
 ///
 /// Two refinements over the paper's formulas, both exactness-preserving:
 ///   * a constant non-integer k never kills (delta is integral), so the

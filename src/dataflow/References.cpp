@@ -2,8 +2,8 @@
 
 #include "dataflow/References.h"
 
+#include <algorithm>
 #include <cassert>
-#include <map>
 
 using namespace ardf;
 
@@ -32,33 +32,43 @@ ReferenceUniverse::ReferenceUniverse(const LoopFlowGraph &Graph,
 }
 
 void ReferenceUniverse::computeAccessClasses() {
-  // The canonical printed affine form is computed once per occurrence
-  // here; framework instances group and cache by the resulting class
-  // ids without touching strings again.
+  // Arrays and classes are numbered in order of first occurrence. An
+  // occurrence joins the class of its array whose representative has
+  // the same affine form (A, B), compared as polynomials, or opens the
+  // next class; a loop's arrays and an array's classes are few, so both
+  // lookups are linear scans that build no key.
   ArrayOf.assign(Occs.size(), 0);
   ClassOf.assign(Occs.size(), noAccessClass);
-  std::map<std::string, unsigned> ArrayOfName;
-  std::map<std::string, unsigned> ClassOfKey;
+  std::vector<const std::string *> ArrayNames;
+  std::vector<std::vector<unsigned>> ClassesOfArray;
   for (const RefOccurrence &Occ : Occs) {
-    auto [ArrayIt, NewArray] =
-        ArrayOfName.try_emplace(Occ.arrayName(), NumArrays);
-    if (NewArray) {
-      ++NumArrays;
+    auto Named = std::find_if(
+        ArrayNames.begin(), ArrayNames.end(),
+        [&](const std::string *Name) { return *Name == Occ.arrayName(); });
+    unsigned Array = ArrayOf[Occ.Id] = Named - ArrayNames.begin();
+    if (Named == ArrayNames.end()) {
+      ArrayNames.push_back(&Occ.arrayName());
+      ClassesOfArray.emplace_back();
       ArrayClasses.push_back(0);
+      ++NumArrays;
     }
-    unsigned Array = ArrayOf[Occ.Id] = ArrayIt->second;
     if (!Occ.isTrackable())
       continue;
-    std::string Key = Occ.arrayName() + "|" + Occ.Affine->A.toString() +
-                      "|" + Occ.Affine->B.toString();
-    auto [It, Inserted] = ClassOfKey.try_emplace(Key, NumClasses);
-    if (Inserted) {
-      ++NumClasses;
-      ClassRep.push_back(Occ.Id);
-      ClassArray.push_back(Array);
-      ClassSlot.push_back(ArrayClasses[Array]++);
+    const AffineAccess &Form = *Occ.Affine;
+    std::vector<unsigned> &Classes = ClassesOfArray[Array];
+    auto Same = std::find_if(Classes.begin(), Classes.end(), [&](unsigned C) {
+      const AffineAccess &Rep = *Occs[ClassRep[C]].Affine;
+      return Rep.A == Form.A && Rep.B == Form.B;
+    });
+    if (Same != Classes.end()) {
+      ClassOf[Occ.Id] = *Same;
+      continue;
     }
-    ClassOf[Occ.Id] = It->second;
+    ClassOf[Occ.Id] = NumClasses;
+    Classes.push_back(NumClasses++);
+    ClassRep.push_back(Occ.Id);
+    ClassArray.push_back(Array);
+    ClassSlot.push_back(ArrayClasses[Array]++);
   }
 
   PairBase.assign(NumArrays + 1, 0);

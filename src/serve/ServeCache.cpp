@@ -96,7 +96,7 @@ ServeCacheStats ServeCache::stats() const {
       // RetainedBytes is guarded by the document mutex; a point-in-time
       // racy read is fine for a stats report, but stay well-defined by
       // taking the (uncontended in practice) lock.
-      std::lock_guard<std::mutex> DocLock(Doc->M);
+      std::lock_guard<std::timed_mutex> DocLock(Doc->M);
       S.ResidentBytes += Doc->RetainedBytes;
     }
   }

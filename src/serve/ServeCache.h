@@ -51,9 +51,10 @@ uint64_t hashBytes(std::string_view Bytes);
 
 /// One cached (tenant, file) document. All members except the mutex are
 /// guarded by it: a worker locks the document for the whole analysis of
-/// one request against it.
+/// one request against it. The mutex is timed so that a request waits
+/// for the document no longer than its own deadline.
 struct Document {
-  std::mutex M;
+  std::timed_mutex M;
 
   /// Content hash of the current (latest analyzed) source version.
   uint64_t SourceHash = 0;

@@ -8,8 +8,10 @@
 #include "lint/Render.h"
 #include "support/Deadline.h"
 #include "support/FailPoint.h"
+#include "telemetry/Telemetry.h"
 
 #include <bit>
+#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <mutex>
@@ -62,6 +64,30 @@ uint64_t budgetKey(const SolverBudget &B) {
   H = mix(H, B.MaxNodeVisits);
   H = mix(H, B.DeadlineNs);
   return mix(H, B.MaxMatrixCells);
+}
+
+/// Locks \p L, waiting until the current request's deadline at most.
+/// Returns false when the deadline passes first.
+bool lockBeforeDeadline(std::unique_lock<std::timed_mutex> &L) {
+  uint64_t AtNs = deadline::current();
+  uint64_t NowNs = AtNs == 0 ? 0 : telem::wallNowNs();
+  if (AtNs != 0 && NowNs >= AtNs)
+    return L.try_lock();
+  // No deadline, or a saturated one (afterMs) whose time point would
+  // overflow: wait as long as it takes.
+  uint64_t LeftNs = AtNs - NowNs;
+  if (AtNs == 0 || LeftNs > uint64_t(INT64_MAX) / 2) {
+    L.lock();
+    return true;
+  }
+  // The deadline is on steady_clock (telem::wallNowNs), but the wait
+  // runs on system_clock: libstdc++ waits for a steady_clock time point
+  // with pthread_mutex_clocklock, which GCC 12's ThreadSanitizer does
+  // not intercept (it then reports every later unlock as an unlock of an
+  // unlocked mutex); the system_clock form uses pthread_mutex_timedlock.
+  // A wall-clock step during the wait stretches or shortens it.
+  return L.try_lock_until(std::chrono::system_clock::now() +
+                          std::chrono::nanoseconds(LeftNs));
 }
 
 /// Response-memo key ingredient: everything besides the source text
@@ -236,7 +262,11 @@ struct AnalysisServer::Core {
     uint64_t MemoKey = mix(requestOptionsKey(R, Budget), SrcHash);
     bool Created = false;
     std::shared_ptr<Document> Doc = Cache.lookup(R.Tenant, R.File, Created);
-    std::lock_guard<std::mutex> DocLock(Doc->M);
+    // A request behind a stalled one on the same document waits no longer
+    // than its own deadline, so the stall holds one worker, not several.
+    std::unique_lock<std::timed_mutex> DocLock(Doc->M, std::defer_lock);
+    if (!lockBeforeDeadline(DocLock))
+      return deadlineReply(R.Id);
     if (const std::string *Memo = Doc->findResponse(MemoKey)) {
       Telem.add(telem::Counter::ServeCacheHits);
       return {okResponseRaw(R.Id, *Memo), true};

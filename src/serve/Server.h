@@ -25,8 +25,9 @@
 ///    internal error response for that request only.
 ///  * Request deadline: the worker that dequeues a request installs its
 ///    deadline (support/Deadline.h); the request's work stops at its
-///    next pass, loop or check boundary past it, and the worker answers
-///    deadline. No thread is ever abandoned or replaced.
+///    next pass, loop or check boundary past it, and a wait for a busy
+///    document ends at it; the worker answers deadline. No thread is
+///    ever abandoned or replaced.
 ///  * Quotas: the cache evicts per tenant (ServeCache), so one noisy
 ///    tenant cannot evict another's warm state.
 ///
@@ -62,7 +63,8 @@ struct ServeOptions {
 
   /// Per-request wall-clock deadline in milliseconds from dequeue; the
   /// request is answered deadline at its next solver pass, loop or check
-  /// boundary past it. 0 disables it.
+  /// boundary past it, or when it passes while the request waits for its
+  /// document. 0 disables it.
   uint64_t RequestDeadlineMs = 2000;
 
   /// Live documents per tenant (ServeCache quota).

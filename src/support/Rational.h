@@ -17,6 +17,8 @@
 #ifndef ARDF_SUPPORT_RATIONAL_H
 #define ARDF_SUPPORT_RATIONAL_H
 
+#include "support/CheckedArith.h"
+
 #include <cassert>
 #include <cstdint>
 #include <iosfwd>
@@ -25,9 +27,11 @@ namespace ardf {
 
 /// An exact rational number Num/Den with Den > 0 and gcd(Num, Den) == 1.
 ///
-/// Arithmetic asserts on overflow-free small operands; the framework only
-/// ever manipulates subscript coefficients and iteration counts, which are
-/// far below the int64 range.
+/// Construction and arithmetic are overflow-checked: they throw
+/// std::overflow_error (support/CheckedArith.h) when a numerator or
+/// denominator leaves the int64 range. Comparisons are exact and never
+/// throw. Subscript coefficients of source programs reach any int64
+/// value, so the analysis catches the error and answers conservatively.
 class Rational {
 public:
   /// Constructs the rational zero.
@@ -61,7 +65,7 @@ public:
   Rational operator-(const Rational &RHS) const;
   Rational operator*(const Rational &RHS) const;
   Rational operator/(const Rational &RHS) const;
-  Rational operator-() const { return Rational(-Num, Den); }
+  Rational operator-() const { return Rational(checkedNeg(Num), Den); }
 
   bool operator==(const Rational &RHS) const {
     return Num == RHS.Num && Den == RHS.Den;

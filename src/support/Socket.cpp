@@ -159,12 +159,16 @@ int UnixListener::accept() {
   }
 }
 
+void UnixListener::shutdown() {
+  // Breaks a blocked accept() in another thread; close alone is not
+  // guaranteed to on all kernels.
+  if (Fd >= 0)
+    ::shutdown(Fd, SHUT_RDWR);
+}
+
 void UnixListener::close() {
   if (Fd < 0)
     return;
-  // shutdown() breaks a blocked accept() in another thread; close alone
-  // is not guaranteed to on all kernels.
-  ::shutdown(Fd, SHUT_RDWR);
   ::close(Fd);
   Fd = -1;
   if (!Path.empty()) {

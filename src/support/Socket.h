@@ -88,11 +88,18 @@ public:
   bool listen(const std::string &Path, std::string &Error, int Backlog = 16);
 
   /// Accepts one connection; returns the connection fd, or -1 on error
-  /// (including close() from another thread, the shutdown path).
+  /// (including shutdown() from another thread, the shutdown path).
   int accept();
 
-  /// Closes the listening socket and unlinks the path. Safe to call
-  /// from another thread to break a blocking accept().
+  /// Shuts the listening socket down without closing it, which makes a
+  /// blocked or later accept() return -1. The one member safe to call
+  /// from another thread: it leaves the descriptor unchanged, so it
+  /// never races with accept(). The owner closes the listener after its
+  /// accept loop ends.
+  void shutdown();
+
+  /// Closes the listening socket and unlinks the path. Only the thread
+  /// that accepts may call it.
   void close();
 
   bool listening() const { return Fd >= 0; }

@@ -3,6 +3,7 @@
 #include "affine/AffineAccess.h"
 #include "frontend/Parser.h"
 #include "ir/IRBuilder.h"
+#include "lattice/Distance.h"
 
 #include <gtest/gtest.h>
 
@@ -140,4 +141,31 @@ TEST(AffineAccessTest, ToStringForms) {
   Program Q = parseOrDie("B[7] = 0;");
   AffineAccess BInv = *makeAffineAccess(*targetOf(Q), Q, "i");
   EXPECT_EQ(BInv.toString("i"), "B[7]");
+}
+
+TEST(AffineAccessTest, OverflowIsNonAffineOrConservative) {
+  // A subscript whose polynomial leaves int64 is not affine.
+  Program Wide = parseOrDie("A[9000000000000000000 + 9000000000000000000] = 0;"
+                            "A[-(0 - 9223372036854775807 - 1) * i] = 0;");
+  for (const StmtPtr &S : Wide.getStmts())
+    EXPECT_FALSE(makeAffineAccess(
+        *cast<AssignStmt>(S.get())->getArrayTarget(), Wide, "i"));
+
+  // Two subscripts that fit, with a difference that does not: no
+  // constant reuse distance, and an overlap assumed at distance Pr.
+  Program P = parseOrDie("A[i + 9000000000000000000] = 1;"
+                         "A[i - 9000000000000000000] = 2;");
+  std::optional<AffineAccess> Hi = makeAffineAccess(
+      *cast<AssignStmt>(P.getStmts()[0].get())->getArrayTarget(), P, "i");
+  std::optional<AffineAccess> Lo = makeAffineAccess(
+      *cast<AssignStmt>(P.getStmts()[1].get())->getArrayTarget(), P, "i");
+  ASSERT_TRUE(Hi && Lo);
+  EXPECT_FALSE(constantReuseDistance(*Hi, *Lo));
+  EXPECT_FALSE(constantReuseDistance(*Lo, *Hi));
+  for (int64_t Pr : {0, 1}) {
+    EXPECT_EQ(minOverlapDistance(*Hi, *Lo, Pr, 100), Pr);
+    EXPECT_EQ(minOverlapDistance(*Lo, *Hi, Pr, UnknownTripCount), Pr);
+  }
+  // Each still reuses itself.
+  EXPECT_EQ(constantReuseDistance(*Hi, *Hi), Rational(0));
 }

@@ -253,3 +253,30 @@ TEST(PreserveConstantTest, BruteForceSoundnessProperty) {
     }
   }
 }
+
+TEST(PreserveConstantTest, OverflowingKillDistanceIsConservative) {
+  // k(i) = (b1 - b2) / a1 with b1 - b2 outside int64: nothing precise is
+  // known, so must-problems preserve nothing and may-problems everything.
+  const int64_t Big = 9000000000000000000;
+  AffineAccess Hi = access("A", 1, Big), Lo = access("A", 1, -Big);
+  for (int64_t Pr : {0, 1}) {
+    for (FlowDirection Dir :
+         {FlowDirection::Forward, FlowDirection::Backward}) {
+      EXPECT_EQ(preserve(Hi, Lo, Pr, 100, ProblemMode::Must, Dir),
+                DistanceValue::noInstance());
+      EXPECT_EQ(preserve(Lo, Hi, Pr, 100, ProblemMode::May, Dir),
+                DistanceValue::allInstances());
+    }
+  }
+  // The numeric scan's own crossing Pr * a1 - (b1 - b2) overflows (the
+  // exact k(i) = i/5 - 1 stays below pr over 5 iterations).
+  const int64_t A1 = 5000000000000000000;
+  AffineAccess Steep = access("A", A1, -A1);
+  AffineAccess Killer = access("A", A1 - A1 / 5, 0);
+  EXPECT_EQ(preserve(Steep, Killer, 1, 5), DistanceValue::noInstance());
+  // An invariant cell and a killer whose hit iteration, INT64_MIN / -1,
+  // overflows (exactly: never in range).
+  AffineAccess Cell = access("A", 0, INT64_MIN);
+  AffineAccess Down = access("A", -1, 0);
+  EXPECT_EQ(preserve(Cell, Down, 1), DistanceValue::noInstance());
+}

@@ -2,12 +2,16 @@
 //
 // Lives in its own test binary (alloc_tests): the global operator
 // new/delete overrides below count every heap allocation in the
-// process, which would add noise to unrelated suites.
+// process, which would add noise to unrelated suites. Besides the
+// solves, it pins the allocation-free affine arithmetic the framework
+// tables are built from.
 //
 //===----------------------------------------------------------------------===//
 
+#include "affine/AffineAccess.h"
 #include "dataflow/CompiledFlow.h"
 #include "dataflow/Framework.h"
+#include "dataflow/PreserveConstant.h"
 #include "frontend/Parser.h"
 #include "support/FailPoint.h"
 #include "telemetry/Telemetry.h"
@@ -227,4 +231,62 @@ TEST(SolveAllocationTest, CountersOnlyTelemetryAllocationFree) {
   EXPECT_GT(T.get(telem::Counter::SolverNodeVisits), 0u);
   EXPECT_EQ(T.get(telem::Counter::SolverRunsReference), 1u);
   EXPECT_EQ(T.get(telem::Counter::SolverRunsPacked), 1u);
+}
+
+/// Constant-coefficient subscripts, the forms of every generated
+/// perfbench subscript, split into constant A and B: the preserve
+/// constant, reuse and overlap distances and form equality over them
+/// allocate nothing, and neither does splitting an existing 2*i + 3.
+TEST(SolveAllocationTest, ConstantCoefficientAffineArithmeticAllocationFree) {
+  Program P = parseOrDie("A[2 * i + 3] = 0; A[2 * i - 1] = 0;");
+  auto Target = [&](size_t K) {
+    return cast<AssignStmt>(P.getStmts()[K].get())->getArrayTarget();
+  };
+  std::optional<AffineAccess> X = makeAffineAccess(*Target(0), P, "i");
+  std::optional<AffineAccess> Y = makeAffineAccess(*Target(1), P, "i");
+  std::optional<Poly> Linear = linearizeSubscripts(*Target(0), P);
+  ASSERT_TRUE(X && Y && Linear);
+
+  uint64_t PreserveBits = 0;
+  int64_t Overlaps = 0;
+  std::optional<Rational> Forward, Backward;
+  bool SameA = false, SameB = true;
+  size_t Allocs = allocsOf([&] {
+    for (ProblemMode Mode : {ProblemMode::Must, ProblemMode::May})
+      for (FlowDirection Dir :
+           {FlowDirection::Forward, FlowDirection::Backward})
+        for (int64_t Pr : {0, 1}) {
+          PreserveQuery Q;
+          Q.Pr = Pr;
+          Q.TripCount = 100;
+          Q.Mode = Mode;
+          Q.Direction = Dir;
+          Q.Preserved = &*X;
+          Q.Killer = &*Y;
+          PreserveBits += computePreserveConstant(Q).bits();
+          Q.Preserved = &*Y;
+          Q.Killer = &*X;
+          PreserveBits += computePreserveConstant(Q).bits();
+          Overlaps += minOverlapDistance(*X, *Y, Pr, 100).value_or(-1);
+          Overlaps +=
+              minOverlapDistance(*Y, *X, Pr, UnknownTripCount).value_or(-1);
+        }
+    Forward = constantReuseDistance(*X, *Y);
+    Backward = constantReuseDistance(*Y, *X);
+    SameA = X->A == Y->A;
+    SameB = X->B == Y->B;
+  });
+  EXPECT_EQ(Allocs, 0u);
+  EXPECT_GT(PreserveBits, 0u);
+  EXPECT_NE(Overlaps, 0);
+  EXPECT_EQ(Forward, Rational(2)); // A[2(i - 2) + 3] == A[2i - 1]
+  EXPECT_EQ(Backward, Rational(-2));
+  EXPECT_TRUE(SameA);
+  EXPECT_FALSE(SameB);
+
+  std::optional<std::pair<Poly, Poly>> Split;
+  EXPECT_EQ(allocsOf([&] { Split = Linear->splitAffine("i"); }), 0u);
+  ASSERT_TRUE(Split);
+  EXPECT_EQ(Split->first, Poly::constant(2));
+  EXPECT_EQ(Split->second, Poly::constant(3));
 }

@@ -287,6 +287,30 @@ TEST(LintEngineTest, DiagnosticsAreSortedByLocation) {
   }
 }
 
+TEST(LintEngineTest, OverflowingDistancesAreConservative) {
+  // Both subscripts fit int64 but their difference does not. The pair
+  // gets no reuse distance (so no dead store at a wrapped distance) and
+  // an overlap assumed at the nearest distance; nothing degrades.
+  const char *Src = "do i = 1, 100 {\n"
+                    "  A[i + 9000000000000000000] = 1;\n"
+                    "  A[i - 9000000000000000000] = 2;\n"
+                    "}\n";
+  for (SolverOptions::Engine Eng : {SolverOptions::Engine::Reference,
+                                    SolverOptions::Engine::PackedKernel}) {
+    LintResult R = lint(Src, Eng);
+    EXPECT_FALSE(R.hasErrors());
+    EXPECT_EQ(R.LoopsAnalyzed, 1u);
+    EXPECT_EQ(R.EngineDivergences, 0u);
+    EXPECT_EQ(R.ChecksDegraded, 0u);
+    EXPECT_TRUE(ofCheck(R, checkid::EngineDivergence).empty());
+    EXPECT_TRUE(ofCheck(R, checkid::AnalysisDegraded).empty());
+    EXPECT_TRUE(ofCheck(R, checkid::DeadStore).empty());
+    std::vector<Diagnostic> Conf = ofCheck(R, checkid::CrossIterationConflict);
+    ASSERT_EQ(Conf.size(), 1u);
+    EXPECT_EQ(Conf[0].Distance, 1);
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // engine parity and cross-check
 //===----------------------------------------------------------------------===//

@@ -43,7 +43,7 @@ const char *Source = "do i = 1, 12 {\n"
 /// Builds and runs a multithreaded driver on \p D, then checks every
 /// session's cache tallies for internal consistency.
 void analyzeAndCheck(Document &D) {
-  std::lock_guard<std::mutex> L(D.M);
+  std::lock_guard<std::timed_mutex> L(D.M);
   ParseResult PR = parseProgram(Source);
   ASSERT_TRUE(PR.succeeded());
   auto Prog = std::make_unique<Program>(std::move(PR.Prog));

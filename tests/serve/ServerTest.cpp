@@ -339,6 +339,41 @@ TEST(ServerTest, StalledDocumentNeverGrowsThePool) {
   EXPECT_EQ(threadCount(), Before) << "a thread outlived the server";
 }
 
+TEST(ServerTest, WaitForAStalledDocumentEndsAtTheDeadline) {
+  // Worker one stalls 600 ms on a.arf while holding its mutex. A
+  // follow-up to a.arf waits for that mutex only until its 100 ms
+  // deadline and answers deadline, which frees worker two for a lint of
+  // b.arf: that lint is answered ok while the stall still runs.
+  failpoint::ScopedFailPoint Stall("serve.session", failpoint::Action::Stall,
+                                   1, 600);
+  ServeOptions Opts;
+  Opts.Workers = 2;
+  Opts.RequestDeadlineMs = 100;
+  AnalysisServer S(Opts);
+  std::future<std::string> Stalled =
+      submitLine(S, analyzeLine(GoodSource, "a.arf", 1));
+  // Let worker one take the document and enter the stall.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  std::future<std::string> FollowUp =
+      submitLine(S, analyzeLine(GoodSource, "a.arf", 2));
+  std::future<std::string> Other =
+      submitLine(S, lintLine(GoodSource, "b.arf", 3));
+  ASSERT_EQ(Other.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready);
+  EXPECT_EQ(Stalled.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout)
+      << "b.arf waited for the stall on a.arf";
+  json::Value OtherReply = parsed(Other.get());
+  EXPECT_TRUE(isOk(OtherReply)) << OtherReply.toString();
+  json::Value FollowUpReply = parsed(FollowUp.get());
+  EXPECT_EQ(errorCode(FollowUpReply), "deadline") << FollowUpReply.toString();
+  EXPECT_EQ(errorCode(parsed(Stalled.get())), "deadline");
+  EXPECT_EQ(S.telemetry().get(telem::Counter::ServeDeadlines), 2u);
+  // Neither deadline reply was memoized: a.arf now analyzes ok.
+  json::Value Again = parsed(call(S, analyzeLine(GoodSource, "a.arf", 4)));
+  EXPECT_TRUE(isOk(Again)) << Again.toString();
+}
+
 TEST(ServerTest, LintAndAnalyzeStopAtTheirDeadline) {
   // A lint stalled in its second check and an analyze stalled in its
   // first loop both overrun a 50 ms deadline: each stops at its next

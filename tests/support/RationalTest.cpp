@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 
 using namespace ardf;
 
@@ -76,4 +77,21 @@ TEST(RationalTest, FloorCeilBracketProperty) {
         EXPECT_EQ(R.ceil(), R.floor() + 1);
     }
   }
+}
+
+TEST(RationalTest, OverflowThrowsAndComparisonsAreExact) {
+  EXPECT_THROW(Rational(INT64_MIN, -1), std::overflow_error);
+  EXPECT_THROW(Rational(1, INT64_MIN), std::overflow_error);
+  EXPECT_THROW(-Rational(INT64_MIN), std::overflow_error);
+  EXPECT_THROW(Rational(INT64_MAX) + Rational(1), std::overflow_error);
+  EXPECT_THROW(Rational(INT64_MIN) - Rational(1), std::overflow_error);
+  EXPECT_THROW(Rational(INT64_MAX) * Rational(2), std::overflow_error);
+  EXPECT_THROW(Rational(INT64_MAX) / Rational(1, 2), std::overflow_error);
+  EXPECT_EQ(Rational(INT64_MIN, 2).numerator(), INT64_MIN / 2);
+  EXPECT_EQ(Rational(INT64_MIN, 1).numerator(), INT64_MIN);
+  EXPECT_EQ(Rational(INT64_MIN, INT64_MIN / 4).numerator(), 4);
+  EXPECT_EQ(Rational(INT64_MIN).floor(), INT64_MIN);
+  EXPECT_LT(Rational(INT64_MAX - 1, INT64_MAX), Rational(1));
+  EXPECT_LT(Rational(INT64_MIN), Rational(INT64_MAX));
+  EXPECT_GT(Rational(INT64_MAX, 2), Rational(INT64_MAX - 2, 2));
 }

@@ -228,13 +228,13 @@ int runSocket(const CliOptions &Opts) {
 
   AnalysisServer Server(Opts.Serve);
 
-  // A shutdown request arrives on some connection; this watcher turns
-  // it into a closed listener so the accept loop unblocks.
+  // A shutdown request arrives on some connection; this watcher shuts
+  // the listener down so the accept loop unblocks. This thread closes it.
   std::atomic<bool> Stop{false};
   std::thread ShutdownWatcher([&] {
     while (!Stop.load(std::memory_order_relaxed)) {
       if (Server.shutdownRequested()) {
-        Listener.close();
+        Listener.shutdown();
         return;
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -248,7 +248,7 @@ int runSocket(const CliOptions &Opts) {
   for (;;) {
     int Fd = Listener.accept();
     if (Fd < 0)
-      break; // closed by the shutdown watcher (or a fatal accept error)
+      break; // shut down by the watcher (or a fatal accept error)
     std::erase_if(Connections, [](const std::future<void> &F) {
       return F.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
     });
@@ -262,6 +262,7 @@ int runSocket(const CliOptions &Opts) {
   }
   Stop.store(true, std::memory_order_relaxed);
   ShutdownWatcher.join();
+  Listener.close();
   Connections.clear(); // joins the remaining connection threads
   Server.drain();
   return 0;
