@@ -5,6 +5,7 @@
 #include "lattice/Distance.h"
 #include "support/CheckedArith.h"
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 
@@ -143,6 +144,32 @@ std::optional<AffineAccess> ardf::makeAffineAccess(const ArrayRefExpr &Ref,
   Access.A = std::move(Split->first);
   Access.B = std::move(Split->second);
   return Access;
+}
+
+std::vector<std::string> ardf::writtenScalars(const StmtList &Body) {
+  std::vector<std::string> Written;
+  auto Add = [&](const std::string &Name) {
+    if (std::find(Written.begin(), Written.end(), Name) == Written.end())
+      Written.push_back(Name);
+  };
+  forEachStmt(Body, [&](const Stmt &S) {
+    if (const auto *AS = dyn_cast<AssignStmt>(&S)) {
+      if (const auto *V = dyn_cast<VarRef>(AS->getLHS()))
+        Add(V->getName());
+    } else if (const auto *DL = dyn_cast<DoLoopStmt>(&S)) {
+      Add(DL->getIndVar());
+    }
+  });
+  return Written;
+}
+
+const std::string *
+ardf::variantScalar(const AffineAccess &Acc,
+                    const std::vector<std::string> &Written) {
+  for (const std::string &Name : Written)
+    if (Acc.A.mentions(Name) || Acc.B.mentions(Name))
+      return &Name;
+  return nullptr;
 }
 
 std::optional<Rational> ardf::constantReuseDistance(const AffineAccess &From,

@@ -21,6 +21,7 @@
 
 #include <optional>
 #include <string>
+#include <vector>
 
 namespace ardf {
 
@@ -63,6 +64,20 @@ struct AffineAccess {
 std::optional<AffineAccess> makeAffineAccess(const ArrayRefExpr &Ref,
                                              const Program &P,
                                              const std::string &IV);
+
+/// The scalars \p Body writes while its loop runs: scalar assignment
+/// targets and the induction variables of the DO loops inside it, at any
+/// depth, each once in order of first write. The loop's own induction
+/// variable is not among them unless the body assigns it.
+std::vector<std::string> writtenScalars(const StmtList &Body);
+
+/// The one trackability rule of Section 3.2 beyond affinity: a
+/// subscript's symbolic terms must stay constant while the loop runs.
+/// Returns the first scalar of \p Written that \p Acc's coefficients
+/// mention, or null when there is none. A reference with such a scalar
+/// is a whole-array access.
+const std::string *variantScalar(const AffineAccess &Acc,
+                                 const std::vector<std::string> &Written);
 
 /// Computes the constant reuse distance delta such that
 /// From.subscript(i - delta) == To.subscript(i) for all i, i.e. instances

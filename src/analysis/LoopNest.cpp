@@ -58,6 +58,20 @@ bool assignsScalar(const StmtList &Stmts, const std::string &Name,
   return Found;
 }
 
+/// The first statement of \p Stmts (pre-order, at any depth) that
+/// assigns scalar \p Name, or null.
+const AssignStmt *firstAssignment(const StmtList &Stmts,
+                                  const std::string &Name) {
+  const AssignStmt *First = nullptr;
+  forEachStmt(Stmts, [&](const Stmt &S) {
+    if (const auto *AS = dyn_cast<AssignStmt>(&S); AS && !First)
+      if (const auto *V = dyn_cast<VarRef>(AS->getLHS()))
+        if (V->getName() == Name)
+          First = AS;
+  });
+  return First;
+}
+
 /// True when \p E mentions scalar \p Name.
 bool mentionsScalar(const Expr &E, const std::string &Name) {
   bool Found = false;
@@ -226,6 +240,11 @@ void LoopNestTree::discover(const StmtList &Stmts, NestLoop *End,
 }
 
 void LoopNestTree::reduce(NestLoop &L, const Stmt *Prev) {
+  // An induction variable assignment is a fact about the source,
+  // recorded before the fault boundary so that a failed reduction still
+  // reports it.
+  if (const auto *DL = dyn_cast<DoLoopStmt>(L.Source))
+    L.IVAssignment = firstAssignment(DL->getBody(), DL->getIndVar());
   // Per-loop fault boundary: one loop failing to reduce (including an
   // armed nest.reduce failpoint) degrades to an unsupported record; the
   // rest of the tree still builds. Allocation failure propagates.
@@ -259,7 +278,8 @@ void LoopNestTree::reduceDoLoop(NestLoop &L, const DoLoopStmt &DL) {
   if (Reason.empty() && DL.getStep() == 0)
     Reason = "zero loop step";
   if (Reason.empty() &&
-      assignsScalar(DL.getBody(), DL.getIndVar(), /*Skip=*/nullptr))
+      (L.IVAssignment ||
+       assignsScalar(DL.getBody(), DL.getIndVar(), /*Skip=*/nullptr)))
     Reason = "induction variable '" + DL.getIndVar() +
              "' is assigned inside the loop";
   if (Reason.empty() && DL.getBody().empty())
@@ -273,7 +293,7 @@ void LoopNestTree::reduceDoLoop(NestLoop &L, const DoLoopStmt &DL) {
       DL.getIndVar(), DL.getLower()->clone(), DL.getUpper()->clone(),
       reduceBody(L, DL.getBody()), DL.getStep());
   Raw->setLoc(DL.getLoc());
-  L.Reduced = normalizeLoop(*Raw);
+  L.Reduced = normalizeLoop(std::move(Raw));
 }
 
 void LoopNestTree::reduceWhile(NestLoop &L, const WhileStmt &WS,
@@ -371,22 +391,23 @@ void LoopNestTree::reduceWhile(NestLoop &L, const WhileStmt &WS,
     return;
   }
 
-  // Inclusive upper bound for the DO form: `<` and `>` are off by one.
+  // Inclusive upper bound for the DO form: `<` and `>` are off by one,
+  // folded into a literal bound when it fits.
+  int64_t Adjust = Op == BinaryOpKind::Lt   ? -1
+                   : Op == BinaryOpKind::Gt ? 1
+                                            : 0;
+  const auto *BoundLit = dyn_cast<IntLit>(Bound);
+  int64_t Folded = 0;
   ExprPtr Upper;
-  if (const auto *BoundLit = dyn_cast<IntLit>(Bound)) {
-    int64_t V = BoundLit->getValue();
-    Upper = std::make_unique<IntLit>(Op == BinaryOpKind::Lt   ? V - 1
-                                     : Op == BinaryOpKind::Gt ? V + 1
-                                                              : V);
-  } else if (Op == BinaryOpKind::Lt) {
-    Upper = std::make_unique<BinaryExpr>(BinaryOpKind::Sub, Bound->clone(),
-                                         std::make_unique<IntLit>(1));
-  } else if (Op == BinaryOpKind::Gt) {
-    Upper = std::make_unique<BinaryExpr>(BinaryOpKind::Add, Bound->clone(),
-                                         std::make_unique<IntLit>(1));
-  } else {
+  if (BoundLit &&
+      !__builtin_add_overflow(BoundLit->getValue(), Adjust, &Folded))
+    Upper = std::make_unique<IntLit>(Folded);
+  else if (Adjust == 0)
     Upper = Bound->clone();
-  }
+  else
+    Upper = std::make_unique<BinaryExpr>(
+        Adjust < 0 ? BinaryOpKind::Sub : BinaryOpKind::Add, Bound->clone(),
+        std::make_unique<IntLit>(1));
   Upper->setLoc(Bound->getLoc());
 
   // The body minus the increment, inner loops replaced by their reduced
@@ -399,7 +420,7 @@ void LoopNestTree::reduceWhile(NestLoop &L, const WhileStmt &WS,
                                           std::move(Reduced), Step);
   Raw->setLoc(WS.getLoc());
   L.ConsumedInit = Prev;
-  L.Reduced = normalizeLoop(*Raw);
+  L.Reduced = normalizeLoop(std::move(Raw));
 }
 
 StmtList LoopNestTree::reduceBody(const NestLoop &L, const StmtList &Body) {

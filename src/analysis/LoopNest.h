@@ -86,6 +86,12 @@ struct NestLoop {
   /// Why the recognizer rejected this loop; empty when supported.
   std::string UnsupportedReason;
 
+  /// For a DO loop: the first statement of its body (pre-order, at any
+  /// depth) that assigns its induction variable, a violated Section 1
+  /// precondition (the loop is rejected for it); lint reports it as an
+  /// error. Null otherwise.
+  const Stmt *IVAssignment = nullptr;
+
   /// For a recognized while: the `i = lo` init statement preceding it
   /// (subsumed by the reduced DO loop's bounds). Null otherwise.
   const Stmt *ConsumedInit = nullptr;

@@ -34,7 +34,8 @@ struct ClassicDepVerdict {
 };
 
 /// Runs GCD + bounds on the pair. \p UB < 0 means unknown (bounds step
-/// skipped).
+/// skipped). When the arithmetic overflows int64, the pair may depend at
+/// no known distance.
 ClassicDepVerdict classicDependenceTest(int64_t A1, int64_t B1, int64_t A2,
                                         int64_t B2, int64_t UB);
 

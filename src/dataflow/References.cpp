@@ -7,24 +7,12 @@
 
 using namespace ardf;
 
-namespace {
-
-/// Collects the induction variables of \p Loop and all loops nested in it.
-void collectInnerIVs(const DoLoopStmt &Loop, std::vector<std::string> &IVs) {
-  IVs.push_back(Loop.getIndVar());
-  forEachStmt(Loop.getBody(), [&](const Stmt &S) {
-    if (const auto *Inner = dyn_cast<DoLoopStmt>(&S))
-      IVs.push_back(Inner->getIndVar());
-  });
-}
-
-} // namespace
-
 ReferenceUniverse::ReferenceUniverse(const LoopFlowGraph &Graph,
                                      const Program &P,
                                      const std::string &IVOverride)
     : Graph(&Graph), Prog(&P),
-      IV(IVOverride.empty() ? Graph.getIndVar() : IVOverride) {
+      IV(IVOverride.empty() ? Graph.getIndVar() : IVOverride),
+      Written(writtenScalars(Graph.getLoop().getBody())) {
   ByNode.resize(Graph.getNumNodes());
   for (unsigned Node = 0, E = Graph.getNumNodes(); Node != E; ++Node)
     collectFromNode(Node);
@@ -115,9 +103,6 @@ void ReferenceUniverse::collectExpr(const Expr &E, unsigned Node,
 
 void ReferenceUniverse::collectSummary(const DoLoopStmt &Inner,
                                        unsigned Node) {
-  std::vector<std::string> InnerIVs;
-  collectInnerIVs(Inner, InnerIVs);
-
   forEachStmt(Inner.getBody(), [&](const Stmt &S) {
     // Nested inner loops are traversed by forEachStmt itself; only the
     // per-statement references need handling here.
@@ -144,20 +129,6 @@ void ReferenceUniverse::collectSummary(const DoLoopStmt &Inner,
       break;
     }
   });
-
-  // Occurrences inside the summary are trackable in the enclosing loop
-  // only when affine in the outer IV with inner-IV-free coefficients
-  // (Section 3.2: references of the form X[a * i2 + b]).
-  for (RefOccurrence &Occ : Occs) {
-    if (Occ.Node != Node || !Occ.Affine)
-      continue;
-    for (const std::string &IV : InnerIVs) {
-      if (Occ.Affine->A.mentions(IV) || Occ.Affine->B.mentions(IV)) {
-        Occ.Affine.reset();
-        break;
-      }
-    }
-  }
 }
 
 void ReferenceUniverse::addOccurrence(const ArrayRefExpr &Ref, unsigned Node,
@@ -170,10 +141,15 @@ void ReferenceUniverse::addOccurrence(const ArrayRefExpr &Ref, unsigned Node,
   Occ.OwnerStmt = &Owner;
   Occ.IsDef = IsDef;
   Occ.InSummary = InSummary;
+  // Trackable: affine in the IV, with symbolic terms the loop does not
+  // write (an inner loop's IV among them: Section 3.2 tracks summary
+  // references of the form X[a * i2 + b] only).
   Occ.Affine = makeAffineAccess(Ref, *Prog, IV);
-  // Non-affine references cannot be reasoned about individually; summary
-  // references conservatively kill every same-array instance of the
-  // enclosing loop (Section 3.2).
+  if (Occ.Affine && variantScalar(*Occ.Affine, Written))
+    Occ.Affine.reset();
+  // Untrackable references cannot be reasoned about individually;
+  // summary references conservatively kill every same-array instance of
+  // the enclosing loop (Section 3.2).
   Occ.KillsWholeArray = !Occ.Affine.has_value() || InSummary;
   ByNode[Node].push_back(Occ.Id);
   Occs.push_back(std::move(Occ));

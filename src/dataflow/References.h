@@ -11,12 +11,13 @@
 /// graph node, def/use role, and affine view a*iv + b with respect to the
 /// loop's induction variable.
 ///
-/// References inside summary nodes (nested loops) are collected with the
-/// paper's Section 3.2 conventions: they participate as generating
-/// references only when their linearized subscript is affine in the
-/// *outer* induction variable with inner-IV-free coefficients, and they
-/// conservatively kill all instances of same-array references otherwise
-/// (and, as killers, always kill the whole array).
+/// An occurrence is trackable when its linearized subscript is affine in
+/// the induction variable and its symbolic terms stay constant while the
+/// loop runs: they mention no scalar the loop body writes, an inner
+/// loop's induction variable included (variantScalar). References inside
+/// summary nodes (nested loops) follow the paper's Section 3.2
+/// conventions: they generate only when trackable, and as killers they
+/// always kill the whole array.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,13 +57,14 @@ struct RefOccurrence {
   bool InSummary = false;
 
   /// Affine view with respect to the analyzed loop's induction variable;
-  /// nullopt when the subscript is not affine (then the occurrence can
-  /// only act as a whole-array kill).
+  /// nullopt when the subscript is not affine or mentions a scalar the
+  /// loop writes (then the occurrence can only act as a whole-array
+  /// kill).
   std::optional<AffineAccess> Affine;
 
   /// True when, acting as a killing reference, this occurrence must be
   /// assumed to kill every instance of any same-array reference:
-  /// non-affine subscripts and references inside summary nodes.
+  /// untrackable subscripts and references inside summary nodes.
   bool KillsWholeArray = false;
 
   const std::string &arrayName() const { return Ref->getName(); }
@@ -159,6 +161,8 @@ private:
   const LoopFlowGraph *Graph;
   const Program *Prog;
   std::string IV;
+  /// The scalars the loop body writes (writtenScalars).
+  std::vector<std::string> Written;
   std::vector<RefOccurrence> Occs;
   std::vector<std::vector<unsigned>> ByNode;
   std::vector<unsigned> ArrayOf;

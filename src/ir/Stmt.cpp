@@ -2,6 +2,9 @@
 
 #include "ir/Stmt.h"
 
+#include <cstdint>
+#include <unordered_map>
+
 using namespace ardf;
 
 Stmt::~Stmt() = default;
@@ -101,9 +104,13 @@ bool ardf::stmtsEqual(const StmtList &A, const StmtList &B) {
 int64_t DoLoopStmt::getConstantTripCount() const {
   const auto *Lo = dyn_cast<IntLit>(Lower.get());
   const auto *Hi = dyn_cast<IntLit>(Upper.get());
-  if (!Lo || !Hi || Step == 0)
+  int64_t Count = 0;
+  if (!Lo || !Hi || Step == 0 ||
+      __builtin_sub_overflow(Hi->getValue(), Lo->getValue(), &Count) ||
+      __builtin_add_overflow(Count, Step, &Count) ||
+      (Count == INT64_MIN && Step == -1))
     return -1;
-  int64_t Count = (Hi->getValue() - Lo->getValue() + Step) / Step;
+  Count /= Step;
   return Count < 0 ? 0 : Count;
 }
 
@@ -139,4 +146,23 @@ void ardf::forEachStmt(const StmtList &Stmts,
                        const std::function<void(const Stmt &)> &Fn) {
   for (const StmtPtr &S : Stmts)
     forEachStmt(*S, Fn);
+}
+
+std::vector<unsigned>
+ardf::preorderIds(const StmtList &Stmts,
+                  const std::vector<const Stmt *> &Targets) {
+  std::unordered_map<const Stmt *, unsigned> IdOf;
+  for (const Stmt *T : Targets)
+    IdOf.emplace(T, 0);
+  unsigned NextId = 0;
+  forEachStmt(Stmts, [&](const Stmt &S) {
+    ++NextId;
+    if (auto It = IdOf.find(&S); It != IdOf.end())
+      It->second = NextId;
+  });
+  std::vector<unsigned> Ids;
+  Ids.reserve(Targets.size());
+  for (const Stmt *T : Targets)
+    Ids.push_back(IdOf[T]);
+  return Ids;
 }

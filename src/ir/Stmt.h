@@ -130,7 +130,7 @@ public:
 
   /// Returns the constant trip-count upper bound UB when both bounds are
   /// integer literals (normalized: trip count == Upper when Lower == 1),
-  /// or -1 when the bound is symbolic.
+  /// or -1 when the bound is symbolic or the count overflows int64.
   int64_t getConstantTripCount() const;
 
   /// True when the loop is in normalized form: lower bound 1, step 1.
@@ -184,6 +184,12 @@ void forEachStmt(const Stmt &S, const std::function<void(const Stmt &)> &Fn);
 /// Calls \p Fn on every statement in \p Stmts and their nested statements.
 void forEachStmt(const StmtList &Stmts,
                  const std::function<void(const Stmt &)> &Fn);
+
+/// The ids diagnostics name statements by: the 1-based pre-order index
+/// of each of \p Targets among \p Stmts and their nested statements
+/// (0 for a target not among them). Numbers all targets in one walk.
+std::vector<unsigned> preorderIds(const StmtList &Stmts,
+                                  const std::vector<const Stmt *> &Targets);
 
 } // namespace ardf
 

@@ -17,7 +17,9 @@ namespace {
 /// ancestor's with-respect-to session once, then answers
 /// (SourceId, SinkId) lookups while diagnostics are built. Occurrence
 /// ids are stable across the sessions because every level analyzes the
-/// same reduced loop (only the framework's iteration space changes).
+/// same reduced loop (only the framework's iteration space changes). A
+/// level keeps only distances within its trip count; a pair beyond it
+/// reads as unknown at that level, like an unsupported one.
 class LevelDistances {
 public:
   LevelDistances(const LintCheckContext &Ctx, const ProblemSpec &Spec,
@@ -28,7 +30,8 @@ public:
           L.Session->solve(Spec, Ctx.Solver).Outcome != SolveOutcome::Ok)
         continue; // unknown level: every lookup reports NoDistance
       for (const ReusePair &P : L.Session->reusePairs(Spec, Sel, Ctx.Solver))
-        PerLevel.back().insert({{P.SourceId, P.SinkId}, P.Distance});
+        if (L.Session->reuseWithinTrip(P.Distance))
+          PerLevel.back().insert({{P.SourceId, P.SinkId}, P.Distance});
     }
   }
 
@@ -52,7 +55,7 @@ private:
 };
 
 /// LevelDistances' counterpart for the dependence-based conflict check,
-/// keyed by (FromId, ToId, Kind).
+/// keyed by (FromId, ToId, Kind), with the same trip-count rule.
 class LevelDependences {
 public:
   explicit LevelDependences(const LintCheckContext &Ctx) {
@@ -65,8 +68,9 @@ public:
       LoopDataFlow DF(*L.Session, ProblemSpec::reachingReferences(),
                       Ctx.Solver);
       for (const Dependence &AD : extractDependences(DF).Deps)
-        PerLevel.back().insert(
-            {{AD.FromId, AD.ToId, static_cast<int>(AD.Kind)}, AD.Distance});
+        if (L.Session->reuseWithinTrip(AD.Distance))
+          PerLevel.back().insert(
+              {{AD.FromId, AD.ToId, static_cast<int>(AD.Kind)}, AD.Distance});
     }
   }
 

@@ -13,7 +13,6 @@
 #include "telemetry/Telemetry.h"
 
 #include <memory>
-#include <unordered_set>
 
 using namespace ardf;
 
@@ -24,21 +23,46 @@ DiagSeverity severityOf(IssueSeverity S) {
                                    : DiagSeverity::Warning;
 }
 
+/// A precondition error at each induction variable assignment the nest
+/// recorded.
+void reportIVAssignments(const LoopNestTree &Nest, const std::string &File,
+                         std::vector<Diagnostic> &Out) {
+  std::vector<const NestLoop *> Loops;
+  std::vector<const Stmt *> Assignments;
+  for (const std::unique_ptr<NestLoop> &N : Nest.all())
+    if (N->IVAssignment) {
+      Loops.push_back(N.get());
+      Assignments.push_back(N->IVAssignment);
+    }
+  if (Loops.empty())
+    return;
+  std::vector<unsigned> Ids =
+      preorderIds(Nest.program().getStmts(), Assignments);
+  for (size_t I = 0; I != Loops.size(); ++I) {
+    Diagnostic D;
+    D.CheckId = checkid::Precondition;
+    D.Severity = DiagSeverity::Error;
+    D.File = File;
+    D.Loc = Assignments[I]->getLoc();
+    D.Message = "assignment to induction variable '" +
+                cast<DoLoopStmt>(Loops[I]->Source)->getIndVar() +
+                "' inside its loop";
+    D.StmtId = Ids[I];
+    Out.push_back(std::move(D));
+  }
+}
+
 } // namespace
 
 LintResult ardf::lintProgram(const Program &P, const std::string &File,
                              const LintOptions &Opts) {
   LintResult Result;
 
-  // Phase 1: precondition diagnostics from the Validate pass. Statements
-  // carrying an error-severity issue poison their enclosing loop: its
-  // analysis results would be wrong, so the framework checks skip it.
-  std::unordered_set<const Stmt *> Poisoned;
+  // Phase 1: precondition diagnostics from the Validate pass (subscripts
+  // and break placement).
   {
     telem::Span Validate("validate", "lint");
     for (const ValidationIssue &I : validateForAnalysis(P)) {
-      if (I.Severity == IssueSeverity::Error)
-        Poisoned.insert(I.Offending);
       Diagnostic D;
       D.CheckId = checkid::Precondition;
       D.Severity = severityOf(I.Severity);
@@ -52,9 +76,13 @@ LintResult ardf::lintProgram(const Program &P, const std::string &File,
 
   // Phase 2: framework-backed checks over the loop-nesting tree, one
   // shared session per supported loop (its reduced form, so while loops
-  // and non-normalized bounds are analyzed too). Rejected loops get an
-  // explicit analysis-unsupported diagnostic instead of silence.
+  // and non-normalized bounds are analyzed too). A DO loop that assigns
+  // its induction variable violates a hard precondition: it gets an
+  // error at the assignment, for every nest loop, nested or not. Other
+  // rejected loops get an explicit analysis-unsupported diagnostic
+  // instead of silence.
   LoopNestTree Nest(P);
+  reportIVAssignments(Nest, File, Result.Diags);
   LintCheckContext Ctx;
   Ctx.File = File;
   Ctx.Solver.Eng = Opts.Engine;
@@ -65,13 +93,8 @@ LintResult ardf::lintProgram(const Program &P, const std::string &File,
     const NestLoop &N = *NodePtr;
     if (N.Depth > 0 && !Opts.IncludeNested)
       continue;
-    // Precondition errors already explain why the loop cannot be
-    // analyzed; skip it without piling an analysis-unsupported
-    // diagnostic on top.
-    bool Skip = false;
-    forEachStmt(*N.Source,
-                [&](const Stmt &S) { Skip |= Poisoned.count(&S) > 0; });
-    if (Skip)
+    // Its precondition error already says why the loop is not analyzed.
+    if (N.IVAssignment)
       continue;
     if (!N.isSupported()) {
       Diagnostic D;

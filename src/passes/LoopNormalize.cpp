@@ -3,66 +3,12 @@
 #include "passes/LoopNormalize.h"
 
 #include "ir/IRBuilder.h"
+#include "support/CheckedArith.h"
 #include "transform/Rewrite.h"
 
 using namespace ardf;
 
 namespace {
-
-/// Rewrites one loop level to normalized form, with \p Body as the
-/// (already processed) loop body. Does not recurse.
-std::unique_ptr<DoLoopStmt> normalizeLoopWithBody(const DoLoopStmt &DL,
-                                                  StmtList Body) {
-  int64_t Step = DL.getStep();
-  const auto *LowerLit = dyn_cast<IntLit>(DL.getLower());
-  std::unique_ptr<DoLoopStmt> Result;
-  if (Step == 1 && LowerLit && LowerLit->getValue() == 1) {
-    Result = std::make_unique<DoLoopStmt>(DL.getIndVar(),
-                                          DL.getLower()->clone(),
-                                          DL.getUpper()->clone(),
-                                          std::move(Body));
-    Result->setLoc(DL.getLoc());
-    return Result;
-  }
-  const std::string &IV = DL.getIndVar();
-  // Trip count: (hi - lo + s) / s for s > 0, (lo - hi - s) / -s for
-  // s < 0; folded when both bounds are literals.
-  ExprPtr Trip;
-  const auto *UpperLit = dyn_cast<IntLit>(DL.getUpper());
-  if (LowerLit && UpperLit) {
-    int64_t N = Step > 0
-                    ? (UpperLit->getValue() - LowerLit->getValue() + Step) /
-                          Step
-                    : (LowerLit->getValue() - UpperLit->getValue() - Step) /
-                          -Step;
-    Trip = lit(N);
-  } else if (Step > 0) {
-    Trip = binop(BinaryOpKind::Div,
-                 add(sub(DL.getUpper()->clone(), DL.getLower()->clone()),
-                     lit(Step)),
-                 lit(Step));
-  } else {
-    Trip = binop(BinaryOpKind::Div,
-                 add(sub(DL.getLower()->clone(), DL.getUpper()->clone()),
-                     lit(-Step)),
-                 lit(-Step));
-  }
-  // i_old = s * (i - 1) + lo; folded to i + (lo - 1) for unit steps
-  // with literal bounds to keep subscripts tidy.
-  ExprPtr OldIV;
-  if (Step == 1 && LowerLit) {
-    int64_t Off = LowerLit->getValue() - 1;
-    OldIV = Off == 0 ? var(IV) : add(var(IV), lit(Off));
-  } else {
-    OldIV = add(mul(lit(Step), sub(var(IV), lit(1))),
-                DL.getLower()->clone());
-  }
-  StmtList NewBody = substituteScalar(Body, IV, *OldIV);
-  Result = std::make_unique<DoLoopStmt>(IV, lit(1), std::move(Trip),
-                                        std::move(NewBody));
-  Result->setLoc(DL.getLoc());
-  return Result;
-}
 
 StmtList normalizeStmts(const StmtList &Stmts, unsigned &Count);
 
@@ -89,10 +35,13 @@ StmtPtr normalizeStmt(const Stmt &S, unsigned &Count) {
   }
   case Stmt::Kind::DoLoop: {
     const auto *DL = cast<DoLoopStmt>(&S);
-    StmtList Body = normalizeStmts(DL->getBody(), Count);
+    auto Loop = std::make_unique<DoLoopStmt>(
+        DL->getIndVar(), DL->getLower()->clone(), DL->getUpper()->clone(),
+        normalizeStmts(DL->getBody(), Count), DL->getStep());
+    Loop->setLoc(DL->getLoc());
     if (!DL->isNormalized())
       ++Count;
-    return normalizeLoopWithBody(*DL, std::move(Body));
+    return normalizeLoop(std::move(Loop));
   }
   }
   if (Copy)
@@ -124,6 +73,44 @@ NormalizeResult ardf::normalizeLoops(const Program &P) {
   return Result;
 }
 
-std::unique_ptr<DoLoopStmt> ardf::normalizeLoop(const DoLoopStmt &Loop) {
-  return normalizeLoopWithBody(Loop, cloneStmts(Loop.getBody()));
+std::unique_ptr<DoLoopStmt>
+ardf::normalizeLoop(std::unique_ptr<DoLoopStmt> Loop) {
+  if (Loop->isNormalized())
+    return Loop;
+  int64_t Step = Loop->getStep();
+  const Expr *Lower = Loop->getLower();
+  const std::string &IV = Loop->getIndVar();
+  // Trip count: (hi - lo + s) / s for s > 0, (lo - hi - s) / -s for
+  // s < 0, i.e. (to - from + |s|) / |s| from the first bound the loop
+  // runs from to the last; folded when both bounds are literals and the
+  // count fits in int64.
+  int64_t Mag = Step > 0 ? Step : checkedNeg(Step);
+  const Expr *From = Step > 0 ? Lower : Loop->getUpper();
+  const Expr *To = Step > 0 ? Loop->getUpper() : Lower;
+  const auto *FromLit = dyn_cast<IntLit>(From);
+  const auto *ToLit = dyn_cast<IntLit>(To);
+  ExprPtr Trip;
+  int64_t N = 0;
+  if (Mag != 0 && FromLit && ToLit &&
+      !__builtin_sub_overflow(ToLit->getValue(), FromLit->getValue(), &N) &&
+      !__builtin_add_overflow(N, Mag, &N))
+    Trip = lit(N / Mag);
+  else
+    Trip = binop(BinaryOpKind::Div,
+                 add(sub(To->clone(), From->clone()), lit(Mag)), lit(Mag));
+  // i_old = s * (i - 1) + lo; folded to i + (lo - 1) for unit steps
+  // with a literal lower bound to keep subscripts tidy.
+  ExprPtr OldIV;
+  const auto *LowerLit = dyn_cast<IntLit>(Lower);
+  if (Step == 1 && LowerLit && LowerLit->getValue() != INT64_MIN) {
+    int64_t Off = LowerLit->getValue() - 1;
+    OldIV = Off == 0 ? var(IV) : add(var(IV), lit(Off));
+  } else {
+    OldIV = add(mul(lit(Step), sub(var(IV), lit(1))), Lower->clone());
+  }
+  auto Result = std::make_unique<DoLoopStmt>(
+      IV, lit(1), std::move(Trip),
+      substituteScalar(Loop->getBody(), IV, *OldIV));
+  Result->setLoc(Loop->getLoc());
+  return Result;
 }

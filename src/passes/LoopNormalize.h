@@ -36,13 +36,13 @@ struct NormalizeResult {
 /// Normalizes every loop (at any nesting depth) of \p P.
 NormalizeResult normalizeLoops(const Program &P);
 
-/// Per-loop canonicalizer: returns a normalized copy of \p Loop (lower
+/// Per-loop canonicalizer: returns \p Loop in normalized form (lower
 /// bound 1, step 1) with the induction variable substituted through the
-/// body. Inner statements are cloned as-is — callers that want nested
+/// body. Inner statements are kept as-is — callers that want nested
 /// loops normalized too (the loop-nest reducer works bottom-up) must
-/// normalize them first. Already-normalized loops come back as plain
-/// clones. Source locations are preserved throughout.
-std::unique_ptr<DoLoopStmt> normalizeLoop(const DoLoopStmt &Loop);
+/// normalize them first. An already-normalized loop comes back
+/// unchanged, without a copy. Source locations are preserved throughout.
+std::unique_ptr<DoLoopStmt> normalizeLoop(std::unique_ptr<DoLoopStmt> Loop);
 
 } // namespace ardf
 

@@ -5,23 +5,16 @@
 #include "affine/AffineAccess.h"
 #include "ir/PrettyPrinter.h"
 
-#include <unordered_map>
-
 using namespace ardf;
 
 namespace {
 
-/// Validates loops against the Section 1 preconditions. Statement ids
-/// are assigned in one pre-order numbering pass over the whole program,
-/// so every issue can name its statement by a stable 1-based id no
-/// matter which loop it was found in.
+/// Checks every DO loop's subscripts and the program's break placement.
+/// Loop shape (normalization, induction variable assignments) is the
+/// loop nest's to decide (analysis/LoopNest).
 class Validator {
 public:
-  explicit Validator(const Program &P) : P(P) {
-    unsigned NextId = 0;
-    forEachStmt(P.getStmts(),
-                [&](const Stmt &S) { IdOf.emplace(&S, ++NextId); });
-  }
+  explicit Validator(const Program &P) : P(P) {}
 
   std::vector<ValidationIssue> run() {
     forEachStmt(P.getStmts(), [&](const Stmt &S) {
@@ -29,6 +22,17 @@ public:
         validateLoop(*Loop);
     });
     checkBreakPlacement(P.getStmts(), /*InLoop=*/false);
+    // Statement ids are numbered only when there is an issue to name,
+    // all in one walk.
+    if (!Issues.empty()) {
+      std::vector<const Stmt *> Offending;
+      Offending.reserve(Issues.size());
+      for (const ValidationIssue &I : Issues)
+        Offending.push_back(I.Offending);
+      std::vector<unsigned> Ids = preorderIds(P.getStmts(), Offending);
+      for (size_t I = 0; I != Issues.size(); ++I)
+        Issues[I].StmtId = Ids[I];
+    }
     return std::move(Issues);
   }
 
@@ -36,35 +40,27 @@ private:
   void report(IssueSeverity Severity, const Stmt &S, SourceLoc Loc,
               std::string Message) {
     Issues.push_back(
-        ValidationIssue{Severity, IdOf.at(&S), Loc, &S, std::move(Message)});
+        ValidationIssue{Severity, 0, Loc, &S, std::move(Message)});
   }
 
   void validateLoop(const DoLoopStmt &Loop) {
-    const std::string &IV = Loop.getIndVar();
+    const std::vector<std::string> Written = writtenScalars(Loop.getBody());
+    checkStmts(Loop, Loop.getBody(), Written);
+  }
 
-    if (!Loop.isNormalized())
-      report(IssueSeverity::Warning, Loop, Loop.getLoc(),
-             "loop over '" + IV +
-                 "' is not normalized (run passes/LoopNormalize first)");
-
-    forEachStmt(Loop.getBody(), [&](const Stmt &S) {
-      // No assignment to the controlling induction variable (Section 1).
-      if (const auto *AS = dyn_cast<AssignStmt>(&S)) {
-        if (const auto *V = dyn_cast<VarRef>(AS->getLHS()))
-          if (V->getName() == IV)
-            report(IssueSeverity::Error, S, S.getLoc(),
-                   "assignment to induction variable '" + IV +
-                       "' inside its loop");
+  /// Checks the subscripts of \p Stmts, part of \p Loop's body, against
+  /// \p Loop's induction variable and the scalars \p Written. Inside an
+  /// inner loop nothing counts as written: a reference there is a summary
+  /// reference at this level, which Section 3.2 handles conservatively
+  /// anyway.
+  void checkStmts(const DoLoopStmt &Loop, const StmtList &Stmts,
+                  const std::vector<std::string> &Written) {
+    for (const StmtPtr &S : Stmts) {
+      switch (S->getKind()) {
+      case Stmt::Kind::Assign: {
+        const auto *AS = cast<AssignStmt>(S.get());
         auto CheckRef = [&](const ArrayRefExpr &AR) {
-          if (AR.getNumSubscripts() > 1 && !P.getArrayDecl(AR.getName()))
-            report(IssueSeverity::Warning, S, AR.getLoc(),
-                   "multi-dimensional reference " + exprToString(AR) +
-                       " to undeclared array cannot be linearized");
-          else if (!makeAffineAccess(AR, P, IV))
-            report(IssueSeverity::Warning, S, AR.getLoc(),
-                   "subscript of " + exprToString(AR) + " is not affine in '" +
-                       IV +
-                       "'; the reference is treated as a whole-array access");
+          checkRef(Loop, *S, AR, Written);
         };
         forEachSubExpr(*AS->getRHS(), [&](const Expr &E) {
           if (const auto *AR = dyn_cast<ArrayRefExpr>(&E))
@@ -72,8 +68,45 @@ private:
         });
         if (const ArrayRefExpr *Target = AS->getArrayTarget())
           CheckRef(*Target);
+        break;
       }
-    });
+      case Stmt::Kind::If: {
+        const auto *IS = cast<IfStmt>(S.get());
+        checkStmts(Loop, IS->getThen(), Written);
+        checkStmts(Loop, IS->getElse(), Written);
+        break;
+      }
+      case Stmt::Kind::DoLoop:
+        checkStmts(Loop, cast<DoLoopStmt>(S.get())->getBody(), NoneWritten);
+        break;
+      case Stmt::Kind::While:
+        checkStmts(Loop, cast<WhileStmt>(S.get())->getBody(), NoneWritten);
+        break;
+      case Stmt::Kind::Break:
+        break;
+      }
+    }
+  }
+
+  void checkRef(const DoLoopStmt &Loop, const Stmt &S, const ArrayRefExpr &AR,
+                const std::vector<std::string> &Written) {
+    const std::string &IV = Loop.getIndVar();
+    if (AR.getNumSubscripts() > 1 && !P.getArrayDecl(AR.getName())) {
+      report(IssueSeverity::Warning, S, AR.getLoc(),
+             "multi-dimensional reference " + exprToString(AR) +
+                 " to undeclared array cannot be linearized");
+      return;
+    }
+    std::optional<AffineAccess> Access = makeAffineAccess(AR, P, IV);
+    if (!Access)
+      report(IssueSeverity::Warning, S, AR.getLoc(),
+             "subscript of " + exprToString(AR) + " is not affine in '" + IV +
+                 "'; the reference is treated as a whole-array access");
+    else if (const std::string *Scalar = variantScalar(*Access, Written))
+      report(IssueSeverity::Warning, S, AR.getLoc(),
+             "subscript of " + exprToString(AR) + " mentions '" + *Scalar +
+                 "', which the loop assigns; the reference is treated as a "
+                 "whole-array access");
   }
 
   /// A break binds to the innermost enclosing loop; outside any loop it
@@ -107,8 +140,8 @@ private:
   }
 
   const Program &P;
+  const std::vector<std::string> NoneWritten;
   std::vector<ValidationIssue> Issues;
-  std::unordered_map<const Stmt *, unsigned> IdOf;
 };
 
 } // namespace

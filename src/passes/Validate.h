@@ -5,11 +5,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Checks the analysis preconditions of Section 1 and reports what the
-/// framework will treat conservatively: non-normalized loops, array
-/// subscripts that are not affine in the controlling induction variable,
-/// assignments to an induction variable inside its loop, and
-/// multi-dimensional references without a declaration to linearize by.
+/// Reports what the framework will treat conservatively and what the
+/// loop nest does not decide: array subscripts that are not affine in
+/// the controlling induction variable or mention a scalar the loop
+/// assigns (Section 3.2), multi-dimensional references without a
+/// declaration to linearize by, and a `break` outside any loop. Loop
+/// shape -- the Section 1 preconditions of normalized loops and no
+/// assignment to the induction variable -- is the loop nest's to decide
+/// (analysis/LoopNest): it normalizes every loop it supports, and
+/// records a DO loop's induction variable assignment, which lint reports
+/// as an error.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,8 +30,7 @@ namespace ardf {
 
 /// Severity of a validation finding.
 enum class IssueSeverity {
-  /// The construct violates a hard precondition (analysis results would
-  /// be wrong, e.g. an induction variable assignment).
+  /// The program is malformed (a `break` outside any loop).
   Error,
   /// The construct is handled conservatively (information loss only).
   Warning
@@ -40,7 +44,7 @@ struct ValidationIssue {
   IssueSeverity Severity;
 
   /// 1-based pre-order index of the offending statement within the
-  /// program (the id validateForAnalysis assigns while walking).
+  /// program (preorderIds).
   unsigned StmtId = 0;
 
   /// Source position of the offending statement, or of the offending

@@ -58,6 +58,9 @@ ServeCache::ServeCache(unsigned TenantQuota)
 std::shared_ptr<Document> ServeCache::lookup(const std::string &Tenant,
                                              const std::string &File,
                                              bool &Created) {
+  // Declared before the lock, so destroyed after the unlock: dropping
+  // an evicted document may destroy its whole driver.
+  std::vector<std::shared_ptr<Document>> Evicted;
   std::lock_guard<std::mutex> Lock(M);
   TenantState &T = Tenants[Tenant];
   for (auto It = T.Lru.begin(); It != T.Lru.end(); ++It) {
@@ -71,6 +74,7 @@ std::shared_ptr<Document> ServeCache::lookup(const std::string &Tenant,
   auto Doc = std::make_shared<Document>();
   T.Lru.emplace_front(File, Doc);
   while (T.Lru.size() > Quota) {
+    Evicted.push_back(std::move(T.Lru.back().second));
     T.Lru.pop_back();
     ++Evictions;
     telem::count(telem::Counter::ServeCacheEvictions);
@@ -79,8 +83,9 @@ std::shared_ptr<Document> ServeCache::lookup(const std::string &Tenant,
 }
 
 void ServeCache::clear() {
+  std::map<std::string, TenantState> Dropped;
   std::lock_guard<std::mutex> Lock(M);
-  Tenants.clear();
+  Dropped.swap(Tenants);
 }
 
 ServeCacheStats ServeCache::stats() const {
@@ -93,10 +98,6 @@ ServeCacheStats ServeCache::stats() const {
     S.Documents += T.Lru.size();
     for (const auto &[File, Doc] : T.Lru) {
       (void)File;
-      // RetainedBytes is guarded by the document mutex; a point-in-time
-      // racy read is fine for a stats report, but stay well-defined by
-      // taking the (uncontended in practice) lock.
-      std::lock_guard<std::timed_mutex> DocLock(Doc->M);
       S.ResidentBytes += Doc->RetainedBytes;
     }
   }

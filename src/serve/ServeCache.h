@@ -24,7 +24,10 @@
 /// Locking: the cache map has one mutex for structural operations
 /// (lookup/insert/evict -- all O(1)-ish and allocation-light); each
 /// Document has its own mutex serializing analysis on that document.
-/// Workers never hold both at once.
+/// Nothing slow runs under the cache mutex: no code holds both mutexes
+/// at once (stats() reads each document's atomic RetainedBytes), and an
+/// evicted document is released only after the cache mutex is unlocked,
+/// since dropping the last reference destroys its driver.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,6 +37,7 @@
 #include "driver/ProgramAnalysisDriver.h"
 #include "ir/Program.h"
 
+#include <atomic>
 #include <cstdint>
 #include <list>
 #include <map>
@@ -49,10 +53,10 @@ namespace serve {
 /// FNV-1a 64-bit content hash (the cache key ingredient).
 uint64_t hashBytes(std::string_view Bytes);
 
-/// One cached (tenant, file) document. All members except the mutex are
-/// guarded by it: a worker locks the document for the whole analysis of
-/// one request against it. The mutex is timed so that a request waits
-/// for the document no longer than its own deadline.
+/// One cached (tenant, file) document. All members except the mutex and
+/// RetainedBytes are guarded by it: a worker locks the document for the
+/// whole analysis of one request against it. The mutex is timed so that
+/// a request waits for the document no longer than its own deadline.
 struct Document {
   std::timed_mutex M;
 
@@ -64,8 +68,10 @@ struct Document {
   /// driver yet).
   uint64_t DriverOptionsKey = 0;
 
-  /// Approximate resident source bytes across retained versions.
-  size_t RetainedBytes = 0;
+  /// Approximate resident source bytes across retained versions. Written
+  /// under the document mutex; atomic so that ServeCache::stats() reads
+  /// it without waiting for a busy document.
+  std::atomic<size_t> RetainedBytes{0};
 
   /// Every program version the driver was handed, oldest first. The
   /// driver's reused sessions keep referencing old versions (the
@@ -118,7 +124,8 @@ public:
 
   /// The document of (tenant, file), created on first use. Touches the
   /// tenant's LRU and evicts past-quota documents (eviction only
-  /// detaches them from the map; live references finish safely).
+  /// detaches them from the map; live references finish safely, and the
+  /// last one destroys the document outside the cache mutex).
   /// \p Created reports whether this call made the document.
   std::shared_ptr<Document> lookup(const std::string &Tenant,
                                    const std::string &File, bool &Created);

@@ -402,6 +402,39 @@ TEST(LoopNestRejectTest, InductionVariableRewritten) {
   expectRejected("do i = 1, 10 { i = i + 2; A[i] = 0; }", "assigned");
 }
 
+TEST(LoopNestRejectTest, InductionVariableAssignmentIsRecorded) {
+  // The first assignment to the DO loop's induction variable, at any
+  // depth, is recorded on the loop it violates.
+  Program P = parseOrDie("do i = 1, 10 {\n"
+                         "  B[i] = 1;\n"
+                         "  do j = 1, 10 {\n"
+                         "    i = i + 2;\n"
+                         "  }\n"
+                         "  i = 3;\n"
+                         "}\n");
+  LoopNestTree T(P);
+  const NestLoop *I = T.roots()[0];
+  EXPECT_FALSE(I->isSupported());
+  ASSERT_NE(I->IVAssignment, nullptr);
+  EXPECT_EQ(I->IVAssignment->getLoc(), SourceLoc(4, 5));
+  // j's own induction variable is untouched: it is analyzed alone.
+  const NestLoop *J = nodeWithIv(T, "j");
+  ASSERT_NE(J, nullptr);
+  EXPECT_TRUE(J->isSupported());
+  EXPECT_EQ(J->IVAssignment, nullptr);
+}
+
+TEST(LoopNestRejectTest, InnerLoopOverTheSameVariableIsNoAssignment) {
+  // An inner DO loop that rebinds the induction variable rejects the
+  // outer loop, but is not an assignment statement to report.
+  Program P = parseOrDie("do i = 1, 2 { do i = 1, 2 { x = 1; } }");
+  LoopNestTree T(P);
+  const NestLoop &Outer = *T.roots()[0];
+  EXPECT_FALSE(Outer.isSupported());
+  EXPECT_NE(Outer.UnsupportedReason.find("assigned"), std::string::npos);
+  EXPECT_EQ(Outer.IVAssignment, nullptr);
+}
+
 TEST(LoopNestRejectTest, BoundMentionsOrMutatesItself) {
   expectRejected("n = 5; i = 1; while (i < n) { n = n + 1; i = i + 1; }",
                  "modified inside");
@@ -409,6 +442,20 @@ TEST(LoopNestRejectTest, BoundMentionsOrMutatesItself) {
 
 TEST(LoopNestRejectTest, EmptyBody) {
   expectRejected("i = 1; while (i <= 10) { i = i + 1; }", "empty loop body");
+}
+
+TEST(LoopNestTest, OverflowingWhileBoundStaysSymbolic) {
+  // `i > INT64_MAX` cannot fold to the inclusive bound INT64_MAX + 1.
+  Program P = parseOrDie("i = 5;\n"
+                         "while (i > 9223372036854775807) {\n"
+                         "  A[i] = 0;\n"
+                         "  i = i - 1;\n"
+                         "}\n");
+  LoopNestTree T(P);
+  ASSERT_EQ(T.size(), 1u);
+  const NestLoop &N = *T.roots()[0];
+  ASSERT_TRUE(N.isSupported()) << N.UnsupportedReason;
+  EXPECT_EQ(N.tripCount(), -1);
 }
 
 TEST(LoopNestRejectTest, ZeroStepDoLoop) {

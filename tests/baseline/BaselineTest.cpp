@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 using namespace ardf;
 
 TEST(ClassicDepTest, GcdFiltersDisjointStrides) {
@@ -41,6 +43,33 @@ TEST(ClassicDepTest, InconsistentPairConservative) {
 TEST(ClassicDepTest, InvariantPair) {
   EXPECT_TRUE(classicDependenceTest(0, 5, 0, 5, 100).MayDepend);
   EXPECT_FALSE(classicDependenceTest(0, 5, 0, 7, 100).MayDepend);
+}
+
+TEST(ClassicDepTest, OverflowMayDependAtNoDistance) {
+  // B2 - B1 leaves int64: the answer is a dependence at no known
+  // distance, not one computed from a wrapped difference.
+  ClassicDepVerdict V = classicDependenceTest(1, 9000000000000000000, 1,
+                                              -9000000000000000000, 100);
+  EXPECT_TRUE(V.MayDepend);
+  EXPECT_FALSE(V.Distance.has_value());
+  // So do the negated and divided differences and the range check.
+  EXPECT_TRUE(classicDependenceTest(-1, INT64_MIN, -1, 0, 100).MayDepend);
+  EXPECT_FALSE(classicDependenceTest(-1, INT64_MIN, -1, 0, 100)
+                   .Distance.has_value());
+  EXPECT_TRUE(
+      classicDependenceTest(INT64_MIN, 0, INT64_MIN, 0, INT64_MAX).MayDepend);
+  EXPECT_TRUE(classicDependenceTest(2, 0, 3, 0, INT64_MAX).MayDepend);
+}
+
+TEST(BaselineSRTest, OverflowingTripCountIsUnknown) {
+  // The loop's trip count leaves int64: it is unknown, so the bounds
+  // step does not run and the distance-1 reuse is found.
+  Program P = parseOrDie(
+      "do i = 0, 9223372036854775807 { A[i + 1] = A[i] + 1; }");
+  EXPECT_EQ(P.getFirstLoop()->getConstantTripCount(), -1);
+  BaselineSRResult R = findReuseDependenceBased(P, *P.getFirstLoop());
+  ASSERT_EQ(R.Reuses.size(), 1u);
+  EXPECT_EQ(R.Reuses[0].Distance, 1);
 }
 
 TEST(BaselineSRTest, StraightLineParity) {

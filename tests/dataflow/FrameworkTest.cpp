@@ -251,6 +251,26 @@ TEST(FrameworkTest, NonAffineRefKillsWholeArray) {
   EXPECT_TRUE(B.FW->preserveAt(Idx, NonAffineNode).isNoInstance());
 }
 
+TEST(FrameworkTest, SubscriptOverAssignedScalarIsUntrackable) {
+  // k changes while the loop runs, in the loop's own body and inside a
+  // summary node alike: every subscript over k is a whole-array access.
+  const char *Source = R"(
+    do j = 1, 10 {
+      A[k + j] = A[k + j - 1] + 1;
+      B[j] = 0;
+      do i = 1, 3 { C[k + j] = 0; k = k + 1; }
+    })";
+  Built B = build(Source, ProblemSpec::reachingReferences());
+  unsigned Untrackable = 0;
+  for (const RefOccurrence &Occ : B.FW->getUniverse().occurrences()) {
+    bool OverK = Occ.arrayName() != "B";
+    EXPECT_EQ(Occ.isTrackable(), !OverK) << Occ.arrayName();
+    EXPECT_EQ(Occ.KillsWholeArray, OverK) << Occ.arrayName();
+    Untrackable += OverK;
+  }
+  EXPECT_EQ(Untrackable, 3u);
+}
+
 TEST(FrameworkTest, UnknownTripCountStaysSymbolic) {
   // A second def of A throttles the reaching distance so the result is
   // finite even with a symbolic bound: A[i] kills A[i+3] beyond k == 3.

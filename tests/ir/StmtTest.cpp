@@ -95,6 +95,27 @@ TEST(StmtTest, ForEachStmtVisitsNested) {
   EXPECT_EQ(Loops, 1u);
 }
 
+TEST(StmtTest, PreorderIdsNumberTargetsInOneWalk) {
+  // x = 1; do i { A[i] = 0; if (c) { y = 2; } }: ids 1..5 in pre-order.
+  StmtList Then;
+  Then.push_back(assign(var("y"), lit(2)));
+  StmtList Body;
+  Body.push_back(assign(array("A", var("i")), lit(0)));
+  Body.push_back(
+      std::make_unique<IfStmt>(var("c"), std::move(Then), StmtList()));
+  StmtList Stmts;
+  Stmts.push_back(assign(var("x"), lit(1)));
+  Stmts.push_back(doLoop("i", 1, 10, std::move(Body)));
+  const auto &Loop = *cast<DoLoopStmt>(Stmts[1].get());
+  const Stmt *If = Loop.getBody()[1].get();
+  const Stmt *Y = cast<IfStmt>(If)->getThen()[0].get();
+  Stmt *Outside = Stmts[0].get();
+  StmtPtr Stranger = assign(var("z"), lit(3));
+  EXPECT_EQ(preorderIds(Stmts, {Y, &Loop, Y, Outside, Stranger.get()}),
+            (std::vector<unsigned>{5, 2, 5, 1, 0}));
+  EXPECT_TRUE(preorderIds(Stmts, {}).empty());
+}
+
 TEST(StmtTest, WhileCloneAndEquals) {
   StmtList Body;
   Body.push_back(assign(array("A", var("i")), lit(0)));

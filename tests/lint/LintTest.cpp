@@ -209,6 +209,26 @@ TEST(LintConflictTest, OuterLevelDistanceSpansEnclosingIterations) {
   }
 }
 
+TEST(LintConflictTest, LevelDistanceBeyondTheTripCountIsUnknown) {
+  // A[j + 2, i] -> A[j, i] is 256 iterations apart at level i, which runs
+  // only 100: unknown there, like an unsupported level.
+  LintResult R = lint("array A[128, 128];\n"
+                      "do i = 1, 100 {\n"
+                      "  do j = 1, 100 {\n"
+                      "    A[j + 2, i] = A[j, i] * 2;\n"
+                      "  }\n"
+                      "}\n");
+  std::vector<Diagnostic> Diags = ofCheck(R, checkid::CrossIterationConflict);
+  ASSERT_EQ(Diags.size(), 1u);
+  EXPECT_EQ(Diags[0].NestPath, "i/j");
+  EXPECT_EQ(Diags[0].Levels,
+            (std::vector<int64_t>{Diagnostic::NoDistance, 2}));
+  std::vector<Diagnostic> Reuse = ofCheck(R, checkid::RedundantLoad);
+  ASSERT_EQ(Reuse.size(), 1u);
+  EXPECT_EQ(Reuse[0].Levels,
+            (std::vector<int64_t>{Diagnostic::NoDistance, 2}));
+}
+
 TEST(LintConflictTest, IndependentIterationsAreClean) {
   LintResult R = lint("do i = 1, 10 {\n"
                       "  A[i] = B[i] * 2;\n"
@@ -235,17 +255,88 @@ TEST(LintEngineTest, PreconditionErrorPoisonsLoop) {
 }
 
 TEST(LintEngineTest, NonNormalizedLoopIsNormalizedAndAnalyzed) {
-  // A non-normalized lower bound still gets the precondition warning,
-  // but the nest reducer normalizes the loop per-analysis so the
-  // framework checks run anyway and catch the distance-1 reuse.
+  // The nest reducer normalizes a non-normalized lower bound per
+  // analysis, so loop shape is no precondition issue: the framework
+  // checks run and catch the distance-1 reuse.
   LintResult R = lint("do i = 2, 10 {\n"
                       "  A[i+1] = A[i];\n"
                       "}\n");
   EXPECT_FALSE(R.hasErrors());
   EXPECT_EQ(R.LoopsAnalyzed, 1u);
+  EXPECT_TRUE(ofCheck(R, checkid::Precondition).empty());
+  std::vector<Diagnostic> Conf = ofCheck(R, checkid::CrossIterationConflict);
+  ASSERT_EQ(Conf.size(), 1u);
+  EXPECT_EQ(Conf[0].Distance, 1);
+}
+
+TEST(LintEngineTest, InductionVariableAssignmentIsAnErrorAtTheAssignment) {
+  LintResult R = lint("do i = 1, 10 {\n"
+                      "  B[i] = 1;\n"
+                      "  i = i + 2;\n"
+                      "}\n");
+  EXPECT_TRUE(R.hasErrors());
+  ASSERT_EQ(R.Diags.size(), 1u);
+  const Diagnostic &D = R.Diags[0];
+  EXPECT_EQ(D.CheckId, checkid::Precondition);
+  EXPECT_EQ(D.Severity, DiagSeverity::Error);
+  EXPECT_EQ(D.message(),
+            "assignment to induction variable 'i' inside its loop");
+  EXPECT_EQ(D.Loc, SourceLoc(3, 3));
+  EXPECT_EQ(D.StmtId, 3u);
+}
+
+TEST(LintEngineTest, NestedInductionVariableAssignmentIsAlwaysReported) {
+  // The error is reported for every nest loop, also when nested loops
+  // are not analyzed.
+  LintOptions Opts;
+  Opts.IncludeNested = false;
+  LintResult R = lintSource("do i = 1, 10 {\n"
+                            "  do j = 1, 10 {\n"
+                            "    j = 1;\n"
+                            "  }\n"
+                            "}\n",
+                            "t.arf", Opts);
+  EXPECT_TRUE(R.hasErrors());
   std::vector<Diagnostic> Pre = ofCheck(R, checkid::Precondition);
   ASSERT_EQ(Pre.size(), 1u);
-  EXPECT_NE(Pre[0].message().find("not normalized"), std::string::npos);
+  EXPECT_EQ(Pre[0].message(),
+            "assignment to induction variable 'j' inside its loop");
+  EXPECT_EQ(Pre[0].Loc, SourceLoc(3, 5));
+  EXPECT_EQ(Pre[0].StmtId, 3u);
+}
+
+TEST(LintEngineTest, SubscriptOverAssignedScalarYieldsNoFinding) {
+  // k changes while the loop runs: no reuse, dead store or conflict on A
+  // may be claimed from A[k + j]'s form.
+  for (const char *Source :
+       {"do j = 1, 10 { A[k + j] = A[k + j - 1] + 1; k = k + 5; }",
+        "do j = 1, 10 { A[k + j] = j; k = k + 1; B[j] = A[k + j - 1]; "
+        "A[k + j] = 2; }"}) {
+    LintResult R = lint(Source);
+    EXPECT_EQ(R.LoopsAnalyzed, 1u);
+    EXPECT_FALSE(R.hasErrors());
+    for (const Diagnostic &D : R.Diags) {
+      bool Finding = D.CheckId == checkid::RedundantLoad ||
+                     D.CheckId == checkid::DeadStore ||
+                     D.CheckId == checkid::LoopCarriedReuse ||
+                     D.CheckId == checkid::CrossIterationConflict;
+      EXPECT_FALSE(Finding && D.message().find("A[") != std::string::npos)
+          << Source << ": " << D.message();
+    }
+    std::vector<Diagnostic> Pre = ofCheck(R, checkid::Precondition);
+    ASSERT_FALSE(Pre.empty());
+    EXPECT_NE(Pre[0].message().find("mentions 'k', which the loop assigns"),
+              std::string::npos);
+  }
+}
+
+TEST(LintEngineTest, OverflowingTripCountIsUnknown) {
+  // (hi - lo + 1) leaves int64, so the trip count is unknown rather than
+  // wrapped; the distance-1 anti dependence is still reported.
+  LintResult R = lint("do i = 0, 9223372036854775807 { A[i] = A[i + 1]; }\n"
+                      "do i = 0, 9223372036854775807, 2 { A[i] = 0; }\n");
+  EXPECT_FALSE(R.hasErrors());
+  EXPECT_EQ(R.LoopsAnalyzed, 2u);
   std::vector<Diagnostic> Conf = ofCheck(R, checkid::CrossIterationConflict);
   ASSERT_EQ(Conf.size(), 1u);
   EXPECT_EQ(Conf[0].Distance, 1);

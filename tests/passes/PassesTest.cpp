@@ -1,7 +1,9 @@
 //===- tests/passes/PassesTest.cpp - Normalization and validation --------===//
 
+#include "analysis/LoopNest.h"
 #include "frontend/Parser.h"
 #include "interp/Interpreter.h"
+#include "ir/IRBuilder.h"
 #include "ir/PrettyPrinter.h"
 #include "passes/LoopNormalize.h"
 #include "passes/Validate.h"
@@ -70,6 +72,32 @@ TEST(LoopNormalizeTest, AlreadyNormalizedUntouched) {
   EXPECT_EQ(programToString(R.Transformed), programToString(P));
 }
 
+TEST(LoopNormalizeTest, NormalizedLoopComesBackWithoutACopy) {
+  StmtList Body;
+  Body.push_back(assign(array("A", var("i")), lit(0)));
+  auto Loop = std::make_unique<DoLoopStmt>("i", lit(1), lit(10),
+                                           std::move(Body));
+  const DoLoopStmt *Before = Loop.get();
+  EXPECT_EQ(normalizeLoop(std::move(Loop)).get(), Before);
+}
+
+TEST(LoopNormalizeTest, OverflowingTripCountStaysSymbolic) {
+  // (hi - lo + s) leaves int64 for both loops: the trip count is built as
+  // an expression instead of folded, and reads as unknown.
+  for (const char *Source :
+       {"do i = 0, 9223372036854775807 { A[i] = A[i + 1]; }",
+        "do i = 0, 9223372036854775807, 2 { A[i] = A[i + 1]; }"}) {
+    Program P = parseOrDie(Source);
+    EXPECT_EQ(P.getFirstLoop()->getConstantTripCount(), -1) << Source;
+    NormalizeResult R = normalizeLoops(P);
+    const DoLoopStmt *Loop = R.Transformed.getFirstLoop();
+    ASSERT_NE(Loop, nullptr);
+    EXPECT_TRUE(Loop->isNormalized());
+    EXPECT_FALSE(isa<IntLit>(Loop->getUpper())) << Source;
+    EXPECT_EQ(Loop->getConstantTripCount(), -1) << Source;
+  }
+}
+
 TEST(LoopNormalizeTest, NestedLoops) {
   Program P = parseOrDie(
       "do j = 2, 9 { do i = 0, 6, 2 { A[8 * j + i] = i + j; } }");
@@ -95,18 +123,71 @@ TEST(ValidateTest, CleanProgram) {
   EXPECT_TRUE(validateForAnalysis(P).empty());
 }
 
-TEST(ValidateTest, FlagsNonNormalized) {
+TEST(ValidateTest, NonNormalizedLoopIsNoIssue) {
+  // The loop nest normalizes every loop it supports before analysis, so
+  // loop shape is not Validate's to report.
   Program P = parseOrDie("do i = 2, 10 { A[i] = 0; }");
+  EXPECT_TRUE(validateForAnalysis(P).empty());
+}
+
+TEST(ValidateTest, FlagsSubscriptOverAssignedScalar) {
+  // k changes while the loop runs, so A[k + j] is not the affine
+  // function of j its form claims: a whole-array access.
+  Program P = parseOrDie("do j = 1, 10 {\n"
+                         "  A[k + j] = A[k + j - 1] + 1;\n"
+                         "  k = k + 5;\n"
+                         "}\n");
   std::vector<ValidationIssue> Issues = validateForAnalysis(P);
-  ASSERT_FALSE(Issues.empty());
-  EXPECT_EQ(Issues[0].Severity, IssueSeverity::Warning);
+  ASSERT_EQ(Issues.size(), 2u);
+  EXPECT_EQ(Issues[0].Message,
+            "subscript of A[k + j - 1] mentions 'k', which the loop assigns; "
+            "the reference is treated as a whole-array access");
+  EXPECT_EQ(Issues[0].Loc, SourceLoc(2, 14));
+  EXPECT_EQ(Issues[1].Message,
+            "subscript of A[k + j] mentions 'k', which the loop assigns; the "
+            "reference is treated as a whole-array access");
+  EXPECT_EQ(Issues[1].Loc, SourceLoc(2, 3));
+  for (const ValidationIssue &I : Issues) {
+    EXPECT_EQ(I.Severity, IssueSeverity::Warning);
+    EXPECT_EQ(I.StmtId, 2u);
+  }
   EXPECT_TRUE(isAnalyzable(Issues));
 }
 
+TEST(ValidateTest, InnerLoopReferencesAreNotCheckedAgainstOuterWrites) {
+  // A[k + j] and X[i, j] sit inside the inner loop: at the outer level
+  // they are summary references, and within the inner loop k and i stay
+  // constant.
+  Program P = parseOrDie("array X[10, 10];\n"
+                         "do i = 1, 10 {\n"
+                         "  k = k + i;\n"
+                         "  do j = 1, 10 { A[k + j] = X[i, j]; }\n"
+                         "}\n");
+  EXPECT_TRUE(validateForAnalysis(P).empty());
+}
+
 TEST(ValidateTest, FlagsInductionVariableAssignment) {
+  // The Section 1 rule has one home, the loop nest: Validate leaves it
+  // there, and the nest rejects the loop and records the assignment.
   Program P = parseOrDie("do i = 1, 10 { i = i + 2; }");
-  std::vector<ValidationIssue> Issues = validateForAnalysis(P);
-  EXPECT_FALSE(isAnalyzable(Issues));
+  EXPECT_TRUE(validateForAnalysis(P).empty());
+  LoopNestTree T(P);
+  ASSERT_EQ(T.roots().size(), 1u);
+  const NestLoop &N = *T.roots()[0];
+  EXPECT_FALSE(N.isSupported());
+  EXPECT_NE(N.IVAssignment, nullptr);
+}
+
+TEST(ValidateTest, InductionVariableIssueAnchorsAtAssignment) {
+  Program P = parseOrDie("do i = 1, 10 {\n  B[i] = 1;\n  i = i + 2;\n}");
+  LoopNestTree T(P);
+  ASSERT_EQ(T.roots().size(), 1u);
+  const Stmt *Assignment = T.roots()[0]->IVAssignment;
+  ASSERT_NE(Assignment, nullptr);
+  EXPECT_TRUE(isa<AssignStmt>(Assignment));
+  EXPECT_EQ(Assignment->getLoc(), SourceLoc(3, 3));
+  EXPECT_EQ(preorderIds(P.getStmts(), {Assignment}),
+            std::vector<unsigned>{3u});
 }
 
 TEST(ValidateTest, FlagsNonAffineSubscript) {
@@ -135,37 +216,25 @@ TEST(ValidateTest, SubscriptIssueAnchorsAtReference) {
   EXPECT_EQ(I.Offending->getKind(), Stmt::Kind::Assign);
 }
 
-TEST(ValidateTest, InductionVariableIssueAnchorsAtAssignment) {
-  Program P = parseOrDie("do i = 1, 10 {\n  B[i] = 1;\n  i = i + 2;\n}");
+TEST(ValidateTest, IssueIdsCountEarlierTopLevelStatements) {
+  Program P = parseOrDie("B[1] = 0;\ndo i = 2, 10 {\n  A[i * i] = 0;\n}");
   std::vector<ValidationIssue> Issues = validateForAnalysis(P);
-  ASSERT_FALSE(Issues.empty());
+  ASSERT_EQ(Issues.size(), 1u); // the subscript; loop shape is no issue
   const ValidationIssue &I = Issues[0];
-  EXPECT_EQ(I.Severity, IssueSeverity::Error);
-  EXPECT_EQ(I.StmtId, 3u);
+  EXPECT_EQ(I.StmtId, 3u); // top-level assignment 1, the loop 2
   EXPECT_EQ(I.Loc, SourceLoc(3, 3));
   ASSERT_NE(I.Offending, nullptr);
   EXPECT_TRUE(isa<AssignStmt>(I.Offending));
 }
 
-TEST(ValidateTest, NonNormalizedIssueAnchorsAtLoop) {
-  Program P = parseOrDie("B[1] = 0;\ndo i = 2, 10 {\n  A[i] = 0;\n}");
-  std::vector<ValidationIssue> Issues = validateForAnalysis(P);
-  ASSERT_FALSE(Issues.empty());
-  const ValidationIssue &I = Issues[0];
-  EXPECT_EQ(I.StmtId, 2u); // top-level assignment is 1, the loop is 2
-  EXPECT_EQ(I.Loc, SourceLoc(2, 1));
-  ASSERT_NE(I.Offending, nullptr);
-  EXPECT_TRUE(isa<DoLoopStmt>(I.Offending));
-}
-
 TEST(ValidateTest, ProgrammaticIrHasInvalidLocationsButValidIds) {
   // IR built without the parser carries no source positions; issues
   // still identify their statement by id.
-  Program Parsed = parseOrDie("do i = 1, 10 { i = 0; }");
-  Program P = Parsed.clone();
-  forEachStmt(P.getStmts(), [](const Stmt &S) {
-    const_cast<Stmt &>(S).setLoc(SourceLoc());
-  });
+  // do i = 1, 10 { A[i * i] = 0; }
+  StmtList Body;
+  Body.push_back(assign(array("A", mul(var("i"), var("i"))), lit(0)));
+  Program P;
+  P.addStmt(doLoop("i", 1, 10, std::move(Body)));
   std::vector<ValidationIssue> Issues = validateForAnalysis(P);
   ASSERT_FALSE(Issues.empty());
   EXPECT_FALSE(Issues[0].Loc.isValid());

@@ -374,6 +374,44 @@ TEST(ServerTest, WaitForAStalledDocumentEndsAtTheDeadline) {
   EXPECT_TRUE(isOk(Again)) << Again.toString();
 }
 
+TEST(ServerTest, StatsDuringAStalledDocumentHoldsUpNoRequest) {
+  // Worker one stalls 1.5 s on a.arf while holding its mutex. A stats
+  // request reads every document's retained size without that mutex, so
+  // it answers at once and does not hold the cache mutex while it waits;
+  // a lint of b.arf sent after it is answered too, both while the stall
+  // still runs. The stall is long enough for this under TSan.
+  failpoint::ScopedFailPoint Stall("serve.session", failpoint::Action::Stall,
+                                   1, 1500);
+  ServeOptions Opts;
+  Opts.Workers = 3;
+  Opts.RequestDeadlineMs = 10000;
+  AnalysisServer S(Opts);
+  std::future<std::string> Stalled =
+      submitLine(S, analyzeLine(GoodSource, "a.arf", 1));
+  // Let worker one take the document and enter the stall.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  std::future<std::string> Stats =
+      submitLine(S, "{\"method\":\"stats\",\"id\":2}");
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  std::future<std::string> Other =
+      submitLine(S, lintLine(GoodSource, "b.arf", 3));
+  ASSERT_EQ(Stats.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready);
+  ASSERT_EQ(Other.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready);
+  EXPECT_EQ(Stalled.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout)
+      << "stats or b.arf waited for the stall on a.arf";
+  json::Value StatsReply = parsed(Stats.get());
+  ASSERT_TRUE(isOk(StatsReply)) << StatsReply.toString();
+  EXPECT_GE(StatsReply.find("result")->find("cache")->find("documents")
+                ->intValue(),
+            1);
+  json::Value OtherReply = parsed(Other.get());
+  EXPECT_TRUE(isOk(OtherReply)) << OtherReply.toString();
+  EXPECT_TRUE(isOk(parsed(Stalled.get())));
+}
+
 TEST(ServerTest, LintAndAnalyzeStopAtTheirDeadline) {
   // A lint stalled in its second check and an analyze stalled in its
   // first loop both overrun a 50 ms deadline: each stops at its next

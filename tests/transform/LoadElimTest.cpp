@@ -62,6 +62,20 @@ TEST(LoadElimTest, SelfRecurrencePipelines) {
   EXPECT_EQ(IB.stats().ArrayStores, 1000u);
 }
 
+TEST(LoadElimTest, SubscriptOverAssignedScalarIsNotReused) {
+  // k changes every iteration, so A[k + j - 1] does not read the value
+  // A[k + j] stored one iteration earlier: nothing may be eliminated.
+  for (const char *Source :
+       {"do j = 1, 10 { A[k + j] = A[k + j - 1] + 1; k = k + 5; }",
+        "do j = 1, 10 { A[k + j] = j; k = k + 1; B[j] = A[k + j - 1]; "
+        "A[k + j] = 2; }"}) {
+    Program P = parseOrDie(Source);
+    LoadElimResult R = eliminateRedundantLoads(P);
+    EXPECT_EQ(R.LoadsEliminated, 0u) << Source;
+    checkEquivalent(P, R.Transformed);
+  }
+}
+
 TEST(LoadElimTest, CommonSubexpressionWithinIteration) {
   // Two loads of C[i] in one iteration collapse to one.
   Program P = parseOrDie(R"(

@@ -57,6 +57,21 @@ TEST(StoreElimTest, Fig6ConditionalRedundantStore) {
   EXPECT_EQ(A0.stats().ArrayStores - B0.stats().ArrayStores, 999u);
 }
 
+TEST(StoreElimTest, SubscriptOverAssignedScalarIsNotOverwritten) {
+  // k changes between the two stores, so A[k + j] = 2 writes another
+  // element than A[k + j] = j, whose value B[j] reads: neither store is
+  // redundant.
+  for (const char *Source :
+       {"do j = 1, 10 { A[k + j] = A[k + j - 1] + 1; k = k + 5; }",
+        "do j = 1, 10 { A[k + j] = j; k = k + 1; B[j] = A[k + j - 1]; "
+        "A[k + j] = 2; }"}) {
+    Program P = parseOrDie(Source);
+    StoreElimResult R = eliminateRedundantStores(P);
+    EXPECT_EQ(R.StoresEliminated, 0u) << Source;
+    checkEquivalent(P, R.Transformed);
+  }
+}
+
 TEST(StoreElimTest, UnconditionalRedundantStore) {
   Program P = parseOrDie(R"(
     do i = 1, 100 {
