@@ -17,6 +17,7 @@
 #include "BenchUtils.h"
 #include "analysis/DistanceVector.h"
 #include "analysis/LoopDataFlow.h"
+#include "analysis/LoopNest.h"
 #include "frontend/Parser.h"
 #include "interp/Interpreter.h"
 #include "transform/LoadElimination.h"
@@ -90,10 +91,12 @@ void printNestExtensionAblation() {
                          "do j = 1, 50 { do i = 1, 50 { "
                          "Z[i+1, j] = Z[i, j-1]; } }");
   const auto *Outer = P.getFirstLoop();
-  const auto *Inner = cast<DoLoopStmt>(Outer->getBody()[0].get());
+  LoopNestTree Nest(P);
+  const NestLoop &J = *Nest.roots()[0];
+  const NestLoop &I = *J.Children[0];
 
-  LoopDataFlow WrtI(P, *Inner, ProblemSpec::mustReachingDefs(), "i");
-  LoopDataFlow WrtJ(P, *Inner, ProblemSpec::mustReachingDefs(), "j");
+  LoopDataFlow WrtI(P, *I.Analyzed, ProblemSpec::mustReachingDefs());
+  LoopDataFlow WrtJ(P, I, J, ProblemSpec::mustReachingDefs());
   NestAnalysis NA = analyzeTightNest(P, *Outer);
 
   std::printf("per-loop w.r.t. i: %zu reuse pair(s)\n",

@@ -11,6 +11,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/LoopDataFlow.h"
+#include "analysis/LoopNest.h"
 #include "frontend/Parser.h"
 #include "ir/PrettyPrinter.h"
 
@@ -45,10 +46,8 @@ struct Findings {
   int64_t XDist = -1, YDist = -1;
 };
 
-Findings analyze(const Program &P, const DoLoopStmt &Body,
-                 const std::string &IV) {
+Findings findingsOf(const LoopDataFlow &DF) {
   Findings F;
-  LoopDataFlow DF(P, Body, ProblemSpec::mustReachingDefs(), IV);
   for (const ReusePair &Pair : DF.reusePairs(RefSelector::Uses)) {
     const std::string &Array =
         DF.universe().occurrence(Pair.SourceId).arrayName();
@@ -65,13 +64,26 @@ Findings analyze(const Program &P, const DoLoopStmt &Body,
   return F;
 }
 
+/// Fig. 4's inner loop \p I analyzed at its own level (w.r.t. i).
+Findings analyzeWrtI(const Program &P, const NestLoop &I) {
+  return findingsOf(
+      LoopDataFlow(P, *I.Analyzed, ProblemSpec::mustReachingDefs()));
+}
+
+/// The same body analyzed at the level of its enclosing loop \p J
+/// (w.r.t. j).
+Findings analyzeWrtJ(const Program &P, const NestLoop &I, const NestLoop &J) {
+  return findingsOf(LoopDataFlow(P, I, J, ProblemSpec::mustReachingDefs()));
+}
+
 void printFig4Table() {
   Program P = parseOrDie(Fig4);
-  const auto *Outer = P.getFirstLoop();
-  const auto *Inner = cast<DoLoopStmt>(Outer->getBody()[0].get());
+  LoopNestTree Nest(P);
+  const NestLoop &J = *Nest.roots()[0];
+  const NestLoop &I = *J.Children[0];
 
-  Findings WrtI = analyze(P, *Inner, "i");
-  Findings WrtJ = analyze(P, *Inner, "j");
+  Findings WrtI = analyzeWrtI(P, I);
+  Findings WrtJ = analyzeWrtJ(P, I, J);
 
   std::printf("== F4: Fig. 4 recurrences per analysis level ==\n");
   std::printf("%14s | %12s %12s %12s\n", "analysis", "X[i+1,j]",
@@ -94,11 +106,12 @@ void printFig4Table() {
 
 void BM_Fig4AnalysisPerLevel(benchmark::State &State) {
   Program P = parseOrDie(Fig4);
-  const auto *Outer = P.getFirstLoop();
-  const auto *Inner = cast<DoLoopStmt>(Outer->getBody()[0].get());
+  LoopNestTree Nest(P);
+  const NestLoop &J = *Nest.roots()[0];
+  const NestLoop &I = *J.Children[0];
   for (auto _ : State) {
-    Findings A = analyze(P, *Inner, "i");
-    Findings B = analyze(P, *Inner, "j");
+    Findings A = analyzeWrtI(P, I);
+    Findings B = analyzeWrtJ(P, I, J);
     benchmark::DoNotOptimize(A.XFound);
     benchmark::DoNotOptimize(B.YFound);
   }

@@ -102,7 +102,7 @@ unsigned solveAllLevels(const Program &P, const LoopNestTree &T) {
   for (const NestLoop *A : Inner.ancestors()) {
     if (!A->isSupported())
       continue;
-    LoopAnalysisSession Level(P, *Inner.Analyzed, A->iv(), A->tripCount());
+    LoopAnalysisSession Level(P, Inner, *A);
     SolveAll(Level);
     ++Sessions;
   }

@@ -12,6 +12,7 @@
 
 #include "analysis/DistanceVector.h"
 #include "analysis/LoopDataFlow.h"
+#include "analysis/LoopNest.h"
 #include "frontend/Parser.h"
 #include "ir/PrettyPrinter.h"
 
@@ -21,12 +22,11 @@ using namespace ardf;
 
 namespace {
 
-void analyzeWrt(const Program &P, const DoLoopStmt &Body,
-                const std::string &IV) {
+void analyzeWrt(const LoopDataFlow &DF) {
+  const ReferenceUniverse &U = DF.universe();
+  const std::string &IV = U.getIV();
   std::cout << "--- analysis of the loop body with respect to '" << IV
             << "' (other induction variables symbolic) ---\n";
-  LoopDataFlow DF(P, Body, ProblemSpec::mustReachingDefs(), IV);
-  const ReferenceUniverse &U = DF.universe();
 
   std::cout << "Linearized affine views:\n";
   for (const RefOccurrence &Occ : U.occurrences()) {
@@ -73,13 +73,15 @@ int main() {
   std::cout << "Input nest (Fig. 4):\n" << programToString(P) << '\n';
 
   const auto *Outer = P.getFirstLoop();
-  const auto *Inner = cast<DoLoopStmt>(Outer->getBody()[0].get());
+  LoopNestTree Nest(P);
+  const NestLoop &J = *Nest.roots()[0];
+  const NestLoop &I = *J.Children[0];
 
   // The X recurrence (distance 1 in i) appears in the inner analysis;
   // the Y recurrence (distance 2 in j) when the same body is analyzed
   // with respect to j; Z in neither.
-  analyzeWrt(P, *Inner, Inner->getIndVar());
-  analyzeWrt(P, *Inner, Outer->getIndVar());
+  analyzeWrt(LoopDataFlow(P, *I.Analyzed, ProblemSpec::mustReachingDefs()));
+  analyzeWrt(LoopDataFlow(P, I, J, ProblemSpec::mustReachingDefs()));
 
   std::cout << "The Z recurrence couples both induction variables "
                "simultaneously;\nno single-loop analysis can see it "

@@ -2,6 +2,7 @@
 
 #include "analysis/LoopAnalysisSession.h"
 
+#include "analysis/LoopNest.h"
 #include "ir/PrettyPrinter.h"
 #include "support/FailPoint.h"
 #include "telemetry/Telemetry.h"
@@ -23,10 +24,23 @@ LoopAnalysisSession::LoopAnalysisSession(const Program &P,
                                          const DoLoopStmt &Loop,
                                          const std::string &WithRespectTo,
                                          int64_t EnclosingTripCount)
+    : LoopAnalysisSession(P, Loop, WithRespectTo, EnclosingTripCount, {}) {}
+
+LoopAnalysisSession::LoopAnalysisSession(const Program &P, const NestLoop &Loop,
+                                         const NestLoop &Level)
+    : LoopAnalysisSession(P, *Loop.Analyzed, Level.iv(), Level.tripCount(),
+                          Loop.writtenAtLevel(Level)) {}
+
+LoopAnalysisSession::LoopAnalysisSession(const Program &P,
+                                         const DoLoopStmt &Loop,
+                                         const std::string &WithRespectTo,
+                                         int64_t EnclosingTripCount,
+                                         const std::vector<std::string>
+                                             &EnclosingWrites)
     : Prog(&P), TheLoop(&Loop),
       Graph(std::make_unique<LoopFlowGraph>(Loop)),
-      Universe(std::make_unique<ReferenceUniverse>(*Graph, P,
-                                                   WithRespectTo)),
+      Universe(std::make_unique<ReferenceUniverse>(*Graph, P, WithRespectTo,
+                                                   EnclosingWrites)),
       TripCount(WithRespectTo.empty() ||
                         WithRespectTo == Graph->getIndVar()
                     ? Graph->getTripCount()

@@ -40,6 +40,8 @@
 
 namespace ardf {
 
+struct NestLoop;
+
 /// A discovered recurrent access pattern: the instance of \p SourceId
 /// generated \p Distance iterations earlier is guaranteed (must-problems)
 /// or possible (may-problems) to be the one \p SinkId touches.
@@ -88,10 +90,21 @@ public:
   /// Builds the session for \p Loop. A non-empty \p WithRespectTo
   /// analyzes the body with respect to an enclosing loop's induction
   /// variable (Section 3.6); the local one becomes a symbolic constant
-  /// and the trip count is taken from \p EnclosingTripCount.
+  /// and the trip count is taken from \p EnclosingTripCount. Such a
+  /// session knows only the scalars \p Loop writes, not those the
+  /// enclosing loop writes around it; a level of a loop nest is built
+  /// with the NestLoop constructor below, which knows both.
   LoopAnalysisSession(const Program &P, const DoLoopStmt &Loop,
                       const std::string &WithRespectTo = "",
                       int64_t EnclosingTripCount = UnknownTripCount);
+
+  /// Builds nest level \p Level of \p Loop (Section 3.6): \p Loop's
+  /// analyzed form with respect to \p Level's induction variable over
+  /// \p Level's trip count, where a subscript over a scalar that varies
+  /// between \p Level's iterations (NestLoop::writtenAtLevel) is
+  /// untrackable. \p Level is a supported ancestor of \p Loop.
+  LoopAnalysisSession(const Program &P, const NestLoop &Loop,
+                      const NestLoop &Level);
 
   const Program &program() const { return *Prog; }
   const DoLoopStmt &loop() const { return *TheLoop; }
@@ -158,6 +171,13 @@ public:
   }
 
 private:
+  /// The constructors above: \p EnclosingWrites are the scalars that
+  /// vary between the enclosing level's iterations.
+  LoopAnalysisSession(const Program &P, const DoLoopStmt &Loop,
+                      const std::string &WithRespectTo,
+                      int64_t EnclosingTripCount,
+                      const std::vector<std::string> &EnclosingWrites);
+
   const LoopOrientation &orientation(FlowDirection Dir);
 
   struct Instance {

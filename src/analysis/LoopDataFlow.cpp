@@ -10,12 +10,10 @@ LoopDataFlow::LoopDataFlow(const Program &P, const DoLoopStmt &Loop,
       Session(Owned.get()), FW(&Session->instance(Spec)),
       Result(&Session->solve(Spec, Opts)) {}
 
-LoopDataFlow::LoopDataFlow(const Program &P, const DoLoopStmt &Loop,
-                           ProblemSpec Spec,
-                           const std::string &WithRespectTo,
-                           int64_t EnclosingTripCount, SolverOptions Opts)
-    : Owned(std::make_unique<LoopAnalysisSession>(P, Loop, WithRespectTo,
-                                                  EnclosingTripCount)),
+LoopDataFlow::LoopDataFlow(const Program &P, const NestLoop &Loop,
+                           const NestLoop &Level, ProblemSpec Spec,
+                           SolverOptions Opts)
+    : Owned(std::make_unique<LoopAnalysisSession>(P, Loop, Level)),
       Session(Owned.get()), FW(&Session->instance(Spec)),
       Result(&Session->solve(Spec, Opts)) {}
 

@@ -39,13 +39,12 @@ public:
   LoopDataFlow(const Program &P, const DoLoopStmt &Loop, ProblemSpec Spec,
                SolverOptions Opts = SolverOptions());
 
-  /// Section 3.6 variant: analyzes the body of \p Loop with respect to
-  /// the induction variable \p WithRespectTo of an enclosing loop (the
-  /// local induction variable becomes a symbolic constant).
-  LoopDataFlow(const Program &P, const DoLoopStmt &Loop, ProblemSpec Spec,
-               const std::string &WithRespectTo,
-               int64_t EnclosingTripCount = UnknownTripCount,
-               SolverOptions Opts = SolverOptions());
+  /// Section 3.6 variant: analyzes the body of nest loop \p Loop with
+  /// respect to the induction variable of its enclosing loop \p Level
+  /// (the local induction variable becomes a symbolic constant; see
+  /// LoopAnalysisSession's NestLoop constructor).
+  LoopDataFlow(const Program &P, const NestLoop &Loop, const NestLoop &Level,
+               ProblemSpec Spec, SolverOptions Opts = SolverOptions());
 
   /// Batched variant: draws (and memoizes) the problem's instance and
   /// solution in \p Session instead of rebuilding the loop's tables.

@@ -2,6 +2,7 @@
 
 #include "analysis/LoopNest.h"
 
+#include "affine/AffineAccess.h"
 #include "passes/LoopNormalize.h"
 #include "support/FailPoint.h"
 #include "telemetry/Telemetry.h"
@@ -143,6 +144,15 @@ std::vector<const NestLoop *> NestLoop::ancestors() const {
     Result.push_back(A);
   std::reverse(Result.begin(), Result.end());
   return Result;
+}
+
+std::vector<std::string>
+NestLoop::writtenAtLevel(const NestLoop &Ancestor) const {
+  std::vector<std::string> Written =
+      writtenScalars(Ancestor.Analyzed->getBody());
+  for (const NestLoop *L = this; L != &Ancestor; L = L->Parent)
+    std::erase(Written, L->iv());
+  return Written;
 }
 
 std::string NestLoop::path() const {

@@ -118,6 +118,14 @@ struct NestLoop {
   /// Ancestors outermost-first (empty for a root loop).
   std::vector<const NestLoop *> ancestors() const;
 
+  /// The scalars that vary between iterations of \p Ancestor (a
+  /// supported ancestor) when this loop is analyzed with respect to its
+  /// induction variable: every scalar \p Ancestor's reduced body writes,
+  /// except the induction variables of the loops from its child down to
+  /// this one, which that level holds symbolic. A subscript that
+  /// mentions one is untrackable at that level.
+  std::vector<std::string> writtenAtLevel(const NestLoop &Ancestor) const;
+
   /// Slash-joined induction variables from the outermost ancestor down
   /// to this loop, e.g. "i/j"; unsupported levels print "?".
   std::string path() const;

@@ -9,10 +9,15 @@ using namespace ardf;
 
 ReferenceUniverse::ReferenceUniverse(const LoopFlowGraph &Graph,
                                      const Program &P,
-                                     const std::string &IVOverride)
+                                     const std::string &IVOverride,
+                                     const std::vector<std::string>
+                                         &ExtraWritten)
     : Graph(&Graph), Prog(&P),
       IV(IVOverride.empty() ? Graph.getIndVar() : IVOverride),
       Written(writtenScalars(Graph.getLoop().getBody())) {
+  for (const std::string &Name : ExtraWritten)
+    if (std::find(Written.begin(), Written.end(), Name) == Written.end())
+      Written.push_back(Name);
   ByNode.resize(Graph.getNumNodes());
   for (unsigned Node = 0, E = Graph.getNumNodes(); Node != E; ++Node)
     collectFromNode(Node);

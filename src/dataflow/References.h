@@ -83,9 +83,12 @@ public:
   /// instead of the graph's own induction variable -- the paper's
   /// "separate analysis of the loop body with respect to an enclosing
   /// loop" (Section 3.6), under which the local induction variable acts
-  /// as a symbolic constant.
+  /// as a symbolic constant. \p ExtraWritten adds scalars that vary
+  /// while the loop runs beyond those its body writes (an enclosing
+  /// level's writes); a subscript over any of them is untrackable.
   ReferenceUniverse(const LoopFlowGraph &Graph, const Program &P,
-                    const std::string &IVOverride = "");
+                    const std::string &IVOverride = "",
+                    const std::vector<std::string> &ExtraWritten = {});
 
   /// The induction variable the affine views are taken against.
   const std::string &getIV() const { return IV; }
@@ -161,7 +164,8 @@ private:
   const LoopFlowGraph *Graph;
   const Program *Prog;
   std::string IV;
-  /// The scalars the loop body writes (writtenScalars).
+  /// The scalars the loop body writes (writtenScalars), plus the extra
+  /// ones the constructor was given.
   std::vector<std::string> Written;
   std::vector<RefOccurrence> Occs;
   std::vector<std::vector<unsigned>> ByNode;

@@ -2,15 +2,13 @@
 
 #include "driver/ProgramAnalysisDriver.h"
 
+#include "driver/WorkerPool.h"
 #include "support/Deadline.h"
 #include "support/FailPoint.h"
 #include "telemetry/Telemetry.h"
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
-#include <optional>
-#include <thread>
 
 using namespace ardf;
 
@@ -113,66 +111,8 @@ void ProgramAnalysisDriver::run() {
 
 void ProgramAnalysisDriver::analyzeAll(
     const std::vector<AnalyzedLoop *> &Work) {
-  if (Opts.Threads <= 1 || Work.size() <= 1) {
-    for (AnalyzedLoop *R : Work)
-      analyzeLoop(*R);
-    return;
-  }
-
-  // Work queue: the cursor is the only mutable state shared between
-  // workers; each index is claimed by exactly one thread.
-  std::atomic<size_t> Next{0};
-  unsigned NumWorkers = std::min<size_t>(Opts.Threads, Work.size());
-
-  // Per-worker telemetry, allocated up front so it outlives the threads
-  // and can be merged into the root after join. Workers record
-  // locklessly into their own context (distinct thread ids); without a
-  // root context the slots stay empty and workers run telemetry-free.
-  telem::Telemetry *Root = telem::Telemetry::current();
-  struct WorkerTelemetry {
-    telem::Telemetry Telem;
-    telem::MemoryTraceSink Sink;
-  };
-  std::vector<std::unique_ptr<WorkerTelemetry>> Slots(NumWorkers);
-  if (Root)
-    for (unsigned I = 0; I != NumWorkers; ++I) {
-      Slots[I] = std::make_unique<WorkerTelemetry>();
-      Slots[I]->Telem.setThreadId(I + 1);
-      if (Root->sink())
-        Slots[I]->Telem.setSink(&Slots[I]->Sink);
-    }
-
-  // Workers inherit the caller's request deadline.
-  const uint64_t Deadline = deadline::current();
-  auto Worker = [this, &Next, &Slots, &Work, Deadline](unsigned WorkerIdx) {
-    deadline::Scope DeadlineScope(Deadline);
-    std::optional<telem::TelemetryScope> Scope;
-    if (Slots[WorkerIdx])
-      Scope.emplace(Slots[WorkerIdx]->Telem);
-    for (;;) {
-      size_t I = Next.fetch_add(1, std::memory_order_relaxed);
-      if (I >= Work.size())
-        return;
-      analyzeLoop(*Work[I]);
-    }
-  };
-
-  std::vector<std::thread> Pool;
-  Pool.reserve(NumWorkers);
-  for (unsigned I = 0; I != NumWorkers; ++I)
-    Pool.emplace_back(Worker, I);
-  for (std::thread &T : Pool)
-    T.join();
-
-  // Join-time aggregation: counters add up; spans keep the worker's
-  // thread id so the trace shows the real parallel lanes.
-  if (Root)
-    for (const std::unique_ptr<WorkerTelemetry> &Slot : Slots) {
-      Root->mergeCountersFrom(Slot->Telem);
-      if (Root->sink())
-        for (const telem::TraceEvent &E : Slot->Sink.events())
-          Root->sink()->record(E);
-    }
+  runWorkItems(Work.size(), Opts.Threads,
+               [&](size_t I) { analyzeLoop(*Work[I]); });
 }
 
 DriverRerun ProgramAnalysisDriver::rerun(const Program &NewProgram) {

@@ -8,26 +8,18 @@
 /// ProgramAnalysisDriver runs a batch of data flow problems over every
 /// analyzable loop of a Program. Each loop gets one LoopAnalysisSession
 /// (so the problem-independent tables are built once no matter how many
-/// problems run), and the per-loop work is distributed over a pool of
-/// worker threads pulling loop indices from a shared queue.
+/// problems run), and the loops are the work items of the worker pool
+/// the lint engine uses too (driver/WorkerPool.h).
 ///
 /// Thread-safety invariant: loop analysis is embarrassingly parallel.
 /// A session reads only the immutable Program and its own loop's
 /// statements, and all mutable state (graph, universe, orientations,
 /// memoized instances and solutions) lives inside the session. The
-/// driver assigns each loop record to exactly one worker, so no two
-/// threads ever touch the same mutable object; the only shared mutable
-/// datum is the atomic queue cursor. Anything added to the per-loop
-/// analysis must preserve this: no caches or counters global to the
-/// driver may be written from analyzeLoop().
-///
-/// Telemetry follows the same rule locklessly: when the calling thread
-/// has a telemetry context installed (telem::TelemetryScope), each
-/// worker records into its own private Telemetry (and private trace
-/// buffer, when the root has a sink) under a distinct thread id, and
-/// run() merges counters and spans into the root context after join --
-/// the workers share no telemetry state while analyzing. Workers
-/// inherit the caller's request deadline (support/Deadline.h) too.
+/// pool assigns each loop record to exactly one worker, so no two
+/// threads ever touch the same mutable object. Anything added to the
+/// per-loop analysis must preserve this: no caches or counters global
+/// to the driver may be written from analyzeLoop(). Telemetry and the
+/// request deadline reach the workers as WorkerPool.h describes.
 ///
 /// The default is Threads = 1, which runs inline on the calling thread
 /// (deterministic, and what the tests use); benchmarks opt into more.
@@ -53,8 +45,9 @@ std::vector<ProblemSpec> paperProblems();
 
 /// Driver configuration.
 struct DriverOptions {
-  /// Worker threads. 1 (the default) analyzes inline on the calling
-  /// thread with no thread machinery at all.
+  /// Worker threads; 0 means one per hardware thread, at most one per
+  /// 8 loops (driver/WorkerPool.h). 1 (the default) analyzes inline on
+  /// the calling thread with no thread machinery at all.
   unsigned Threads = 1;
 
   /// Problems solved per loop; empty means paperProblems().

@@ -15,6 +15,11 @@
 /// reported as an internal-consistency error -- a permanent static
 /// oracle for the packed kernel solver.
 ///
+/// Each loop is one work item of the worker pool (driver/WorkerPool.h)
+/// with its own sessions and diagnostics; the calling thread moves them
+/// into the result in nest order as loops finish, then sorts, so the
+/// output is the same for every thread count.
+///
 /// \code
 ///   LintResult R = lintSource(Text, "fig1.arf");
 ///   renderText(std::cout, R.Diags, Sources);
@@ -64,6 +69,12 @@ struct LintOptions {
   /// Restrict Explain to one check id (--explain=CHECK-ID); empty
   /// explains all checks.
   std::string ExplainCheck;
+
+  /// Worker threads the file's loops are linted on (driver/WorkerPool.h):
+  /// 0 means one per hardware thread, but at most one per 8 loops (a
+  /// file of fewer than 16 loops lints inline); 1 lints inline on the
+  /// calling thread. The output does not depend on it.
+  unsigned Threads = 0;
 };
 
 /// Result of one lint run.
@@ -99,7 +110,7 @@ struct LintResult {
 
 /// Lints an already-parsed program. \p File is the artifact name stamped
 /// into every diagnostic. Past the request deadline (support/Deadline.h)
-/// it stops at the next loop or check and returns a partial result.
+/// it skips the remaining loops and checks and returns a partial result.
 LintResult lintProgram(const Program &P, const std::string &File,
                        const LintOptions &Opts = LintOptions());
 

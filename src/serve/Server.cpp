@@ -304,9 +304,12 @@ struct AnalysisServer::Core {
 
   /// Renders the lint/explain result object. Exactly the single-shot
   /// pipeline of ardf-lint --format=json: lintSource + renderJsonLines,
-  /// so the "render" member is bit-identical to that tool's stdout.
+  /// so the "render" member is bit-identical to that tool's stdout. It
+  /// lints inline: the serve workers are the parallelism, and a pool per
+  /// request would add its workers' malloc arenas to every lint.
   std::string lintResult(const Request &R, const SolverBudget &Budget) {
     LintOptions LO;
+    LO.Threads = 1;
     LO.Engine = R.Engine;
     LO.CrossCheck = R.CrossCheck;
     LO.IncludeNested = R.IncludeNested;

@@ -167,6 +167,20 @@ thread_local Telemetry *CurrentTelemetry = nullptr;
 
 Telemetry *Telemetry::current() { return CurrentTelemetry; }
 
+WorkerTelemetry::WorkerTelemetry(const Telemetry &Root, uint32_t ThreadId) {
+  Telem.setThreadId(ThreadId);
+  Telem.enableTimings(Root.timingsEnabled());
+  if (Root.sink())
+    Telem.setSink(&Sink);
+}
+
+void WorkerTelemetry::mergeInto(Telemetry &Root) const {
+  Root.mergeCountersFrom(Telem);
+  if (Root.sink())
+    for (const TraceEvent &E : Sink.events())
+      Root.sink()->record(E);
+}
+
 TelemetryScope::TelemetryScope(Telemetry &T) : Prev(CurrentTelemetry) {
   CurrentTelemetry = &T;
 }

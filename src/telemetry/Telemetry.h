@@ -37,9 +37,9 @@
 /// \endcode
 ///
 /// Counters are thread-safe (relaxed atomics). Sinks are not: a sink is
-/// owned by one thread at a time. Multi-threaded layers (the driver's
-/// worker pool) give every worker its own Telemetry + MemoryTraceSink
-/// and merge into the root at join, so the hot path stays lock-free.
+/// owned by one thread at a time. The worker pool of the driver and the
+/// lint engine gives every worker its own WorkerTelemetry and merges it
+/// into the root at join, so the hot path stays lock-free.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -350,8 +350,7 @@ public:
   }
 
   /// Adds \p Other's counters and histograms into this context (the
-  /// driver's join-time aggregation; events merge separately, see
-  /// ProgramAnalysisDriver).
+  /// worker pool's join-time aggregation; see WorkerTelemetry).
   void mergeCountersFrom(const Telemetry &Other) {
     for (unsigned I = 0; I != NumCounters; ++I)
       Counters[I].fetch_add(
@@ -371,6 +370,28 @@ private:
   TraceSink *Sink = nullptr;
   uint32_t Tid = 0;
   bool Timings = false;
+};
+
+/// A pool worker's private context under a root context: its own
+/// counters and histograms, the root's timings setting, a private trace
+/// buffer when the root has a sink, and a distinct thread id. The worker
+/// records into context() without locks; mergeInto() adds everything to
+/// the root once the worker has joined (driver/WorkerPool.h).
+class WorkerTelemetry {
+public:
+  WorkerTelemetry(const Telemetry &Root, uint32_t ThreadId);
+  WorkerTelemetry(const WorkerTelemetry &) = delete;
+  WorkerTelemetry &operator=(const WorkerTelemetry &) = delete;
+
+  Telemetry &context() { return Telem; }
+
+  /// Adds this worker's counters, histograms and spans (which keep the
+  /// worker's thread id) into \p Root.
+  void mergeInto(Telemetry &Root) const;
+
+private:
+  Telemetry Telem;
+  MemoryTraceSink Sink;
 };
 
 /// Installs \p T as the current thread's telemetry for a dynamic extent;

@@ -2,6 +2,7 @@
 
 #include "analysis/Dependence.h"
 #include "analysis/LoopDataFlow.h"
+#include "analysis/LoopNest.h"
 #include "frontend/Parser.h"
 #include "ir/PrettyPrinter.h"
 
@@ -172,4 +173,29 @@ TEST(DependenceTest, InputDependencesOptIn) {
   for (const Dependence &D : WithInput.Deps)
     SawInput |= D.Kind == DepKind::Input;
   EXPECT_TRUE(SawInput);
+}
+
+TEST(LoopDataFlowTest, NestLevelSeesTheEnclosingLoopsScalarWrites) {
+  // k grows by 3 per i iteration, so at the i level A[k + i + j - 1]
+  // never reads what A[k + i + j] wrote an i iteration earlier; within
+  // one i iteration k is constant and the j level reuses at distance 1.
+  Program P = parseOrDie("array A[200];\n"
+                         "k = 0;\n"
+                         "do i = 1, 10 {\n"
+                         "  k = k + 3;\n"
+                         "  do j = 1, 5 {\n"
+                         "    A[k + i + j] = A[k + i + j - 1] + 1;\n"
+                         "  }\n"
+                         "}\n");
+  LoopNestTree Nest(P);
+  const NestLoop &I = *Nest.roots()[0];
+  const NestLoop &J = *I.Children[0];
+
+  LoopDataFlow OwnLevel(P, *J.Analyzed, ProblemSpec::availableValues());
+  EXPECT_TRUE(hasPair(OwnLevel, OwnLevel.reusePairs(RefSelector::Uses),
+                      "A[k + i + j] -> A[k + i + j - 1] @ 1"));
+
+  LoopDataFlow OuterLevel(P, J, I, ProblemSpec::availableValues());
+  EXPECT_EQ(OuterLevel.universe().getIV(), "i");
+  EXPECT_TRUE(OuterLevel.reusePairs(RefSelector::Uses).empty());
 }

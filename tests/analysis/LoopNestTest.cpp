@@ -574,7 +574,7 @@ TEST(LoopNestTest, PerLevelSessionsSeeOuterDistances) {
 
   // Outer level (with respect to i): X[i-1, j] reaches from the
   // previous outer iteration at distance 1.
-  LoopAnalysisSession Outer(P, *J->Analyzed, I->iv(), I->tripCount());
+  LoopAnalysisSession Outer(P, *J, *I);
   std::vector<ReusePair> OuterPairs = Outer.reusePairs(
       ProblemSpec::availableValuesPerOccurrence(), RefSelector::Uses);
   bool OuterDist1 = false;

@@ -229,6 +229,46 @@ TEST(LintConflictTest, LevelDistanceBeyondTheTripCountIsUnknown) {
             (std::vector<int64_t>{Diagnostic::NoDistance, 2}));
 }
 
+TEST(LintConflictTest, ScalarTheOuterBodyWritesMakesItsLevelUnknown) {
+  // k grows by 3 per i iteration, so no j instance is reused across i:
+  // the i level sees k as varying and cannot give a distance. Within
+  // one i iteration k is constant, so the j level still does.
+  LintResult R = lint("array A[200];\n"
+                      "k = 0;\n"
+                      "do i = 1, 10 {\n"
+                      "  k = k + 3;\n"
+                      "  do j = 1, 5 {\n"
+                      "    A[k + i + j] = A[k + i + j - 1] + 1;\n"
+                      "  }\n"
+                      "}\n");
+  std::vector<Diagnostic> Nested;
+  for (const Diagnostic &D : R.Diags)
+    if (D.NestPath == "i/j")
+      Nested.push_back(D);
+  ASSERT_EQ(Nested.size(), 3u);
+  for (const Diagnostic &D : Nested)
+    EXPECT_EQ(D.Levels, (std::vector<int64_t>{Diagnostic::NoDistance, 1}))
+        << D.CheckId;
+}
+
+TEST(LintConflictTest, InnerInductionVariablesStaySymbolicAtOuterLevels) {
+  // The outer body writes j only as the inner loop's induction variable,
+  // which the i level holds symbolic: its distance stays known.
+  LintResult R = lint("array A[200];\n"
+                      "do i = 1, 10 {\n"
+                      "  do j = 1, 5 {\n"
+                      "    A[i + j + 1] = A[i + j] + 1;\n"
+                      "  }\n"
+                      "}\n");
+  std::vector<Diagnostic> Nested;
+  for (const Diagnostic &D : R.Diags)
+    if (D.NestPath == "i/j")
+      Nested.push_back(D);
+  ASSERT_EQ(Nested.size(), 3u);
+  for (const Diagnostic &D : Nested)
+    EXPECT_EQ(D.Levels, (std::vector<int64_t>{1, 1})) << D.CheckId;
+}
+
 TEST(LintConflictTest, IndependentIterationsAreClean) {
   LintResult R = lint("do i = 1, 10 {\n"
                       "  A[i] = B[i] * 2;\n"

@@ -140,6 +140,37 @@ TEST(ServerTest, LintRenderIsBitIdenticalToSingleShot) {
             referenceRender(GoodSource, "t.arf", Opts));
 }
 
+TEST(ServerTest, LintRunsInlineOnItsWorker) {
+  // A lint of 24 loops would go to the worker pool by default; serve
+  // lints inline, so the process never runs more threads than before
+  // plus its workers. Every check stalls 2 ms, so the samples land while
+  // the lint runs. The render still matches the pooled single shot.
+  std::string Source;
+  for (int L = 0; L != 24; ++L)
+    Source += "do i = 1, 10 {\n  A[i + 1] = A[i] + " + std::to_string(L) +
+              ";\n}\n";
+  const size_t Before = threadCount();
+  ServeOptions Opts;
+  Opts.Workers = 1;
+  size_t MaxThreads = 0;
+  std::string Reply;
+  {
+    AnalysisServer S(Opts);
+    failpoint::ScopedFailPoint Stall("lint.check", failpoint::Action::Stall,
+                                     0, 2);
+    std::future<std::string> F = submitLine(S, lintLine(Source, "m.arf", 1));
+    while (F.wait_for(std::chrono::milliseconds(2)) !=
+           std::future_status::ready)
+      MaxThreads = std::max(MaxThreads, threadCount());
+    Reply = F.get();
+  }
+  EXPECT_LE(MaxThreads, Before + Opts.Workers);
+  json::Value Resp = parsed(Reply);
+  ASSERT_TRUE(isOk(Resp)) << Resp.toString();
+  EXPECT_EQ(Resp.find("result")->find("render")->stringValue(),
+            referenceRender(Source, "m.arf", Opts));
+}
+
 TEST(ServerTest, AnalyzeColdThenWarmRerun) {
   AnalysisServer S;
   json::Value Cold =

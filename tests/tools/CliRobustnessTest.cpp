@@ -89,6 +89,10 @@ TEST(CliRobustnessTest, UsageErrorsExitTwo) {
   EXPECT_EQ(run(Lint), 2);                       // no inputs
   EXPECT_EQ(run(Lint + " --no-such-option x"), 2);
   EXPECT_EQ(run(Stats + " --budget-visits=0 " + Example), 2);
+  // --threads takes a positive count in both tools.
+  for (const std::string &Tool : {Lint, Stats})
+    for (const char *Flag : {"--threads=0", "--threads=x", "--threads="})
+      EXPECT_EQ(run(Tool + " " + Flag + " " + Example), 2) << Tool << Flag;
   // --explain=CHECK-ID takes only a check whose findings carry evidence;
   // any other id would run and explain nothing.
   std::string Out;
@@ -101,6 +105,23 @@ TEST(CliRobustnessTest, UsageErrorsExitTwo) {
   EXPECT_EQ(run(Lint + " --explain=precondition " + Example), 2);
   EXPECT_EQ(run(Lint + " --explain= " + Example), 2);
   EXPECT_EQ(run(Lint + " --quiet --explain=dead-store " + Example), 0);
+}
+
+TEST(CliRobustnessTest, LintThreadsDoNotChangeTheOutput) {
+  // Every bundled example at once, inline, on pools of 3 and with the
+  // default: stdout and the exit code are the same.
+  const std::string All = std::string(ARDF_EXAMPLES_DIR) + "/*.arf";
+  for (const char *Format : {"--format=text", "--format=sarif"})
+    for (const char *Explain : {"", " --explain"}) {
+      std::string Args = std::string(" ") + Format + Explain + " " + All;
+      std::string Inline, Pooled, Default;
+      int Code = runCapture(Lint + " --threads=1" + Args, Inline);
+      EXPECT_EQ(runCapture(Lint + " --threads=3" + Args, Pooled), Code);
+      EXPECT_EQ(runCapture(Lint + Args, Default), Code);
+      EXPECT_FALSE(Inline.empty()) << Args;
+      EXPECT_EQ(Pooled, Inline) << Args;
+      EXPECT_EQ(Default, Inline) << Args;
+    }
 }
 
 TEST(CliRobustnessTest, EngineNamesAreValidated) {

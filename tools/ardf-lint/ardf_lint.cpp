@@ -12,6 +12,7 @@
 ///   ardf-lint examples/programs/fig1.arf
 ///   ardf-lint --format=sarif --engine=packed examples/programs/*.arf
 ///   ardf-lint --trace-out=trace.json --stats examples/programs/fig1.arf
+///   ardf-lint --threads=1 examples/programs/*.arf
 ///
 /// Exit codes: 0 clean (warnings and notes only), 1 at least one
 /// error-severity diagnostic, 2 usage or I/O failure.
@@ -80,6 +81,11 @@ int usage(std::ostream &OS, int Code) {
      << "\n"
         "  --no-cross-check           skip solving with both engines\n"
         "  --no-nested                lint outermost loops only\n"
+        "  --threads=N                lint a file's loops on N worker\n"
+        "                             threads (default: one per hardware\n"
+        "                             thread, at most one per 8 loops;\n"
+        "                             1 = inline). The output is the same\n"
+        "                             for every N\n"
         "  --explain[=CHECK-ID]       attach the derivation of each\n"
         "                             finding's backing solution cell: a\n"
         "                             because-trail in text output, the\n"
@@ -127,7 +133,9 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts, std::string &Err) {
       Opts.Fmt = Format::Sarif;
     } else if (cli::engineFlag(Arg, Opts.Lint.Engine, Err) ||
                cli::budgetFlag(Arg, Opts.Lint.Budget, Err) ||
-               cli::maxInputBytesFlag(Arg, Opts.MaxInputBytes, Err)) {
+               cli::maxInputBytesFlag(Arg, Opts.MaxInputBytes, Err) ||
+               cli::countFlag(Arg, "--threads", Opts.Lint.Threads, Err,
+                              /*Positive=*/true)) {
       if (!Err.empty())
         return false;
     } else if (Arg == "--no-cross-check") {
